@@ -185,21 +185,11 @@ def is_dephased(H, tol: float = DEFAULT_TOL) -> bool:
 def singular_values(M) -> np.ndarray:
     """Singular values of a (possibly rectangular) matrix, descending.
 
-    Computed as square roots of the eigenvalues of the smaller Gram factor
-    (``M^dag M`` or ``M M^dag``), using the in-house eigensolver.
+    Computed by LAPACK's SVD, so an exactly rank-deficient matrix has
+    singular values at the level of rounding (about 1e-16 of the largest),
+    far below ``numerical_rank``'s cut.
     """
-    from . import eigen  # local import; eigen depends on core validation
-
-    M = as_matrix(M, square=False)
-    rows, cols = M.shape
-    gram = M.conj().T @ M if cols <= rows else M @ M.conj().T
-    vals = eigen.eigenvalues(gram).values
-    # Gram matrices are Hermitian PSD; tiny imaginary/negative parts are noise.
-    sv = np.sqrt(np.clip(vals.real, 0.0, None))
-    sv = np.sort(sv)[::-1]
-    if rows != cols:
-        sv = np.concatenate([sv, np.zeros(abs(rows - cols))]) if len(sv) < max(rows, cols) else sv
-    return sv[: min(rows, cols)]
+    return np.linalg.svd(as_matrix(M, square=False), compute_uv=False)
 
 
 def numerical_rank(M, tol: float = 1e-8) -> int:

@@ -10,8 +10,10 @@ centers float on the circle of radius sqrt(6).
 Descent uses the analytic gradient of the unitarity term plus a
 simultaneous-perturbation estimate for the spectral term, with backtracking
 line search; promising iterates are polished by a damped Gauss-Newton pass
-on the full residual vector.  Restarts provide globalization and every draw
-is keyed by (seed, restart index), so reports are reproducible bit for bit.
+on the full residual vector, whose Jacobian is exact: first-order eigenvalue
+perturbation turns one eigendecomposition per step into every eigenvalue
+derivative.  Restarts provide globalization and every draw is keyed by
+(seed, restart index), so reports are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -280,19 +282,10 @@ def _partition_masks(pattern: tuple, n: int) -> np.ndarray:
     return out
 
 
-def pattern_penalty(
-    eigs: np.ndarray, pattern: tuple, n: int = 6, min_gap: float = 0.5
-) -> float:
-    """Clustering penalty: spread, center-modulus defect, and separation.
-
-    Minimized exactly over all assignments of the n eigenvalues into blocks
-    of the given sizes.  Per block: the within-block spread plus the
-    deviation of the block-center modulus from sqrt(n); per block pair: a
-    hinge that charges centers closer than ``min_gap``, so the pattern means
-    an exact multiplicity profile rather than any refinement of one.
-    Cluster centers are block means, so they float freely on the circle.
-    """
-    masks = _partition_masks(tuple(pattern), n)  # [P, K, n]
+def _partition_costs(eigs: np.ndarray, pattern: tuple, n: int, min_gap: float):
+    """Masks [P, K, n] of every partition into the pattern's blocks, and the
+    clustering cost [P] of each; see ``pattern_penalty`` for the terms."""
+    masks = _partition_masks(tuple(pattern), n)
     counts = masks.sum(axis=2)  # [P, K]
     sums = masks @ eigs  # [P, K] complex
     means = sums / counts
@@ -305,14 +298,29 @@ def pattern_penalty(
         iu, ju = np.triu_indices(k, 1)
         gaps = np.abs(means[:, iu] - means[:, ju])  # [P, pairs]
         costs = costs + (np.maximum(min_gap - gaps, 0.0) ** 2).sum(axis=1)
-    return float(costs.min())
+    return masks, costs
+
+
+def pattern_penalty(
+    eigs: np.ndarray, pattern: tuple, n: int = 6, min_gap: float = 0.5
+) -> float:
+    """Clustering penalty: spread, center-modulus defect, and separation.
+
+    Minimized exactly over all assignments of the n eigenvalues into blocks
+    of the given sizes.  Per block: the within-block spread plus the
+    deviation of the block-center modulus from sqrt(n); per block pair: a
+    hinge that charges centers closer than ``min_gap``, so the pattern means
+    an exact multiplicity profile rather than any refinement of one.
+    Cluster centers are block means, so they float freely on the circle.
+    """
+    return float(_partition_costs(eigs, pattern, n, min_gap)[1].min())
 
 
 def _spectral_penalty(H: np.ndarray, task: SearchTask) -> float:
     eigs = np.linalg.eigvals(H)
     if isinstance(task.target, Spectrum):
         return spectrum_distance(Spectrum(eigs), task.target) ** 2
-    return pattern_penalty(eigs, task.target, task.n)
+    return pattern_penalty(eigs, task.target, task.n, task.min_cluster_gap)
 
 
 def _barrier(H: np.ndarray) -> float:
@@ -365,69 +373,69 @@ def _spectral_value(phases: np.ndarray, task: SearchTask) -> float:
 
 
 def _match_to_reference(eigs: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Permute ``eigs`` to the least-squares match with ``ref`` (n <= 8)."""
+    """Permutation of ``eigs`` that best matches ``ref`` in least squares (n <= 8)."""
     from .eigen import _all_perms
 
     perms = _all_perms(len(ref))
     cost = np.abs(ref[None, :] - eigs[perms]) ** 2
-    best = perms[int(cost.sum(axis=1).argmin())]
-    return eigs[best]
+    return perms[int(cost.sum(axis=1).argmin())]
 
 
-def _residual_vector(phases: np.ndarray, task: SearchTask, ref: np.ndarray, masks_row):
-    """Stacked residuals for Gauss-Newton: unitarity block + spectral block."""
+def _best_partition(eigs: np.ndarray, pattern: tuple, n: int, min_gap: float):
+    masks, costs = _partition_costs(eigs, pattern, n, min_gap)
+    return [np.flatnonzero(block) for block in masks[int(costs.argmin())]]
+
+
+def _residual_and_jacobian(theta: np.ndarray, task: SearchTask):
+    """Gauss-Newton residual vector and its exact Jacobian in the free phases.
+
+    The residual stacks the unitarity block G = H H^dag - n I and the
+    spectral block: eigenvalues minus the target (matched once, here), or
+    per block of the best partition the deviations from the block mean and
+    the block-mean modulus defect.  Phase theta_jk moves H by the rank-one
+    dH = i h_jk e_j e_k^T, so one eigendecomposition H = X diag(w) X^-1
+    gives every eigenvalue derivative by first-order perturbation theory,
+    d w_i = (X^-1 dH X)_ii = i h_jk (X^-1)_ij X_ki.
+    """
     n = task.n
-    H = phases_to_matrix(phases, n)
+    H = phases_to_matrix(theta, n)
+    free = H[1:, 1:]
+    # unitarity block: dG = dH H^dag + (dH H^dag)^dag, with
+    # (dH H^dag)_ab = delta_aj i h_jk conj(h_bk)
     G = H @ H.conj().T - n * np.eye(n)
-    parts = [math.sqrt(task.w_chm) * G.real.ravel(), math.sqrt(task.w_chm) * G.imag.ravel()]
-    eigs = _match_to_reference(np.linalg.eigvals(H), ref)
+    rows = 1j * free[:, :, None] * np.conj(H[:, 1:].T)[None]  # [j, k, b]
+    A = np.einsum("aj,jkb->abjk", np.eye(n)[:, 1:], rows)
+    dG = (A + np.conj(A.transpose(1, 0, 2, 3))).reshape(n * n, -1)
+    wc = math.sqrt(task.w_chm)
+    res = [wc * G.real.ravel(), wc * G.imag.ravel()]
+    jac = [wc * dG.real, wc * dG.imag]
+
+    w, X = np.linalg.eig(H)
+    Xinv = np.linalg.inv(X)
+    dw = (1j * free[None] * Xinv[:, 1:, None] * X.T[:, None, 1:]).reshape(n, -1)
     ws = math.sqrt(task.w_spec)
     if isinstance(task.target, Spectrum):
-        diff = eigs - task.target.values
-        parts += [ws * diff.real, ws * diff.imag]
+        order = _match_to_reference(w, task.target.values)
+        diff, ddiff = w[order] - task.target.values, dw[order]
+        res += [ws * diff.real, ws * diff.imag]
+        jac += [ws * ddiff.real, ws * ddiff.imag]
     else:
-        for block in masks_row:
-            vals = eigs[block]
-            mu = vals.mean()
-            parts.append(ws * (vals - mu).real)
-            parts.append(ws * (vals - mu).imag)
-            parts.append(np.array([ws * (abs(mu) - math.sqrt(n))]))
-    return np.concatenate(parts)
-
-
-def _best_partition(eigs: np.ndarray, pattern: tuple, n: int):
-    masks = _partition_masks(tuple(pattern), n)
-    counts = masks.sum(axis=2)
-    sums = masks @ eigs
-    means = sums / counts
-    sq = masks @ (np.abs(eigs) ** 2)
-    within = sq - (np.abs(sums) ** 2) / counts
-    center = (np.abs(means) - math.sqrt(n)) ** 2
-    best = int((within + center).sum(axis=1).argmin())
-    return [np.where(masks[best, k])[0] for k in range(masks.shape[1])]
+        for block in _best_partition(w, task.target, n, task.min_cluster_gap):
+            mu, dmu = w[block].mean(), dw[block].mean(axis=0)
+            dev, ddev = w[block] - mu, dw[block] - dmu
+            res += [ws * dev.real, ws * dev.imag, [ws * (abs(mu) - math.sqrt(n))]]
+            dabs = np.real(np.conj(mu) * dmu) / abs(mu)
+            jac += [ws * ddev.real, ws * ddev.imag, ws * dabs[None, :]]
+    return np.concatenate(res), np.vstack(jac)
 
 
 def _polish(phases: np.ndarray, task: SearchTask, max_steps: int = 40):
     """Damped Gauss-Newton on the residual vector; returns (phases, value)."""
-    n = task.n
     theta = phases.copy()
     f = objective(theta, task)
     lam = 1e-3
-    h = 1e-7
     for _ in range(max_steps):
-        eigs0 = np.linalg.eigvals(phases_to_matrix(theta, n))
-        if isinstance(task.target, Spectrum):
-            ref = _match_to_reference(eigs0, task.target.values)
-            masks_row = None
-        else:
-            ref = eigs0
-            masks_row = _best_partition(eigs0, task.target, n)
-        r0 = _residual_vector(theta, task, ref, masks_row)
-        J = np.empty((r0.size, theta.size))
-        for k in range(theta.size):
-            step = np.zeros_like(theta)
-            step[k] = h
-            J[:, k] = (_residual_vector(theta + step, task, ref, masks_row) - r0) / h
+        r0, J = _residual_and_jacobian(theta, task)
         JtJ = J.T @ J
         g = J.T @ r0
         improved = False

@@ -75,6 +75,17 @@ class TestVerify:
         code, _ = run(capsys, "verify", "/nonexistent/nope.json")
         assert code == 2
 
+    @pytest.mark.parametrize("k", range(2, 17))
+    def test_fourier_is_verified_at_every_size(self, capsys, tmp_path, k):
+        # F12-F16 have an eigenvalue of multiplicity 4 or 5; the "at most
+        # triple" bound is an n = 6 theorem and must not reject them
+        path = tmp_path / f"f{k}.json"
+        code, _ = run(capsys, "gen", "--family", "fourier", "--n", str(k), "--out", str(path))
+        assert code == 0
+        code, out = run(capsys, "verify", str(path))
+        assert code == 0, json.loads(out)
+        assert json.loads(out)["verified"] is True
+
     def test_chm_tol_env_override(self, capsys, tmp_path, monkeypatch):
         S = gen_tao(1) + 1e-6  # small additive damage
         path = tmp_path / "damaged.json"

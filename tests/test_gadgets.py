@@ -230,6 +230,17 @@ class TestRealPairRank:
         rows, cols = rep.witnesses[0]
         assert oracles.is_rank_one_by_minors(H[np.ix_(rows, cols)])
 
+    def test_coincident_columns_lists_every_exact_witness(self):
+        # at these angles sigma1 < 2.1 on the witness blocks, where square
+        # roots of Gram eigenvalues used to lift sigma2 = 0 above the cut
+        d, f = self._coincident_fixture()
+        a, b = 1.6590624786635573, 2.63768105946942
+        rep = gadget_real_pair_rank(d, f, a=a, b=b)
+        H = real_pair_matrix(d, f, a, b)
+        assert len(rep.witnesses) == 7
+        for rows, cols in rep.witnesses:
+            assert oracles.is_rank_one_by_minors(H[np.ix_(rows, cols)])
+
     def test_uniform_fixture_reports_low_rank(self):
         d = np.full(6, 1.0 / math.sqrt(6.0))
         f = np.array([1.0, -1, 1, -1, 1, -1]) / math.sqrt(6.0)

@@ -8,6 +8,7 @@ from chmkit.eigen import Spectrum, eigenvalues
 from chmkit.families import gen_fourier, gen_tao
 from chmkit.search import (
     SearchReport,
+    _residual_and_jacobian,
     SearchTask,
     chm_gradient,
     gradient_check,
@@ -89,6 +90,32 @@ class TestGradient:
         assert gradient_check(phases) < 1e-5
 
 
+class TestPolishJacobian:
+    @staticmethod
+    def _central_differences(theta, task, h=1e-6):
+        cols = []
+        for k in range(theta.size):
+            bump = np.zeros_like(theta)
+            bump[k] = h
+            rp, _ = _residual_and_jacobian(theta + bump, task)
+            rm, _ = _residual_and_jacobian(theta - bump, task)
+            cols.append((rp - rm) / (2.0 * h))
+        return np.column_stack(cols)
+
+    @pytest.mark.parametrize("target", ["[4,1,1]", "[2,2,1,1]", "spectrum"])
+    def test_matches_central_differences(self, target):
+        rng = np.random.default_rng(21)
+        if target == "spectrum":
+            target = Spectrum(np.linalg.eigvals(phases_to_matrix(rng.uniform(0, 2 * np.pi, 25))))
+        task = SearchTask(target=target, seed=0, w_chm=1.5, w_spec=0.5)
+        for _ in range(3):
+            theta = rng.uniform(0, 2 * np.pi, 25)
+            _, J = _residual_and_jacobian(theta, task)
+            Jf = self._central_differences(theta, task)
+            assert J.shape == Jf.shape and J.shape[1] == 25
+            assert np.max(np.abs(J - Jf)) <= 1e-6 * np.max(np.abs(J))
+
+
 class TestMinimize:
     def test_finds_tao_type_pattern(self):
         task = SearchTask(target="[2,2,1,1]", restarts=20, max_iters=3000, seed=1)
@@ -111,6 +138,13 @@ class TestMinimize:
         report = minimize(task)
         assert not report.found
         assert report.best_residual > 1e-2
+
+    def test_min_cluster_gap_changes_the_search(self):
+        def best(gap):
+            task = SearchTask(target="[4,1,1]", restarts=2, seed=3, min_cluster_gap=gap)
+            return minimize(task).best_residual
+
+        assert best(0.0) != best(5.0)
 
     def test_trace_rows_stream(self):
         rows = []
