@@ -18,8 +18,8 @@ import sys
 import numpy as np
 
 from . import core, families, gadgets, mub, search, spectral
-from .core import DEFAULT_TOL
-from .eigen import eigenvalues
+from .core import DEFAULT_TOL, SQRT6
+from .eigen import ConvergenceError, eigenvalues
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
@@ -136,7 +136,7 @@ def _cmd_verify(args) -> int:
                 if profile[0] == 3 and not eq.spectrum_is_pm_sqrt6:
                     prof_ok = False
             ok = ce_ok and prof_ok and equiv_ok
-        except ValueError as exc:
+        except (ValueError, ConvergenceError) as exc:
             report["verifier_error"] = str(exc)
             ok = False
 
@@ -200,8 +200,8 @@ def _cmd_gadget(args) -> int:
         except ValueError as exc:
             raise _CliError(str(exc)) from exc
     elif name == "triple":
-        lam = math.sqrt(6.0) * np.exp(1j * args.lambda_arg)
-        lam6 = math.sqrt(6.0) * np.exp(1j * args.lambda6_arg)
+        lam = SQRT6 * np.exp(1j * args.lambda_arg)
+        lam6 = SQRT6 * np.exp(1j * args.lambda6_arg)
         a, t = gadgets.random_feasible_weights(rng)
         try:
             _, report = gadgets.gadget_triple_eigenvalue(lam, lam6, a, t)

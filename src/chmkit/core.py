@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,8 @@ import numpy as np
 DEFAULT_TOL = 1e-10
 #: default tolerance for "are these the same matrix?" style identity checks
 IDENTITY_TOL = 1e-12
+#: sqrt(6): the modulus of every eigenvalue of a 6x6 CHM
+SQRT6 = math.sqrt(6.0)
 
 
 class DimensionError(ValueError):

@@ -15,8 +15,6 @@ import numpy as np
 
 from .core import as_matrix
 
-SQRT6 = math.sqrt(6.0)
-
 #: lower edge of the valid |theta| range for the Hermitian family
 HERMITIAN_THETA_MIN = math.acos((-1.0 + math.sqrt(3.0)) / 2.0)
 

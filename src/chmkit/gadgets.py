@@ -15,10 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import as_matrix, chm_residuals, numerical_rank, rank_one_submatrix_scan
+from .core import SQRT6, as_matrix, chm_residuals, numerical_rank, rank_one_submatrix_scan
 from .eigen import eigenvalues
-
-SQRT6 = math.sqrt(6.0)
 
 #: minimum observed violation for a gadget verdict to count as a pass
 MARGIN = 1e-6
@@ -320,7 +318,7 @@ def gadget_rotation_constants(grid: int = 10_000) -> GadgetReport:
     # bound sweep: 0 <= offset <= sqrt(6)/12, maximum attained at cos a = -1
     cg = np.linspace(-1.0, -2.0 / 3.0, grid)
     offsets = _weight_offset(cg)
-    bound = math.sqrt(6.0) / 12.0
+    bound = SQRT6 / 12.0
     max_offset = float(np.max(offsets))
     bound_overshoot = max(0.0, max_offset - bound)
     bound_gap = abs(max_offset - bound)

@@ -5,7 +5,11 @@ The search space is the 25 free phases of a dephased unimodular 6x6 matrix
 orbit directions).  The objective combines the unitarity defect with a
 spectral penalty: either the squared multiset distance to an explicit target
 spectrum, or a clustering penalty for a multiplicity pattern whose cluster
-centers float on the circle of radius sqrt(6).
+centers float on the circle of radius sqrt(6).  The pattern penalty is
+minimized exactly over every set partition of the eigenvalues into the
+pattern's blocks; the partitions' masks, block sizes and block-pair indices
+depend only on (pattern, n), so ``_partition_table`` builds them once per
+process and each objective call is a few array products.
 
 Descent uses the analytic gradient of the unitarity term plus a
 simultaneous-perturbation estimate for the spectral term, with backtracking
@@ -18,18 +22,18 @@ derivative.  Restarts provide globalization and every draw is keyed by
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import chm_residuals
-from .eigen import Spectrum, spectrum_distance
+from .eigen import ConvergenceError, Spectrum, spectrum_distance
 from .spectral import multiplicity_profile
-
-SQRT6 = math.sqrt(6.0)
 
 #: margin used by the non-Hermitian barrier: candidates must keep
 #: ||H - H^dag||_F^2 at or above this value
@@ -234,7 +238,8 @@ def matrix_to_phases(H: np.ndarray) -> np.ndarray:
 
 
 def _unitarity_defect(H: np.ndarray, n: int):
-    G = H @ H.conj().T - n * np.eye(n)
+    G = H @ H.conj().T
+    G.flat[:: n + 1] -= n
     return float(np.sum(np.abs(G) ** 2)), G
 
 
@@ -247,12 +252,23 @@ def chm_gradient(phases: np.ndarray, n: int = 6) -> np.ndarray:
     return full[1:, 1:].ravel()
 
 
-def _partition_masks(pattern: tuple, n: int) -> np.ndarray:
-    """Boolean masks [P, K, n] for every set partition into the given sizes."""
-    key = (pattern, n)
-    cache = _partition_masks.__dict__.setdefault("cache", {})
-    if key in cache:
-        return cache[key]
+class _PartitionTable(NamedTuple):
+    """Everything about a pattern's set partitions that does not depend on
+    the eigenvalues, built once per (pattern, n) by ``_partition_table``."""
+
+    masks: np.ndarray  # bool [P, K, n]: block k of partition p holds index i
+    masks_c: np.ndarray  # masks as complex, for ``masks_c @ eigs``
+    masks_f: np.ndarray  # masks as float, for ``masks_f @ |eigs|^2``
+    counts: np.ndarray  # int [P, K] block sizes
+    iu: np.ndarray  # block pairs (iu[q], ju[q]) with iu < ju, for the gap hinge
+    ju: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _partition_table(pattern: tuple, n: int) -> _PartitionTable:
+    """Masks, block counts and block-pair indices for every set partition of
+    range(n) into blocks of the given sizes.  The arrays are shared by every
+    caller, so they are read-only."""
     partitions = []
 
     def rec(remaining, sizes, acc):
@@ -277,28 +293,31 @@ def _partition_masks(pattern: tuple, n: int) -> np.ndarray:
         for ci, block in enumerate(part):
             m[ci, list(block)] = True
         masks.append(m)
-    out = np.array(masks)
-    cache[key] = out
-    return out
+    masks = np.array(masks)
+    iu, ju = np.triu_indices(len(pattern), 1)
+    table = _PartitionTable(
+        masks, masks.astype(np.complex128), masks.astype(np.float64),
+        masks.sum(axis=2), iu, ju,
+    )
+    for arr in table:
+        arr.flags.writeable = False
+    return table
 
 
 def _partition_costs(eigs: np.ndarray, pattern: tuple, n: int, min_gap: float):
     """Masks [P, K, n] of every partition into the pattern's blocks, and the
     clustering cost [P] of each; see ``pattern_penalty`` for the terms."""
-    masks = _partition_masks(tuple(pattern), n)
-    counts = masks.sum(axis=2)  # [P, K]
-    sums = masks @ eigs  # [P, K] complex
-    means = sums / counts
-    sq = masks @ (np.abs(eigs) ** 2)  # [P, K]
-    within = np.maximum(sq - (np.abs(sums) ** 2) / counts, 0.0)
+    t = _partition_table(tuple(pattern), n)
+    sums = t.masks_c @ eigs  # [P, K] complex
+    means = sums / t.counts
+    sq = t.masks_f @ (np.abs(eigs) ** 2)  # [P, K]
+    within = np.maximum(sq - (np.abs(sums) ** 2) / t.counts, 0.0)
     center = (np.abs(means) - math.sqrt(n)) ** 2
     costs = (within + center).sum(axis=1)
-    k = means.shape[1]
-    if k > 1 and min_gap > 0.0:
-        iu, ju = np.triu_indices(k, 1)
-        gaps = np.abs(means[:, iu] - means[:, ju])  # [P, pairs]
+    if t.iu.size and min_gap > 0.0:
+        gaps = np.abs(means[:, t.iu] - means[:, t.ju])  # [P, pairs]
         costs = costs + (np.maximum(min_gap - gaps, 0.0) ** 2).sum(axis=1)
-    return masks, costs
+    return t.masks, costs
 
 
 def pattern_penalty(
@@ -402,9 +421,12 @@ def _residual_and_jacobian(theta: np.ndarray, task: SearchTask):
     free = H[1:, 1:]
     # unitarity block: dG = dH H^dag + (dH H^dag)^dag, with
     # (dH H^dag)_ab = delta_aj i h_jk conj(h_bk)
-    G = H @ H.conj().T - n * np.eye(n)
+    G = H @ H.conj().T
+    G.flat[:: n + 1] -= n
     rows = 1j * free[:, :, None] * np.conj(H[:, 1:].T)[None]  # [j, k, b]
-    A = np.einsum("aj,jkb->abjk", np.eye(n)[:, 1:], rows)
+    A = np.zeros((n, n, n - 1, n - 1), dtype=np.complex128)  # [a, b, j, k]
+    j = np.arange(n - 1)
+    A[j + 1, :, j, :] = rows.transpose(0, 2, 1)
     dG = (A + np.conj(A.transpose(1, 0, 2, 3))).reshape(n * n, -1)
     wc = math.sqrt(task.w_chm)
     res = [wc * G.real.ravel(), wc * G.imag.ravel()]
@@ -434,6 +456,7 @@ def _polish(phases: np.ndarray, task: SearchTask, max_steps: int = 40):
     theta = phases.copy()
     f = objective(theta, task)
     lam = 1e-3
+    eye = np.eye(theta.size)
     for _ in range(max_steps):
         r0, J = _residual_and_jacobian(theta, task)
         JtJ = J.T @ J
@@ -441,7 +464,7 @@ def _polish(phases: np.ndarray, task: SearchTask, max_steps: int = 40):
         improved = False
         for _ in range(8):
             try:
-                delta = np.linalg.solve(JtJ + lam * np.eye(theta.size), -g)
+                delta = np.linalg.solve(JtJ + lam * eye, -g)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
@@ -467,7 +490,10 @@ def _qualifies(phases: np.ndarray, task: SearchTask, value: float) -> bool:
         return False
     from .eigen import eigenvalues
 
-    spec = eigenvalues(H)
+    try:
+        spec = eigenvalues(H)
+    except ConvergenceError:
+        return False
     if isinstance(task.target, Spectrum):
         return spectrum_distance(spec, task.target) <= 1e-6
     profile = tuple(multiplicity_profile(spec, cluster_tol=1e-6))
@@ -564,12 +590,18 @@ def minimize(task: SearchTask, trace_rows: list | None = None) -> SearchReport:
     H = phases_to_matrix(best_theta, task.n)
     from .eigen import eigenvalues
 
+    try:
+        best_spectrum = eigenvalues(H)
+    except ConvergenceError:
+        # descriptive only: a found matrix has already passed this solve in
+        # _qualifies, so only a not-found best candidate can land here
+        best_spectrum = Spectrum(np.linalg.eigvals(H))
     return SearchReport(
         task=task,
         best_residual=best_f,
         best_phases=best_theta,
         best_matrix=H,
-        best_spectrum=eigenvalues(H),
+        best_spectrum=best_spectrum,
         traces=traces,
         found=found,
         found_restart=found_restart,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_matrix, chm_residuals, is_dephased
+from .core import SQRT6, as_matrix, chm_residuals, is_dephased
 from .eigen import CLUSTER_TOL, Spectrum, cluster_indices, eigenpairs
 
 
@@ -170,9 +170,8 @@ def verify_hermitian_equivalence(
     has_triple = profile[0] >= 3
     trace_abs = float(abs(np.trace(H)))
     trace_zero = trace_abs <= tol
-    rt = math.sqrt(6.0)
     pm_dev = float(
-        np.max(np.minimum(np.abs(spec.values - rt), np.abs(spec.values + rt)))
+        np.max(np.minimum(np.abs(spec.values - SQRT6), np.abs(spec.values + SQRT6)))
     )
     pm_sqrt6 = pm_dev <= 1e-6
 

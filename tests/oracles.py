@@ -91,3 +91,51 @@ def is_rank_one_by_minors(M: np.ndarray, tol: float = 1e-8) -> bool:
             if abs(minor) > tol * scale**2:
                 return False
     return True
+
+
+def pattern_penalty_by_enumeration(eigs, pattern, n: int = 6, min_gap: float = 0.5) -> float:
+    """The clustering penalty of ``search.pattern_penalty``, minimized by a
+    plain recursion that deals each eigenvalue into a block with room left.
+
+    Per block: sum |e - mean|^2 plus (|mean| - sqrt(n))^2; per block pair:
+    max(min_gap - |mean_a - mean_b|, 0)^2.  Blocks of equal size are dealt
+    in every order, which repeats partitions but not their minimum.
+    """
+    eigs = [complex(e) for e in eigs]
+    blocks = [[] for _ in pattern]
+    best = [np.inf]
+
+    def cost() -> float:
+        means = [sum(b) / len(b) for b in blocks]
+        total = 0.0
+        for b, mu in zip(blocks, means):
+            total += sum(abs(e - mu) ** 2 for e in b)
+            total += (abs(mu) - np.sqrt(n)) ** 2
+        for a, b in itertools.combinations(means, 2):
+            total += max(min_gap - abs(a - b), 0.0) ** 2
+        return total
+
+    def rec(i: int) -> None:
+        if i == len(eigs):
+            best[0] = min(best[0], cost())
+            return
+        for k, size in enumerate(pattern):
+            if len(blocks[k]) < size:
+                blocks[k].append(eigs[i])
+                rec(i + 1)
+                blocks[k].pop()
+
+    rec(0)
+    return float(best[0])
+
+
+def cluster_profile(values, tol: float) -> list:
+    """Descending sizes of the connected components of values that lie
+    within ``tol`` of each other (single linkage)."""
+    values = list(values)
+    label = list(range(len(values)))
+    for i, j in itertools.combinations(range(len(values)), 2):
+        if abs(values[i] - values[j]) <= tol and label[i] != label[j]:
+            old = label[j]
+            label = [label[i] if x == old else x for x in label]
+    return sorted((label.count(x) for x in set(label)), reverse=True)

@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chmkit import cli, core
-from chmkit.families import gen_tao
+import oracles
+from chmkit import cli, core, eigen
+from chmkit.families import gen_tao, standard_corpus
 
 OMEGA = np.exp(2j * np.pi / 3)
 
@@ -95,6 +100,49 @@ class TestVerify:
         monkeypatch.setenv("CHM_TOL", "1e-3")
         code, _ = run(capsys, "verify", str(path))
         assert code == 0
+
+    def test_convergence_error_is_a_verifier_error(self, capsys, tao_file, monkeypatch):
+        def fail(*args, **kwargs):
+            raise eigen.ConvergenceError("QR iteration did not converge")
+
+        monkeypatch.setattr(cli, "eigenvalues", fail)
+        monkeypatch.setattr(eigen, "eigenvalues", fail)
+        code, out = run(capsys, "verify", tao_file)
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["verified"] is False
+        assert payload["verifier_error"] == "QR iteration did not converge"
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    def test_verdict_survives_monomial_equivalence(self, seed):
+        # P H Q is a CHM whenever H is.  Its dephased form, and so the
+        # reported profile, may differ from H's: compare with numpy's
+        # eigenvalues of the scrambled matrix's own dephased form instead
+        rng = np.random.default_rng(seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            src, dst = os.path.join(tmp, "m.json"), os.path.join(tmp, "out.json")
+            for name, H in standard_corpus():
+                n = H.shape[0]
+                P, Q = (
+                    core.MonomialUnitary(
+                        n=n, perm=tuple(rng.permutation(n)),
+                        phases=tuple(np.exp(1j * rng.uniform(0, 2 * np.pi, n))),
+                    )
+                    for _ in range(2)
+                )
+                S = core.apply_equivalence(H, P, Q)
+                core.write_matrix(S, src)
+                assert cli.main(["verify", src, "--out", dst]) == 0, name
+                with open(dst, encoding="ascii") as fh:
+                    payload = json.load(fh)
+                assert payload["verified"] is True, name
+                if n == 6:
+                    D = S / S[:, :1]
+                    D = D / D[:1, :]
+                    expected = oracles.cluster_profile(np.linalg.eigvals(D), 1e-6)
+                    assert payload["multiplicity_profile"] == expected, name
+                    assert max(payload["multiplicity_profile"]) <= 3, name
 
 
 class TestEigenAndDephase:

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+import chmkit.eigen
+import oracles
 from chmkit.core import chm_residuals
-from chmkit.eigen import Spectrum, eigenvalues
+from chmkit.eigen import ConvergenceError, Spectrum, eigenvalues
 from chmkit.families import gen_fourier, gen_tao
 from chmkit.search import (
     SearchReport,
+    _partition_table,
     _residual_and_jacobian,
     SearchTask,
     chm_gradient,
@@ -71,6 +74,34 @@ class TestObjective:
         assert pattern_penalty(eigs, (2, 2, 1, 1)) < 1e-12
         assert pattern_penalty(eigs, (4, 1, 1)) > 0.1
         assert pattern_penalty(eigs, (6,)) > 1.0
+
+    @pytest.mark.parametrize("min_gap", [0.0, 0.5, 5.0])
+    @pytest.mark.parametrize(
+        "pattern", [(4, 1, 1), (4, 2), (3, 3), (2, 2, 1, 1), (1,) * 6, (6,)]
+    )
+    def test_pattern_penalty_matches_enumeration(self, pattern, min_gap):
+        rng = np.random.default_rng(31)
+        for _ in range(3):
+            eigs = np.linalg.eigvals(phases_to_matrix(rng.uniform(0, 2 * np.pi, 25)))
+            expected = oracles.pattern_penalty_by_enumeration(eigs, pattern, 6, min_gap)
+            got = pattern_penalty(eigs, pattern, 6, min_gap)
+            assert got == pytest.approx(expected, rel=1e-12)
+
+
+class TestPartitionTable:
+    def test_keyed_on_pattern_and_size(self):
+        a = _partition_table((4, 1, 1), 6)
+        b = _partition_table((4, 1), 5)
+        assert a.masks.shape == (15, 3, 6)  # 6!/(4! 1! 1!) / 2! for the equal singletons
+        assert b.masks.shape == (5, 2, 5)
+        assert _partition_table((4, 1, 1), 6) is a
+        assert not a.masks.flags.writeable
+
+    def test_cache_clear_leaves_reports_unchanged(self):
+        task = SearchTask(target="[4,1,1]", restarts=1, max_iters=60, seed=2)
+        before = minimize(task).to_json()
+        _partition_table.cache_clear()
+        assert minimize(task).to_json() == before
 
 
 class TestGradient:
@@ -175,6 +206,23 @@ class TestMinimize:
         assert [t.final_residual for t in again.traces] == [
             t.final_residual for t in report.traces
         ]
+
+
+class TestConvergenceError:
+    @staticmethod
+    def _fail(*args, **kwargs):
+        raise ConvergenceError("QR iteration did not converge")
+
+    def test_minimize_reports_instead_of_raising(self, monkeypatch):
+        task = SearchTask(target="[2,2,1,1]", restarts=1, seed=5)
+        assert minimize(task).found
+        monkeypatch.setattr(chmkit.eigen, "eigenvalues", self._fail)
+        report = minimize(task)
+        # the soundness gate could not solve for the spectrum, so no verdict
+        # of "found"; the reported spectrum falls back to numpy's
+        assert not report.found
+        fallback = Spectrum(np.linalg.eigvals(report.best_matrix))
+        assert np.array_equal(report.best_spectrum.values, fallback.values)
 
 
 class TestTaskValidation:
