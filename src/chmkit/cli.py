@@ -273,11 +273,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", required=True,
                    help='multiplicity pattern, e.g. "2,2,1,1" or "[4,1,1]"')
     p.add_argument("--restarts", type=int, default=50)
-    p.add_argument("--max-iters", type=int, default=5000, dest="max_iters")
+    p.add_argument("--max-iters", type=int, default=5000, dest="max_iters",
+                   help="cap on the Levenberg-Marquardt steps of one restart")
     p.add_argument("--seed", type=int, required=True,
                    help="PRNG seed; mandatory so runs are reproducible")
     p.add_argument("--tol-success", type=float, default=1e-8, dest="tol_success")
-    p.add_argument("--trace", help="write per-iteration CSV trace to this path")
+    p.add_argument("--trace", help="write a CSV row per Levenberg-Marquardt step to this path")
     p.add_argument("--out", help="output path (default: stdout)")
     p.set_defaults(func=_cmd_search)
 

@@ -3,21 +3,21 @@
 The search space is the 25 free phases of a dephased unimodular 6x6 matrix
 (first row and column pinned to ones, which removes the diagonal-equivalence
 orbit directions).  The objective combines the unitarity defect with a
-spectral penalty: either the squared multiset distance to an explicit target
-spectrum, or a clustering penalty for a multiplicity pattern whose cluster
-centers float on the circle of radius sqrt(6).  The pattern penalty is
-minimized exactly over every set partition of the eigenvalues into the
-pattern's blocks; the partitions' masks, block sizes and block-pair indices
-depend only on (pattern, n), so ``_partition_table`` builds them once per
-process and each objective call is a few array products.
+spectral penalty: either the squared distance to an explicit target spectrum
+under the best pairing of eigenvalues, or a clustering penalty for a
+multiplicity pattern whose cluster centers float on the circle of radius
+sqrt(6).  The pattern penalty is minimized exactly over every set partition
+of the eigenvalues into the pattern's blocks; the partitions' masks, block
+sizes and block-pair indices depend only on (pattern, n), so
+``_partition_table`` builds them once per process and each objective call is
+a few array products.
 
-Descent uses the analytic gradient of the unitarity term plus a
-simultaneous-perturbation estimate for the spectral term, with backtracking
-line search; promising iterates are polished by a damped Gauss-Newton pass
-on the full residual vector, whose Jacobian is exact: first-order eigenvalue
-perturbation turns one eigendecomposition per step into every eigenvalue
-derivative.  Restarts provide globalization and every draw is keyed by
-(seed, restart index), so reports are reproducible bit for bit.
+The objective is the squared norm of a residual vector, and every restart
+runs Levenberg-Marquardt (damped Gauss-Newton) on that vector from a random
+start.  Its Jacobian is exact: first-order eigenvalue perturbation turns one
+eigendecomposition per step into every eigenvalue derivative.  Restarts
+provide globalization and every draw is keyed by (seed, restart index), so
+reports are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -38,6 +38,11 @@ from .spectral import multiplicity_profile
 #: margin used by the non-Hermitian barrier: candidates must keep
 #: ||H - H^dag||_F^2 at or above this value
 HERMITIAN_BARRIER = 0.1
+
+#: a restart stops once a step lowers the objective by no more than this
+#: share of its value (MINPACK's default ``ftol``); without it restarts at
+#: an impossible pattern creep for hundreds of steps toward the same minimum
+FTOL = math.sqrt(np.finfo(np.float64).eps)
 
 
 def parse_pattern(text: str):
@@ -260,6 +265,7 @@ class _PartitionTable(NamedTuple):
     masks_c: np.ndarray  # masks as complex, for ``masks_c @ eigs``
     masks_f: np.ndarray  # masks as float, for ``masks_f @ |eigs|^2``
     counts: np.ndarray  # int [P, K] block sizes
+    owner: np.ndarray  # int [P, n]: the block of partition p that holds index i
     iu: np.ndarray  # block pairs (iu[q], ju[q]) with iu < ju, for the gap hinge
     ju: np.ndarray
 
@@ -297,7 +303,7 @@ def _partition_table(pattern: tuple, n: int) -> _PartitionTable:
     iu, ju = np.triu_indices(len(pattern), 1)
     table = _PartitionTable(
         masks, masks.astype(np.complex128), masks.astype(np.float64),
-        masks.sum(axis=2), iu, ju,
+        masks.sum(axis=2), masks.argmax(axis=1), iu, ju,
     )
     for arr in table:
         arr.flags.writeable = False
@@ -305,8 +311,8 @@ def _partition_table(pattern: tuple, n: int) -> _PartitionTable:
 
 
 def _partition_costs(eigs: np.ndarray, pattern: tuple, n: int, min_gap: float):
-    """Masks [P, K, n] of every partition into the pattern's blocks, and the
-    clustering cost [P] of each; see ``pattern_penalty`` for the terms."""
+    """Clustering cost [P] of every partition into the pattern's blocks, in
+    the order of ``_partition_table``; see ``pattern_penalty`` for the terms."""
     t = _partition_table(tuple(pattern), n)
     sums = t.masks_c @ eigs  # [P, K] complex
     means = sums / t.counts
@@ -317,7 +323,7 @@ def _partition_costs(eigs: np.ndarray, pattern: tuple, n: int, min_gap: float):
     if t.iu.size and min_gap > 0.0:
         gaps = np.abs(means[:, t.iu] - means[:, t.ju])  # [P, pairs]
         costs = costs + (np.maximum(min_gap - gaps, 0.0) ** 2).sum(axis=1)
-    return t.masks, costs
+    return costs
 
 
 def pattern_penalty(
@@ -332,13 +338,23 @@ def pattern_penalty(
     an exact multiplicity profile rather than any refinement of one.
     Cluster centers are block means, so they float freely on the circle.
     """
-    return float(_partition_costs(eigs, pattern, n, min_gap)[1].min())
+    return float(_partition_costs(eigs, pattern, n, min_gap).min())
+
+
+def _match_to_reference(eigs: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Permutation of ``eigs`` that best matches ``ref`` in least squares (n <= 8)."""
+    from .eigen import _all_perms
+
+    perms = _all_perms(len(ref))
+    cost = np.abs(ref[None, :] - eigs[perms]) ** 2
+    return perms[int(cost.sum(axis=1).argmin())]
 
 
 def _spectral_penalty(H: np.ndarray, task: SearchTask) -> float:
     eigs = np.linalg.eigvals(H)
     if isinstance(task.target, Spectrum):
-        return spectrum_distance(Spectrum(eigs), task.target) ** 2
+        ref = task.target.values
+        return np.sum(np.abs(eigs[_match_to_reference(eigs, ref)] - ref) ** 2)
     return pattern_penalty(eigs, task.target, task.n, task.min_cluster_gap)
 
 
@@ -380,41 +396,22 @@ def gradient_check(phases, h: float = 1e-6, n: int = 6) -> float:
 
 
 # ---------------------------------------------------------------------------
-# local descent: SPSA-assisted gradient steps + Gauss-Newton polish
+# local descent: Levenberg-Marquardt on the residual vector
 # ---------------------------------------------------------------------------
 
-def _spectral_value(phases: np.ndarray, task: SearchTask) -> float:
-    H = phases_to_matrix(phases, task.n)
-    v = task.w_spec * _spectral_penalty(H, task)
-    if task.non_hermitian:
-        v += _barrier(H)
-    return v
-
-
-def _match_to_reference(eigs: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Permutation of ``eigs`` that best matches ``ref`` in least squares (n <= 8)."""
-    from .eigen import _all_perms
-
-    perms = _all_perms(len(ref))
-    cost = np.abs(ref[None, :] - eigs[perms]) ** 2
-    return perms[int(cost.sum(axis=1).argmin())]
-
-
-def _best_partition(eigs: np.ndarray, pattern: tuple, n: int, min_gap: float):
-    masks, costs = _partition_costs(eigs, pattern, n, min_gap)
-    return [np.flatnonzero(block) for block in masks[int(costs.argmin())]]
-
-
 def _residual_and_jacobian(theta: np.ndarray, task: SearchTask):
-    """Gauss-Newton residual vector and its exact Jacobian in the free phases.
+    """Residual vector r with r @ r == objective(theta, task), and its exact
+    Jacobian in the free phases.
 
-    The residual stacks the unitarity block G = H H^dag - n I and the
-    spectral block: eigenvalues minus the target (matched once, here), or
-    per block of the best partition the deviations from the block mean and
-    the block-mean modulus defect.  Phase theta_jk moves H by the rank-one
-    dH = i h_jk e_j e_k^T, so one eigendecomposition H = X diag(w) X^-1
-    gives every eigenvalue derivative by first-order perturbation theory,
-    d w_i = (X^-1 dH X)_ii = i h_jk (X^-1)_ij X_ki.
+    The residual stacks the unitarity block G = H H^dag - n I, the spectral
+    block and, for a non-Hermitian task, the barrier row.  The spectral block
+    is the eigenvalues minus the target under the best pairing, or for a
+    pattern, over the best partition: each eigenvalue's deviation from its
+    block mean, each block-mean modulus defect, and a hinge row for each
+    block pair closer than ``min_cluster_gap``.  Phase theta_jk moves H by
+    the rank-one dH = i h_jk e_j e_k^T, so one eigendecomposition
+    H = X diag(w) X^-1 gives every eigenvalue derivative by first-order
+    perturbation theory, d w_i = (X^-1 dH X)_ii = i h_jk (X^-1)_ij X_ki.
     """
     n = task.n
     H = phases_to_matrix(theta, n)
@@ -442,43 +439,30 @@ def _residual_and_jacobian(theta: np.ndarray, task: SearchTask):
         res += [ws * diff.real, ws * diff.imag]
         jac += [ws * ddiff.real, ws * ddiff.imag]
     else:
-        for block in _best_partition(w, task.target, n, task.min_cluster_gap):
-            mu, dmu = w[block].mean(), dw[block].mean(axis=0)
-            dev, ddev = w[block] - mu, dw[block] - dmu
-            res += [ws * dev.real, ws * dev.imag, [ws * (abs(mu) - math.sqrt(n))]]
-            dabs = np.real(np.conj(mu) * dmu) / abs(mu)
-            jac += [ws * ddev.real, ws * ddev.imag, ws * dabs[None, :]]
+        t = _partition_table(task.target, n)
+        p = int(_partition_costs(w, task.target, n, task.min_cluster_gap).argmin())
+        counts = t.counts[p]
+        mu = t.masks_c[p] @ w / counts
+        dmu = t.masks_c[p] @ dw / counts[:, None]
+        dev, ddev = w - mu[t.owner[p]], dw - dmu[t.owner[p]]
+        absmu = np.abs(mu)
+        dabs = np.real(np.conj(mu)[:, None] * dmu) / absmu[:, None]
+        res += [ws * dev.real, ws * dev.imag, ws * (absmu - math.sqrt(n))]
+        jac += [ws * ddev.real, ws * ddev.imag, ws * dabs]
+        # hinge rows of the block pairs (a, b) closer than min_cluster_gap
+        close = np.abs(mu[t.iu] - mu[t.ju]) < task.min_cluster_gap
+        a, b = t.iu[close], t.ju[close]
+        sep = mu[a] - mu[b]
+        gaps = np.abs(sep)
+        res.append(ws * (task.min_cluster_gap - gaps))
+        jac.append(-ws * np.real(np.conj(sep)[:, None] * (dmu[a] - dmu[b])) / gaps[:, None])
+    if task.non_hermitian:
+        # ||K||^2 with K = H - H^dag moves by -4 Im(h_jk conj(K_jk)) per phase
+        K = H - H.conj().T
+        gap = max(HERMITIAN_BARRIER - float(np.sum(np.abs(K) ** 2)), 0.0)
+        res.append([gap])
+        jac.append(4.0 * (gap > 0.0) * np.imag(free * np.conj(K[1:, 1:])).reshape(1, -1))
     return np.concatenate(res), np.vstack(jac)
-
-
-def _polish(phases: np.ndarray, task: SearchTask, max_steps: int = 40):
-    """Damped Gauss-Newton on the residual vector; returns (phases, value)."""
-    theta = phases.copy()
-    f = objective(theta, task)
-    lam = 1e-3
-    eye = np.eye(theta.size)
-    for _ in range(max_steps):
-        r0, J = _residual_and_jacobian(theta, task)
-        JtJ = J.T @ J
-        g = J.T @ r0
-        improved = False
-        for _ in range(8):
-            try:
-                delta = np.linalg.solve(JtJ + lam * eye, -g)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            cand = theta + delta
-            fc = objective(cand, task)
-            if fc < f:
-                theta, f = cand, fc
-                lam = max(lam / 3.0, 1e-12)
-                improved = True
-                break
-            lam *= 10.0
-        if not improved or f < 1e-24:
-            break
-    return theta, f
 
 
 def _qualifies(phases: np.ndarray, task: SearchTask, value: float) -> bool:
@@ -506,68 +490,53 @@ def _qualifies(phases: np.ndarray, task: SearchTask, value: float) -> bool:
     return True
 
 
-def _descend(theta0: np.ndarray, task: SearchTask, rng: np.random.Generator,
-             trace_rows: list | None, restart: int):
-    """One restart: SPSA-assisted descent with Armijo backtracking, then polish."""
+def _descend(theta0: np.ndarray, task: SearchTask, trace_rows: list | None, restart: int):
+    """One restart: Levenberg-Marquardt from ``theta0``; returns (phases, value, steps).
+
+    A step solves (J^T J + lam I) delta = -J^T r and is taken only when it
+    lowers the objective; each rejection multiplies lam by 10, at most 8
+    times per step.  The restart stops when no damped step improves, when
+    the objective is below 1e-24, when a step lowers it by no more than
+    ``FTOL`` of its value, or after ``task.max_iters`` steps.
+    """
     theta = theta0.copy()
     f = objective(theta, task)
-    step = 1e-2
-    fails = 0
-    iters = 0
-    polish_due = 200
-    for it in range(task.max_iters):
-        iters = it + 1
-        c = 1e-4 / (1.0 + it) ** 0.101
-        delta = rng.integers(0, 2, theta.size) * 2.0 - 1.0
-        sp = _spectral_value(theta + c * delta, task)
-        sm = _spectral_value(theta - c * delta, task)
-        g = task.w_chm * chm_gradient(theta, task.n) + ((sp - sm) / (2.0 * c)) * delta
-        gn2 = float(g @ g)
-        if gn2 < 1e-28:
-            break
-        # backtracking line search on the full objective
-        t = step
-        accepted = False
-        for _ in range(40):
-            cand = theta - t * g
+    lam = 1e-3
+    eye = np.eye(theta.size)
+    steps = 0
+    while steps < task.max_iters and f >= 1e-24:
+        r, J = _residual_and_jacobian(theta, task)
+        JtJ, g = J.T @ J, J.T @ r
+        for _ in range(8):
+            try:
+                cand = theta + np.linalg.solve(JtJ + lam * eye, -g)
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
             fc = objective(cand, task)
-            if fc <= f - 1e-4 * t * gn2:
-                theta, f = cand, fc
-                step = min(t * 2.0, 1.0)
-                accepted = True
+            if fc < f:
                 break
-            t *= 0.5
-            if t * math.sqrt(gn2) < 1e-13:
-                break
-        if trace_rows is not None:
-            trace_rows.append((restart, it, f))
-        if not accepted:
-            fails += 1
-            step = max(step * 0.5, 1e-12)
-            if fails >= 4:
-                break
+            lam *= 10.0
         else:
-            fails = 0
-        if t * math.sqrt(gn2) < 1e-12:
             break
-        if f < 1e-3 and it >= polish_due:
-            theta, f = _polish(theta, task)
-            polish_due = it + 200
-            if f <= task.tol_success:
-                break
-    # every restart ends with a full polish so reported minima are honest
-    # local minima of the objective, not artifacts of the descent schedule
-    theta, f = _polish(theta, task, max_steps=80)
-    return theta, f, iters
+        f_prev, theta, f = f, cand, fc
+        lam = max(lam / 3.0, 1e-12)
+        if trace_rows is not None:
+            trace_rows.append((restart, steps, f))
+        steps += 1
+        if f_prev - f <= FTOL * f:
+            break
+    return theta, f, steps
 
 
 def minimize(task: SearchTask, trace_rows: list | None = None) -> SearchReport:
     """Run the multi-start search described by ``task``.
 
-    Deterministic: restart r draws from a generator seeded with
-    (task.seed, r).  When ``task.stop_on_success`` is set the loop ends at
-    the first restart whose polished candidate passes the soundness gate.
-    ``trace_rows``, when given, collects (restart, iteration, residual) rows.
+    Deterministic: restart r starts from phases drawn by a generator seeded
+    with (task.seed, r).  When ``task.stop_on_success`` is set the loop ends
+    at the first restart whose candidate passes the soundness gate.
+    ``trace_rows``, when given, collects one (restart, iteration, residual)
+    row per Levenberg-Marquardt step.
     """
     best_f = math.inf
     best_theta = None
@@ -575,9 +544,8 @@ def minimize(task: SearchTask, trace_rows: list | None = None) -> SearchReport:
     found = False
     found_restart = None
     for r in range(task.restarts):
-        rng = np.random.default_rng([task.seed, r])
-        theta0 = rng.uniform(0.0, 2.0 * math.pi, task.num_phases)
-        theta, f, iters = _descend(theta0, task, rng, trace_rows, r)
+        theta0 = np.random.default_rng([task.seed, r]).uniform(0.0, 2.0 * math.pi, task.num_phases)
+        theta, f, iters = _descend(theta0, task, trace_rows, r)
         traces.append(RestartTrace(restart=r, seed=task.seed, final_residual=f, iterations=iters))
         if f < best_f:
             best_f, best_theta = f, theta

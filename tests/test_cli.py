@@ -187,6 +187,19 @@ class TestSearch:
         assert header == "restart,iteration,residual"
         assert rows
 
+    def test_trace_has_one_row_per_reported_iteration(self, capsys, tmp_path):
+        trace = tmp_path / "trace.csv"
+        code, out = run(
+            capsys, "search", "--pattern", "4,2", "--restarts", "3",
+            "--seed", "2", "--trace", str(trace),
+        )
+        assert code == 1
+        _, *rows = trace.read_text().strip().splitlines()
+        per_restart = [int(row.split(",")[0]) for row in rows]
+        reported = {r: iters for r, _, _, iters in json.loads(out)["trace"]}
+        assert len(reported) == 3
+        assert {r: per_restart.count(r) for r in reported} == reported
+
     def test_impossible_pattern_exits_one(self, capsys):
         code, out = run(
             capsys, "search", "--pattern", "4,1,1", "--restarts", "2",

@@ -5,9 +5,9 @@ import pytest
 
 import chmkit.eigen
 import oracles
-from chmkit.core import chm_residuals
+from chmkit.core import chm_residuals, dephase
 from chmkit.eigen import ConvergenceError, Spectrum, eigenvalues
-from chmkit.families import gen_fourier, gen_tao
+from chmkit.families import gen_fourier, gen_hermitian, gen_tao
 from chmkit.search import (
     SearchReport,
     _partition_table,
@@ -133,18 +133,49 @@ class TestPolishJacobian:
             cols.append((rp - rm) / (2.0 * h))
         return np.column_stack(cols)
 
-    @pytest.mark.parametrize("target", ["[4,1,1]", "[2,2,1,1]", "spectrum"])
-    def test_matches_central_differences(self, target):
+    @staticmethod
+    def _task_and_points(target):
+        """The task for a test id, and three phase points to test it at."""
         rng = np.random.default_rng(21)
+        target, _, gap = target.partition("-gap")
         if target == "spectrum":
             target = Spectrum(np.linalg.eigvals(phases_to_matrix(rng.uniform(0, 2 * np.pi, 25))))
-        task = SearchTask(target=target, seed=0, w_chm=1.5, w_spec=0.5)
-        for _ in range(3):
-            theta = rng.uniform(0, 2 * np.pi, 25)
+        task = SearchTask(target=target, seed=0, w_chm=1.5, w_spec=0.5,
+                          min_cluster_gap=float(gap or 0.5))
+        if task.non_hermitian:
+            # near the Hermitian family, so that the barrier row is active
+            base = matrix_to_phases(dephase(gen_hermitian(2.9))[0])
+            return task, [base + 1e-3 * rng.standard_normal(25) for _ in range(3)]
+        return task, [rng.uniform(0, 2 * np.pi, 25) for _ in range(3)]
+
+    @pytest.mark.parametrize(
+        "target", ["[4,1,1]", "[2,2,1,1]", "spectrum", "[4,1,1]-gap5", "[3,1,1,1]-non-hermitian"]
+    )
+    def test_matches_central_differences(self, target):
+        task, points = self._task_and_points(target)
+        # near the Hermitian family eigenvalues nearly coincide, the residual
+        # curves on a scale of their spacing (~1e-3), and the difference step
+        # must be smaller to resolve its slope
+        h = 1e-7 if task.non_hermitian else 1e-6
+        for theta in points:
             _, J = _residual_and_jacobian(theta, task)
-            Jf = self._central_differences(theta, task)
+            Jf = self._central_differences(theta, task, h)
             assert J.shape == Jf.shape and J.shape[1] == 25
             assert np.max(np.abs(J - Jf)) <= 1e-6 * np.max(np.abs(J))
+
+    @pytest.mark.parametrize(
+        "target",
+        ["[4,1,1]", "[4,1,1]-gap0", "[4,1,1]-gap5", "[2,2,1,1]", "spectrum",
+         "[3,1,1,1]-non-hermitian"],
+    )
+    def test_squared_norm_is_the_objective(self, target):
+        task, points = self._task_and_points(target)
+        for theta in points:
+            r, _ = _residual_and_jacobian(theta, task)
+            assert float(r @ r) == pytest.approx(objective(theta, task), rel=1e-12)
+        if task.non_hermitian:
+            H = phases_to_matrix(points[0])
+            assert float(np.sum(np.abs(H - H.conj().T) ** 2)) < 0.1  # barrier row active
 
 
 class TestMinimize:
@@ -214,7 +245,7 @@ class TestConvergenceError:
         raise ConvergenceError("QR iteration did not converge")
 
     def test_minimize_reports_instead_of_raising(self, monkeypatch):
-        task = SearchTask(target="[2,2,1,1]", restarts=1, seed=5)
+        task = SearchTask(target="[2,2,1,1]", restarts=2, seed=5)
         assert minimize(task).found
         monkeypatch.setattr(chmkit.eigen, "eigenvalues", self._fail)
         report = minimize(task)
