@@ -52,9 +52,11 @@ from .search import SearchReport, SearchTask, gradient_check, minimize, objectiv
 from .spectral import (
     ConstantEigenpairReport,
     HermitianEquivalenceReport,
+    VerifyReport,
     multiplicity_profile,
     verify_constant_eigenpairs,
     verify_hermitian_equivalence,
+    verify_matrix,
 )
 
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import core, families, gadgets, mub, search, spectral
 from .core import DEFAULT_TOL, SQRT6
-from .eigen import ConvergenceError, eigenvalues
+from .eigen import eigenvalues
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
@@ -93,56 +93,9 @@ def _cmd_gen(args) -> int:
 
 def _cmd_verify(args) -> int:
     tol = _tolerance(args)
-    H = _load_matrix(args.matrix)
-    if H.shape[0] != H.shape[1]:
-        raise _CliError(f"matrix is not square: {H.shape}")
-    n = H.shape[0]
-    report: dict = {"n": n, "tol": tol}
-    chm = core.chm_residuals(H, tol)
-    report["chm"] = chm.to_dict()
-    ok = chm.is_chm
-
-    dephased = None
-    if ok:
-        try:
-            dephased, _, _ = core.dephase(H)
-            report["dephased"] = core.is_dephased(H, tol)
-        except core.DegenerateInputError as exc:
-            report["dephase_error"] = str(exc)
-            ok = False
-
-    if ok and dephased is not None:
-        try:
-            pre_tol = max(tol, 1e-10)
-            check_tol = max(1e-6, 100.0 * tol)  # scales with the validation tolerance
-            ce = spectral.verify_constant_eigenpairs(
-                dephased, tol=pre_tol, exclude_tol=check_tol
-            )
-            report["constant_eigenpairs"] = ce.to_dict()
-            ce_ok = (
-                ce.residual_plus <= check_tol and ce.residual_minus <= check_tol
-                and ce.max_first_coord <= check_tol
-            )
-            spectrum = eigenvalues(dephased)
-            profile = spectral.multiplicity_profile(spectrum)
-            report["multiplicity_profile"] = profile
-            report["spectrum"] = [[v.real, v.imag] for v in spectrum.values]
-            prof_ok = n != 6 or profile[0] <= 3  # the triple bound is an n = 6 theorem
-            equiv_ok = True
-            if n == 6:
-                eq = spectral.verify_hermitian_equivalence(dephased, pre_tol=pre_tol)
-                report["hermitian_equivalence"] = eq.to_dict()
-                equiv_ok = eq.equivalence_holds
-                if profile[0] == 3 and not eq.spectrum_is_pm_sqrt6:
-                    prof_ok = False
-            ok = ce_ok and prof_ok and equiv_ok
-        except (ValueError, ConvergenceError) as exc:
-            report["verifier_error"] = str(exc)
-            ok = False
-
-    report["verified"] = bool(ok)
-    _emit(report, args)
-    return EXIT_OK if ok else EXIT_VIOLATED
+    report = spectral.verify_matrix(_load_matrix(args.matrix), tol)
+    _emit(report.to_dict(), args)
+    return EXIT_OK if report.verified else EXIT_VIOLATED
 
 
 def _cmd_eigen(args) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -49,8 +49,22 @@ def as_matrix(values, square: bool = True) -> np.ndarray:
     return m
 
 
+class _Report:
+    """Base of the frozen report dataclasses: ``to_dict`` gives the fields in
+    declaration order, nested reports as dicts and tuples as lists."""
+
+    def to_dict(self) -> dict:
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+
+
+def _plain(value):
+    if isinstance(value, _Report):
+        return value.to_dict()
+    return list(value) if isinstance(value, tuple) else value
+
+
 @dataclass(frozen=True)
-class ChmReport:
+class ChmReport(_Report):
     """Residual certificate for the two CHM defining conditions.
 
     ``unimodularity_residual`` is max over entries of ``| |h_jk| - 1 |``;
@@ -63,15 +77,6 @@ class ChmReport:
     unitarity_residual: float
     tol: float
     is_chm: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "unimodularity_residual": self.unimodularity_residual,
-            "unitarity_residual": self.unitarity_residual,
-            "tol": self.tol,
-            "is_chm": self.is_chm,
-        }
 
 
 def chm_residuals(H, tol: float = DEFAULT_TOL) -> ChmReport:

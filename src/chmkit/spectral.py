@@ -3,9 +3,10 @@
 Every n x n CHM in dephased form has the two constant eigenpairs
 (sqrt n, [1 + sqrt n, 1, ..., 1]) and (-sqrt n, [1 - sqrt n, 1, ..., 1]),
 and all other eigenvectors vanish in their first coordinate.  For n = 6,
-being Hermitian is equivalent to having a triple eigenvalue together with
-trace zero, and equivalent to the spectrum {+sqrt 6 x3, -sqrt 6 x3}.
-The functions here certify these facts numerically for given matrices.
+at most two of the four non-constant eigenvalues coincide, and being
+Hermitian is equivalent to having a triple eigenvalue together with trace
+zero, and equivalent to the spectrum {+sqrt 6 x3, -sqrt 6 x3}.
+``verify_matrix`` certifies these facts for one matrix from one eigensolve.
 """
 
 from __future__ import annotations
@@ -15,8 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SQRT6, as_matrix, chm_residuals, is_dephased
-from .eigen import CLUSTER_TOL, Spectrum, cluster_indices, eigenpairs
+from .core import (
+    DEFAULT_TOL, SQRT6, ChmReport, DegenerateInputError, _Report, as_matrix, chm_residuals,
+    dephase, is_dephased,
+)
+from .eigen import (
+    CLUSTER_TOL, ConvergenceError, Spectrum, cluster_indices, eigenpairs, eigenvalues,
+)
 
 
 def constant_eigenvectors(n: int) -> tuple:
@@ -30,7 +36,7 @@ def constant_eigenvectors(n: int) -> tuple:
 
 
 @dataclass(frozen=True)
-class ConstantEigenpairReport:
+class ConstantEigenpairReport(_Report):
     """Residuals for the constant eigenpairs and the first-coordinate law.
 
     ``vacuous`` is set when the matrix has no eigenvalues other than
@@ -43,14 +49,12 @@ class ConstantEigenpairReport:
     max_first_coord: float
     vacuous: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "residual_plus": self.residual_plus,
-            "residual_minus": self.residual_minus,
-            "max_first_coord": self.max_first_coord,
-            "vacuous": self.vacuous,
-        }
+
+def _require_dephased_chm(H: np.ndarray, tol: float) -> None:
+    if not is_dephased(H, tol):
+        raise ValueError("matrix is not in dephased form (ones border required)")
+    if not chm_residuals(H, tol).is_chm:
+        raise ValueError("matrix fails the CHM conditions at the given tolerance")
 
 
 def verify_constant_eigenpairs(
@@ -65,32 +69,21 @@ def verify_constant_eigenpairs(
     drift with the unitarity defect).
     """
     H = as_matrix(H)
-    n = H.shape[0]
-    if not is_dephased(H, tol):
-        raise ValueError("matrix is not in dephased form (ones border required)")
-    if not chm_residuals(H, tol).is_chm:
-        raise ValueError("matrix fails the CHM conditions at the given tolerance")
+    _require_dephased_chm(H, tol)
+    return _constant_leg(H, eigenpairs(H), exclude_tol)
+
+
+def _constant_leg(D: np.ndarray, pairs: list, exclude_tol: float) -> ConstantEigenpairReport:
+    n = D.shape[0]
     rt = math.sqrt(n)
     v1, v2 = constant_eigenvectors(n)
-    residual_plus = float(np.linalg.norm(H @ v1 - rt * v1))
-    residual_minus = float(np.linalg.norm(H @ v2 + rt * v2))
-
-    others = [
-        p
-        for p in eigenpairs(H)
-        if abs(p.value - rt) > exclude_tol and abs(p.value + rt) > exclude_tol
+    first = [
+        abs(p.vector[0]) for p in pairs if min(abs(p.value - rt), abs(p.value + rt)) > exclude_tol
     ]
-    if others:
-        max_first = max(abs(p.vector[0]) for p in others)
-        vacuous = False
-    else:
-        max_first, vacuous = 0.0, True
     return ConstantEigenpairReport(
-        n=n,
-        residual_plus=residual_plus,
-        residual_minus=residual_minus,
-        max_first_coord=float(max_first),
-        vacuous=vacuous,
+        n=n, residual_plus=float(np.linalg.norm(D @ v1 - rt * v1)),
+        residual_minus=float(np.linalg.norm(D @ v2 + rt * v2)),
+        max_first_coord=float(max(first, default=0.0)), vacuous=not first,
     )
 
 
@@ -102,8 +95,16 @@ def multiplicity_profile(spectrum, cluster_tol: float = CLUSTER_TOL) -> list:
     return sorted((len(c) for c in clusters), reverse=True)
 
 
+def _n6_multiplicity_holds(values) -> bool:
+    """At n = 6: with one copy each of +-sqrt 6 set aside, no eigenvalue occurs more than twice."""
+    rest = np.asarray(values, dtype=np.complex128)
+    for c in (SQRT6, -SQRT6):
+        rest = np.delete(rest, np.argmin(np.abs(rest - c)))
+    return multiplicity_profile(rest)[0] <= 2
+
+
 @dataclass(frozen=True)
-class HermitianEquivalenceReport:
+class HermitianEquivalenceReport(_Report):
     """Joint certificate for the Hermitian / triple-eigenvalue equivalence.
 
     The three legs (Hermitian; triple eigenvalue and trace zero; spectrum
@@ -130,19 +131,6 @@ class HermitianEquivalenceReport:
             and self.spectrum_is_pm_sqrt6
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "is_hermitian": self.is_hermitian,
-            "has_triple_eigenvalue": self.has_triple_eigenvalue,
-            "trace_zero": self.trace_zero,
-            "spectrum_is_pm_sqrt6": self.spectrum_is_pm_sqrt6,
-            "equivalence_holds": self.equivalence_holds,
-            "hermiticity_residual": self.hermiticity_residual,
-            "trace_abs": self.trace_abs,
-            "profile": list(self.profile),
-            "counterexample": self.counterexample,
-        }
-
 
 def verify_hermitian_equivalence(
     H, tol: float = 1e-8, cluster_tol: float = CLUSTER_TOL, pre_tol: float = 1e-8
@@ -156,48 +144,99 @@ def verify_hermitian_equivalence(
     H = as_matrix(H)
     if H.shape[0] != 6:
         raise ValueError("the equivalence check is specific to 6x6 matrices")
-    if not is_dephased(H, pre_tol):
-        raise ValueError("matrix is not in dephased form")
-    if not chm_residuals(H, pre_tol).is_chm:
-        raise ValueError("matrix fails the CHM conditions")
+    _require_dephased_chm(H, pre_tol)
+    return _hermitian_leg(H, eigenvalues(H), tol, cluster_tol)
 
-    from .eigen import eigenvalues  # deferred to keep module import light
 
-    herm_res = float(np.linalg.norm(H - H.conj().T))
-    is_herm = herm_res <= tol
-    spec = eigenvalues(H)
+def _hermitian_leg(D, spec, tol: float, cluster_tol: float) -> HermitianEquivalenceReport:
+    herm_res = float(np.linalg.norm(D - D.conj().T))
+    trace_abs = float(abs(np.trace(D)))
     profile = tuple(multiplicity_profile(spec, cluster_tol))
-    has_triple = profile[0] >= 3
-    trace_abs = float(abs(np.trace(H)))
-    trace_zero = trace_abs <= tol
-    pm_dev = float(
-        np.max(np.minimum(np.abs(spec.values - SQRT6), np.abs(spec.values + SQRT6)))
-    )
-    pm_sqrt6 = pm_dev <= 1e-6
-
-    legs = (is_herm, has_triple and trace_zero, pm_sqrt6)
-    holds = len(set(legs)) == 1
-    counterexample = None
-    if not holds:
-        counterexample = {
-            "spectrum": [[v.real, v.imag] for v in spec.values],
-            "hermiticity_residual": herm_res,
-            "trace_abs": trace_abs,
-            "profile": list(profile),
-            "legs": {
-                "is_hermitian": legs[0],
-                "triple_and_trace_zero": legs[1],
-                "spectrum_is_pm_sqrt6": legs[2],
-            },
-        }
+    pm_dev = float(np.max(np.minimum(np.abs(spec.values - SQRT6), np.abs(spec.values + SQRT6))))
+    has_triple, trace_zero = profile[0] >= 3, trace_abs <= tol
+    legs = {
+        "is_hermitian": herm_res <= tol,
+        "triple_and_trace_zero": has_triple and trace_zero,
+        "spectrum_is_pm_sqrt6": pm_dev <= 1e-6,
+    }
+    holds = len(set(legs.values())) == 1
+    counterexample = None if holds else {
+        "spectrum": [[v.real, v.imag] for v in spec.values],
+        "hermiticity_residual": herm_res,
+        "trace_abs": trace_abs,
+        "profile": list(profile),
+        "legs": legs,
+    }
     return HermitianEquivalenceReport(
-        is_hermitian=is_herm,
-        has_triple_eigenvalue=has_triple,
-        trace_zero=trace_zero,
-        spectrum_is_pm_sqrt6=pm_sqrt6,
-        equivalence_holds=holds,
-        hermiticity_residual=herm_res,
-        trace_abs=trace_abs,
-        profile=profile,
-        counterexample=counterexample,
+        is_hermitian=legs["is_hermitian"], has_triple_eigenvalue=has_triple,
+        trace_zero=trace_zero, spectrum_is_pm_sqrt6=legs["spectrum_is_pm_sqrt6"],
+        equivalence_holds=holds, hermiticity_residual=herm_res, trace_abs=trace_abs,
+        profile=profile, counterexample=counterexample,
+    )
+
+
+@dataclass(frozen=True)
+class VerifyReport(_Report):
+    """What ``verify_matrix`` certified, leg by leg; ``failed`` names the first
+    leg that failed (None when verified).  Legs that did not run are None and
+    left out of ``to_dict``."""
+
+    n: int
+    tol: float
+    chm: ChmReport
+    dephased: bool | None = None
+    dephase_error: str | None = None
+    constant_eigenpairs: ConstantEigenpairReport | None = None
+    multiplicity_profile: list | None = None
+    spectrum: list | None = None
+    hermitian_equivalence: HermitianEquivalenceReport | None = None
+    verifier_error: str | None = None
+    verified: bool = False
+    failed: str | None = None
+
+    def to_dict(self) -> dict:
+        return {k: v for k, v in super().to_dict().items() if v is not None or k == "failed"}
+
+
+def verify_matrix(H, tol: float = DEFAULT_TOL) -> VerifyReport:
+    """Certify that ``H`` is a CHM and check the paper's facts on its dephased form D.
+
+    The legs, in the order in which ``failed`` names the first that fails:
+    ``chm`` (``chm_residuals(H, tol)``), ``dephase``, ``constant_eigenpairs``
+    (residuals and first coordinates within max(1e-6, 100 tol)), and at
+    n = 6 only ``multiplicity_profile`` (no eigenvalue more than twice once
+    one copy each of +-sqrt 6 is set aside) and ``hermitian_equivalence``;
+    ``verifier_error`` means the eigensolver failed.  One ``eigenpairs(D)``
+    solve feeds every spectral leg and the reported spectrum and profile.
+    """
+    H = as_matrix(H)
+    n = H.shape[0]
+    chm = chm_residuals(H, tol)
+    if not chm.is_chm:
+        return VerifyReport(n=n, tol=tol, chm=chm, failed="chm")
+    try:
+        D, _, _ = dephase(H)
+    except DegenerateInputError as exc:
+        return VerifyReport(n=n, tol=tol, chm=chm, dephase_error=str(exc), failed="dephase")
+    base = {"n": n, "tol": tol, "chm": chm, "dephased": is_dephased(H, tol)}
+    try:
+        pairs = eigenpairs(D)
+    except (ValueError, ConvergenceError) as exc:
+        return VerifyReport(**base, verifier_error=str(exc), failed="verifier_error")
+
+    check_tol = max(1e-6, 100.0 * tol)  # scales with the validation tolerance
+    spectrum = Spectrum(np.array([p.value for p in pairs]))
+    ce = _constant_leg(D, pairs, exclude_tol=check_tol)
+    eq = _hermitian_leg(D, spectrum, 1e-8, CLUSTER_TOL) if n == 6 else None
+    failed = None
+    if not all(r <= check_tol for r in (ce.residual_plus, ce.residual_minus, ce.max_first_coord)):
+        failed = "constant_eigenpairs"
+    elif n == 6 and not _n6_multiplicity_holds(spectrum.values):
+        failed = "multiplicity_profile"
+    elif n == 6 and not eq.equivalence_holds:
+        failed = "hermitian_equivalence"
+    return VerifyReport(
+        **base, constant_eigenpairs=ce, multiplicity_profile=multiplicity_profile(spectrum),
+        spectrum=[[v.real, v.imag] for v in spectrum.values], hermitian_equivalence=eq,
+        verified=failed is None, failed=failed,
     )

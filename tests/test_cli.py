@@ -62,6 +62,7 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["verified"] is True
         assert payload["multiplicity_profile"] == [2, 2, 1, 1]
+        assert payload["failed"] is None
 
     def test_identity_matrix_fails(self, capsys, tmp_path):
         path = tmp_path / "eye.json"
@@ -69,6 +70,7 @@ class TestVerify:
         code, out = run(capsys, "verify", str(path))
         assert code == 1
         assert json.loads(out)["verified"] is False
+        assert json.loads(out)["failed"] == "chm"
 
     def test_malformed_json_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
@@ -112,6 +114,7 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["verified"] is False
         assert payload["verifier_error"] == "QR iteration did not converge"
+        assert payload["failed"] == "verifier_error"
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=10, deadline=None, derandomize=True)
