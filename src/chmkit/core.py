@@ -211,8 +211,10 @@ def numerical_rank(M, tol: float = 1e-8) -> int:
 def rank_one_submatrix_scan(H, r: int, c: int, tol: float = 1e-8) -> list:
     """Enumerate all r x c submatrices of ``H`` with numerical rank one.
 
-    Returns a list of ``(rows, cols)`` index tuples.  ``H`` is small (n <= 8),
-    so exhaustive enumeration over row and column subsets is cheap.
+    Returns a list of ``(rows, cols)`` index tuples in lexicographic order.
+    ``H`` is small (n <= 8), so every block is gathered into one array and
+    one batched SVD applies ``numerical_rank``'s rule to all of them: the
+    largest singular value is positive and exactly one exceeds ``tol`` times it.
     """
     H = as_matrix(H, square=False)
     nr, nc = H.shape
@@ -220,14 +222,14 @@ def rank_one_submatrix_scan(H, r: int, c: int, tol: float = 1e-8) -> list:
         raise DimensionError(f"submatrix shape ({r}, {c}) exceeds matrix shape {H.shape}")
     if r < 1 or c < 1:
         raise DimensionError("submatrix dimensions must be positive")
-    witnesses = []
-    for rows in itertools.combinations(range(nr), r):
-        block_rows = H[list(rows), :]
-        for cols in itertools.combinations(range(nc), c):
-            sub = block_rows[:, list(cols)]
-            if numerical_rank(sub, tol) == 1:
-                witnesses.append((rows, cols))
-    return witnesses
+    row_sets = list(itertools.combinations(range(nr), r))
+    col_sets = list(itertools.combinations(range(nc), c))
+    rows, cols = np.array(row_sets), np.array(col_sets)
+    blocks = H[rows[:, None, :, None], cols[None, :, None, :]]  # [R, C, r, c]
+    sv = np.linalg.svd(blocks, compute_uv=False)  # [R, C, min(r, c)], descending
+    top = sv[..., :1]
+    rank_one = (top[..., 0] > 0.0) & (np.sum(sv > tol * top, axis=-1) == 1)
+    return [(row_sets[i], col_sets[j]) for i, j in zip(*np.nonzero(rank_one))]
 
 
 # ---------------------------------------------------------------------------

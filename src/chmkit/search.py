@@ -2,22 +2,24 @@
 
 The search space is the 25 free phases of a dephased unimodular 6x6 matrix
 (first row and column pinned to ones, which removes the diagonal-equivalence
-orbit directions).  The objective combines the unitarity defect with a
-spectral penalty: either the squared distance to an explicit target spectrum
-under the best pairing of eigenvalues, or a clustering penalty for a
-multiplicity pattern whose cluster centers float on the circle of radius
-sqrt(6).  The pattern penalty is minimized exactly over every set partition
-of the eigenvalues into the pattern's blocks; the partitions' masks, block
-sizes and block-pair indices depend only on (pattern, n), so
-``_partition_table`` builds them once per process and each objective call is
-a few array products.
+orbit directions).  ``_residual_and_jacobian`` defines what the search
+minimizes: a residual vector r whose squared norm is the objective.  It
+stacks the unitarity defect H H^dag - n I with a spectral block: either the
+eigenvalues minus an explicit target spectrum under the best pairing, or,
+for a multiplicity pattern whose cluster centers float on the circle of
+radius sqrt(6), each eigenvalue's deviation from its cluster center, each
+center's modulus defect and a hinge for centers closer than
+``min_cluster_gap``, over the best set partition of the eigenvalues into
+the pattern's blocks.  The partitions' masks, block sizes and block-pair
+indices depend only on (pattern, n), so ``_partition_table`` builds them
+once per process and each evaluation is a few array products.
 
-The objective is the squared norm of a residual vector, and every restart
-runs Levenberg-Marquardt (damped Gauss-Newton) on that vector from a random
-start.  Its Jacobian is exact: first-order eigenvalue perturbation turns one
-eigendecomposition per step into every eigenvalue derivative.  Restarts
-provide globalization and every draw is keyed by (seed, restart index), so
-reports are reproducible bit for bit.
+Every restart runs Levenberg-Marquardt (damped Gauss-Newton) on r from a
+random start, with one residual-and-Jacobian evaluation per trial step.
+The Jacobian is exact: first-order eigenvalue perturbation turns one
+eigendecomposition into every eigenvalue derivative.  Restarts provide
+globalization and every draw is keyed by (seed, restart index), so reports
+are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -82,8 +84,6 @@ class SearchTask:
     max_iters: int = 5000
     seed: int = 0
     tol_success: float = 1e-8
-    w_chm: float = 1.0
-    w_spec: float = 1.0
     min_cluster_gap: float = 0.5
     non_hermitian: bool = False
     stop_on_success: bool = True
@@ -91,8 +91,6 @@ class SearchTask:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.w_chm <= 0 or self.w_spec <= 0:
-            raise ValueError("weights must be positive")
         target = self.target
         if isinstance(target, str):
             pattern, non_herm = parse_pattern(target)
@@ -119,47 +117,26 @@ class SearchTask:
         return (self.n - 1) ** 2
 
     def to_json(self) -> str:
+        obj = {f.name: getattr(self, f.name) for f in fields(self)}
         if isinstance(self.target, Spectrum):
-            target = {"spectrum": [[v.real, v.imag] for v in self.target.values]}
+            obj["target"] = {"spectrum": [[v.real, v.imag] for v in self.target.values]}
         else:
-            target = {"pattern": list(self.target)}
-        return json.dumps(
-            {
-                "n": self.n,
-                "target": target,
-                "restarts": self.restarts,
-                "max_iters": self.max_iters,
-                "seed": self.seed,
-                "tol_success": self.tol_success,
-                "w_chm": self.w_chm,
-                "w_spec": self.w_spec,
-                "min_cluster_gap": self.min_cluster_gap,
-                "non_hermitian": self.non_hermitian,
-                "stop_on_success": self.stop_on_success,
-            }
-        )
+            obj["target"] = {"pattern": list(self.target)}
+        return json.dumps(obj)
 
     @classmethod
     def from_json(cls, text: str) -> "SearchTask":
+        """Inverse of ``to_json``.  Keys that are not fields are ignored, so
+        tasks saved with the weight keys of earlier versions (``w_chm``,
+        ``w_spec``) still load."""
         obj = json.loads(text)
-        raw = obj["target"]
+        raw = obj.pop("target")
         if "spectrum" in raw:
             target = Spectrum(np.array([complex(re, im) for re, im in raw["spectrum"]]))
         else:
             target = tuple(raw["pattern"])
-        return cls(
-            target=target,
-            n=obj.get("n", 6),
-            restarts=obj["restarts"],
-            max_iters=obj["max_iters"],
-            seed=obj["seed"],
-            tol_success=obj.get("tol_success", 1e-8),
-            w_chm=obj.get("w_chm", 1.0),
-            w_spec=obj.get("w_spec", 1.0),
-            min_cluster_gap=obj.get("min_cluster_gap", 0.5),
-            non_hermitian=obj.get("non_hermitian", False),
-            stop_on_success=obj.get("stop_on_success", True),
-        )
+        names = {f.name for f in fields(cls)}
+        return cls(target=target, **{k: v for k, v in obj.items() if k in names})
 
 
 @dataclass(frozen=True)
@@ -242,19 +219,26 @@ def matrix_to_phases(H: np.ndarray) -> np.ndarray:
     return np.angle(H[1:, 1:]).ravel()
 
 
-def _unitarity_defect(H: np.ndarray, n: int):
+def _unitarity_block(H: np.ndarray, n: int):
+    """Unitarity rows (r_u, J_u) of the residual: r_u stacks the real and
+    imaginary parts of G = H H^dag - n I, and J_u is its exact Jacobian in the
+    free phases.  Phase theta_jk moves H by dH = i h_jk e_j e_k^T, so
+    dG = dH H^dag + (dH H^dag)^dag with (dH H^dag)_ab = delta_aj i h_jk conj(h_bk).
+    """
     G = H @ H.conj().T
     G.flat[:: n + 1] -= n
-    return float(np.sum(np.abs(G) ** 2)), G
+    rows = 1j * H[1:, 1:, None] * np.conj(H[:, 1:].T)[None]  # [j, k, b]
+    A = np.zeros((n, n, n - 1, n - 1), dtype=np.complex128)  # [a, b, j, k]
+    j = np.arange(n - 1)
+    A[j + 1, :, j, :] = rows.transpose(0, 2, 1)
+    dG = (A + np.conj(A.transpose(1, 0, 2, 3))).reshape(n * n, -1)
+    return np.concatenate([G.real.ravel(), G.imag.ravel()]), np.vstack([dG.real, dG.imag])
 
 
 def chm_gradient(phases: np.ndarray, n: int = 6) -> np.ndarray:
-    """Analytic gradient of ||H H^dag - n I||_F^2 in the free phases."""
-    H = phases_to_matrix(phases, n)
-    _, G = _unitarity_defect(H, n)
-    # d/d theta_jk = -4 Im( h_jk * conj((G H)_jk) ) on the free block
-    full = -4.0 * np.imag(H * np.conj(G @ H))
-    return full[1:, 1:].ravel()
+    """Analytic gradient 2 J_u^T r_u of ||H H^dag - n I||_F^2 in the free phases."""
+    r_u, J_u = _unitarity_block(phases_to_matrix(phases, n), n)
+    return 2.0 * J_u.T @ r_u
 
 
 class _PartitionTable(NamedTuple):
@@ -350,36 +334,20 @@ def _match_to_reference(eigs: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return perms[int(cost.sum(axis=1).argmin())]
 
 
-def _spectral_penalty(H: np.ndarray, task: SearchTask) -> float:
-    eigs = np.linalg.eigvals(H)
-    if isinstance(task.target, Spectrum):
-        ref = task.target.values
-        return np.sum(np.abs(eigs[_match_to_reference(eigs, ref)] - ref) ** 2)
-    return pattern_penalty(eigs, task.target, task.n, task.min_cluster_gap)
-
-
-def _barrier(H: np.ndarray) -> float:
-    herm = float(np.sum(np.abs(H - H.conj().T) ** 2))
-    gap = HERMITIAN_BARRIER - herm
-    return gap * gap if gap > 0.0 else 0.0
-
-
 def objective(phases, task: SearchTask) -> float:
-    """w_chm * ||H H^dag - n I||_F^2 + w_spec * spectral penalty (+ barrier)."""
+    """The search objective ||r||^2 for the residual r of ``_residual_and_jacobian``:
+    ||H H^dag - n I||_F^2 + spectral penalty (+ non-Hermitian barrier)."""
     phases = np.asarray(phases, dtype=np.float64).ravel()
     if phases.size != task.num_phases:
         raise ValueError(f"expected {task.num_phases} phases, got {phases.size}")
-    H = phases_to_matrix(phases, task.n)
-    val = task.w_chm * _unitarity_defect(H, task.n)[0]
-    val += task.w_spec * _spectral_penalty(H, task)
-    if task.non_hermitian:
-        val += _barrier(H)
-    return float(val)
+    r, _ = _residual_and_jacobian(phases, task)
+    return float(r @ r)
 
 
 def gradient_check(phases, h: float = 1e-6, n: int = 6) -> float:
-    """Max mismatch between the analytic unitarity-term gradient and central
-    finite differences, relative to max(1, |gradient|), over all coordinates."""
+    """Max mismatch between ``chm_gradient`` and central finite differences of
+    the unitarity rows' squared norm r_u @ r_u, relative to max(1, |gradient|),
+    over all coordinates."""
     phases = np.asarray(phases, dtype=np.float64).ravel()
     if phases.size != (n - 1) ** 2:
         raise ValueError(f"expected {(n - 1) ** 2} phases, got {phases.size}")
@@ -388,9 +356,9 @@ def gradient_check(phases, h: float = 1e-6, n: int = 6) -> float:
     for k in range(phases.size):
         bump = np.zeros_like(phases)
         bump[k] = h
-        fp = _unitarity_defect(phases_to_matrix(phases + bump, n), n)[0]
-        fm = _unitarity_defect(phases_to_matrix(phases - bump, n), n)[0]
-        gf[k] = (fp - fm) / (2.0 * h)
+        rp = _unitarity_block(phases_to_matrix(phases + bump, n), n)[0]
+        rm = _unitarity_block(phases_to_matrix(phases - bump, n), n)[0]
+        gf[k] = (rp @ rp - rm @ rm) / (2.0 * h)
     denom = np.maximum(1.0, np.maximum(np.abs(ga), np.abs(gf)))
     return float(np.max(np.abs(ga - gf) / denom))
 
@@ -400,12 +368,13 @@ def gradient_check(phases, h: float = 1e-6, n: int = 6) -> float:
 # ---------------------------------------------------------------------------
 
 def _residual_and_jacobian(theta: np.ndarray, task: SearchTask):
-    """Residual vector r with r @ r == objective(theta, task), and its exact
-    Jacobian in the free phases.
+    """Residual vector r, whose squared norm is the search objective, and its
+    exact Jacobian in the free phases.
 
-    The residual stacks the unitarity block G = H H^dag - n I, the spectral
-    block and, for a non-Hermitian task, the barrier row.  The spectral block
-    is the eigenvalues minus the target under the best pairing, or for a
+    The residual stacks the unitarity rows of ``_unitarity_block``, the
+    spectral block and, for a non-Hermitian task, the barrier row.  The
+    spectral block is the eigenvalues minus the target under the best
+    pairing, or for a
     pattern, over the best partition: each eigenvalue's deviation from its
     block mean, each block-mean modulus defect, and a hinge row for each
     block pair closer than ``min_cluster_gap``.  Phase theta_jk moves H by
@@ -416,28 +385,17 @@ def _residual_and_jacobian(theta: np.ndarray, task: SearchTask):
     n = task.n
     H = phases_to_matrix(theta, n)
     free = H[1:, 1:]
-    # unitarity block: dG = dH H^dag + (dH H^dag)^dag, with
-    # (dH H^dag)_ab = delta_aj i h_jk conj(h_bk)
-    G = H @ H.conj().T
-    G.flat[:: n + 1] -= n
-    rows = 1j * free[:, :, None] * np.conj(H[:, 1:].T)[None]  # [j, k, b]
-    A = np.zeros((n, n, n - 1, n - 1), dtype=np.complex128)  # [a, b, j, k]
-    j = np.arange(n - 1)
-    A[j + 1, :, j, :] = rows.transpose(0, 2, 1)
-    dG = (A + np.conj(A.transpose(1, 0, 2, 3))).reshape(n * n, -1)
-    wc = math.sqrt(task.w_chm)
-    res = [wc * G.real.ravel(), wc * G.imag.ravel()]
-    jac = [wc * dG.real, wc * dG.imag]
+    r_u, J_u = _unitarity_block(H, n)
+    res, jac = [r_u], [J_u]
 
     w, X = np.linalg.eig(H)
     Xinv = np.linalg.inv(X)
     dw = (1j * free[None] * Xinv[:, 1:, None] * X.T[:, None, 1:]).reshape(n, -1)
-    ws = math.sqrt(task.w_spec)
     if isinstance(task.target, Spectrum):
         order = _match_to_reference(w, task.target.values)
         diff, ddiff = w[order] - task.target.values, dw[order]
-        res += [ws * diff.real, ws * diff.imag]
-        jac += [ws * ddiff.real, ws * ddiff.imag]
+        res += [diff.real, diff.imag]
+        jac += [ddiff.real, ddiff.imag]
     else:
         t = _partition_table(task.target, n)
         p = int(_partition_costs(w, task.target, n, task.min_cluster_gap).argmin())
@@ -447,15 +405,15 @@ def _residual_and_jacobian(theta: np.ndarray, task: SearchTask):
         dev, ddev = w - mu[t.owner[p]], dw - dmu[t.owner[p]]
         absmu = np.abs(mu)
         dabs = np.real(np.conj(mu)[:, None] * dmu) / absmu[:, None]
-        res += [ws * dev.real, ws * dev.imag, ws * (absmu - math.sqrt(n))]
-        jac += [ws * ddev.real, ws * ddev.imag, ws * dabs]
+        res += [dev.real, dev.imag, absmu - math.sqrt(n)]
+        jac += [ddev.real, ddev.imag, dabs]
         # hinge rows of the block pairs (a, b) closer than min_cluster_gap
         close = np.abs(mu[t.iu] - mu[t.ju]) < task.min_cluster_gap
         a, b = t.iu[close], t.ju[close]
         sep = mu[a] - mu[b]
         gaps = np.abs(sep)
-        res.append(ws * (task.min_cluster_gap - gaps))
-        jac.append(-ws * np.real(np.conj(sep)[:, None] * (dmu[a] - dmu[b])) / gaps[:, None])
+        res.append(task.min_cluster_gap - gaps)
+        jac.append(-np.real(np.conj(sep)[:, None] * (dmu[a] - dmu[b])) / gaps[:, None])
     if task.non_hermitian:
         # ||K||^2 with K = H - H^dag moves by -4 Im(h_jk conj(K_jk)) per phase
         K = H - H.conj().T
@@ -494,32 +452,36 @@ def _descend(theta0: np.ndarray, task: SearchTask, trace_rows: list | None, rest
     """One restart: Levenberg-Marquardt from ``theta0``; returns (phases, value, steps).
 
     A step solves (J^T J + lam I) delta = -J^T r and is taken only when it
-    lowers the objective; each rejection multiplies lam by 10, at most 8
-    times per step.  The restart stops when no damped step improves, when
-    the objective is below 1e-24, when a step lowers it by no more than
-    ``FTOL`` of its value, or after ``task.max_iters`` steps.
+    lowers the objective r @ r; each rejection multiplies lam by 10, at most 8
+    times per step.  A trial costs one ``_residual_and_jacobian``, whose
+    (r, J) the next step reuses when the trial is accepted; a trial whose
+    solve or eigendecomposition raises ``LinAlgError`` counts as rejected.
+    The restart stops when no damped step improves, when the objective is
+    below 1e-24, when a step lowers it by no more than ``FTOL`` of its
+    value, or after ``task.max_iters`` steps.
     """
     theta = theta0.copy()
-    f = objective(theta, task)
+    r, J = _residual_and_jacobian(theta, task)
+    f = float(r @ r)
     lam = 1e-3
     eye = np.eye(theta.size)
     steps = 0
     while steps < task.max_iters and f >= 1e-24:
-        r, J = _residual_and_jacobian(theta, task)
         JtJ, g = J.T @ J, J.T @ r
         for _ in range(8):
             try:
                 cand = theta + np.linalg.solve(JtJ + lam * eye, -g)
+                rc, Jc = _residual_and_jacobian(cand, task)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            fc = objective(cand, task)
+            fc = float(rc @ rc)
             if fc < f:
                 break
             lam *= 10.0
         else:
             break
-        f_prev, theta, f = f, cand, fc
+        f_prev, theta, f, r, J = f, cand, fc, rc, Jc
         lam = max(lam / 3.0, 1e-12)
         if trace_rows is not None:
             trace_rows.append((restart, steps, f))

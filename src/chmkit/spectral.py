@@ -57,20 +57,22 @@ def _require_dephased_chm(H: np.ndarray, tol: float) -> None:
         raise ValueError("matrix fails the CHM conditions at the given tolerance")
 
 
-def verify_constant_eigenpairs(
-    H, tol: float = 1e-10, exclude_tol: float = 1e-6
-) -> ConstantEigenpairReport:
+def _check_tol(tol: float) -> float:
+    """Tolerance of the constant-eigenpair checks for a validation tolerance
+    ``tol``: the constant eigenvalues drift with the unitarity defect."""
+    return max(1e-6, 100.0 * tol)
+
+
+def verify_constant_eigenpairs(H, tol: float = 1e-10) -> ConstantEigenpairReport:
     """Check the constant eigenpairs of a dephased CHM directly.
 
     The +-sqrt(n) residuals need no eigensolve; the first-coordinate check
     runs the eigensolver and looks at every eigenvector whose value differs
-    from +-sqrt(n) by more than ``exclude_tol`` (widen this along with
-    ``tol`` when validating approximate CHMs, since the constant eigenvalues
-    drift with the unitarity defect).
+    from +-sqrt(n) by more than max(1e-6, 100 tol), as ``verify_matrix`` does.
     """
     H = as_matrix(H)
     _require_dephased_chm(H, tol)
-    return _constant_leg(H, eigenpairs(H), exclude_tol)
+    return _constant_leg(H, eigenpairs(H), _check_tol(tol))
 
 
 def _constant_leg(D: np.ndarray, pairs: list, exclude_tol: float) -> ConstantEigenpairReport:
@@ -132,26 +134,25 @@ class HermitianEquivalenceReport(_Report):
         )
 
 
-def verify_hermitian_equivalence(
-    H, tol: float = 1e-8, cluster_tol: float = CLUSTER_TOL, pre_tol: float = 1e-8
-) -> HermitianEquivalenceReport:
+def verify_hermitian_equivalence(H, tol: float = 1e-8) -> HermitianEquivalenceReport:
     """Test the three-way equivalence on a dephased 6x6 CHM.
 
     Returns a report rather than asserting, so violations (should any ever
-    appear) can be consumed downstream as counterexample data.  ``pre_tol``
-    governs the dephased/CHM preconditions.
+    appear) can be consumed downstream as counterexample data.  ``tol``
+    governs the dephased/CHM preconditions as well as the Hermitian and
+    trace-zero legs; eigenvalues cluster at ``CLUSTER_TOL``.
     """
     H = as_matrix(H)
     if H.shape[0] != 6:
         raise ValueError("the equivalence check is specific to 6x6 matrices")
-    _require_dephased_chm(H, pre_tol)
-    return _hermitian_leg(H, eigenvalues(H), tol, cluster_tol)
+    _require_dephased_chm(H, tol)
+    return _hermitian_leg(H, eigenvalues(H), tol)
 
 
-def _hermitian_leg(D, spec, tol: float, cluster_tol: float) -> HermitianEquivalenceReport:
+def _hermitian_leg(D, spec, tol: float) -> HermitianEquivalenceReport:
     herm_res = float(np.linalg.norm(D - D.conj().T))
     trace_abs = float(abs(np.trace(D)))
-    profile = tuple(multiplicity_profile(spec, cluster_tol))
+    profile = tuple(multiplicity_profile(spec))
     pm_dev = float(np.max(np.minimum(np.abs(spec.values - SQRT6), np.abs(spec.values + SQRT6))))
     has_triple, trace_zero = profile[0] >= 3, trace_abs <= tol
     legs = {
@@ -224,10 +225,10 @@ def verify_matrix(H, tol: float = DEFAULT_TOL) -> VerifyReport:
     except (ValueError, ConvergenceError) as exc:
         return VerifyReport(**base, verifier_error=str(exc), failed="verifier_error")
 
-    check_tol = max(1e-6, 100.0 * tol)  # scales with the validation tolerance
+    check_tol = _check_tol(tol)
     spectrum = Spectrum(np.array([p.value for p in pairs]))
     ce = _constant_leg(D, pairs, exclude_tol=check_tol)
-    eq = _hermitian_leg(D, spectrum, 1e-8, CLUSTER_TOL) if n == 6 else None
+    eq = _hermitian_leg(D, spectrum, 1e-8) if n == 6 else None
     failed = None
     if not all(r <= check_tol for r in (ce.residual_plus, ce.residual_minus, ce.max_first_coord)):
         failed = "constant_eigenpairs"

@@ -1,9 +1,12 @@
+import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
 import chmkit.eigen
+import chmkit.search
 import oracles
 from chmkit.core import chm_residuals, dephase
 from chmkit.eigen import ConvergenceError, Spectrum, eigenvalues
@@ -140,13 +143,30 @@ class TestPolishJacobian:
         target, _, gap = target.partition("-gap")
         if target == "spectrum":
             target = Spectrum(np.linalg.eigvals(phases_to_matrix(rng.uniform(0, 2 * np.pi, 25))))
-        task = SearchTask(target=target, seed=0, w_chm=1.5, w_spec=0.5,
-                          min_cluster_gap=float(gap or 0.5))
+        task = SearchTask(target=target, seed=0, min_cluster_gap=float(gap or 0.5))
         if task.non_hermitian:
             # near the Hermitian family, so that the barrier row is active
             base = matrix_to_phases(dephase(gen_hermitian(2.9))[0])
             return task, [base + 1e-3 * rng.standard_normal(25) for _ in range(3)]
         return task, [rng.uniform(0, 2 * np.pi, 25) for _ in range(3)]
+
+    @staticmethod
+    def _objective_by_parts(theta, task):
+        """||H H^dag - 6 I||_F^2 + spectral penalty (+ barrier), summed here
+        from numpy's eigenvalues without any of the search's code."""
+        H = phases_to_matrix(theta)
+        total = np.sum(np.abs(H @ H.conj().T - 6.0 * np.eye(6)) ** 2)
+        eigs = np.linalg.eigvals(H)
+        if isinstance(task.target, Spectrum):
+            ref = task.target.values
+            total += min(np.sum(np.abs(eigs[list(perm)] - ref) ** 2)
+                         for perm in itertools.permutations(range(6)))
+        else:
+            total += oracles.pattern_penalty_by_enumeration(
+                eigs, task.target, 6, task.min_cluster_gap)
+        if task.non_hermitian:
+            total += max(0.1 - np.sum(np.abs(H - H.conj().T) ** 2), 0.0) ** 2
+        return total
 
     @pytest.mark.parametrize(
         "target", ["[4,1,1]", "[2,2,1,1]", "spectrum", "[4,1,1]-gap5", "[3,1,1,1]-non-hermitian"]
@@ -172,7 +192,7 @@ class TestPolishJacobian:
         task, points = self._task_and_points(target)
         for theta in points:
             r, _ = _residual_and_jacobian(theta, task)
-            assert float(r @ r) == pytest.approx(objective(theta, task), rel=1e-12)
+            assert float(r @ r) == pytest.approx(self._objective_by_parts(theta, task), rel=1e-12)
         if task.non_hermitian:
             H = phases_to_matrix(points[0])
             assert float(np.sum(np.abs(H - H.conj().T) ** 2)) < 0.1  # barrier row active
@@ -239,6 +259,32 @@ class TestMinimize:
         ]
 
 
+class TestOneResidual:
+    def test_descent_does_not_call_objective(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the descent evaluates the residual, not objective()")
+
+        monkeypatch.setattr(chmkit.search, "objective", fail)
+        assert minimize(SearchTask(target="[2,2,1,1]", seed=11)).found
+
+    def test_linalg_error_in_a_trial_is_a_rejected_trial(self, monkeypatch):
+        task = SearchTask(target="[2,2,1,1]", restarts=1, max_iters=50, seed=2)
+        calls = []
+
+        def flaky(theta, task):
+            calls.append(theta)
+            if len(calls) == 3:  # the second trial step of the restart
+                raise np.linalg.LinAlgError("Singular matrix")
+            return _residual_and_jacobian(theta, task)
+
+        monkeypatch.setattr(chmkit.search, "_residual_and_jacobian", flaky)
+        report = minimize(task)
+        assert len(calls) > 3
+        assert report.traces[0].iterations >= 2
+        # the rejected trial raised the damping, so the next trial is a new point
+        assert not np.array_equal(calls[2], calls[3])
+
+
 class TestConvergenceError:
     @staticmethod
     def _fail(*args, **kwargs):
@@ -258,19 +304,31 @@ class TestConvergenceError:
 
 class TestTaskValidation:
     def test_json_round_trip(self):
-        task = SearchTask(target="[4,2]", restarts=7, max_iters=123, seed=42, w_spec=2.0)
+        task = SearchTask(target="[4,2]", restarts=7, max_iters=123, seed=42,
+                          min_cluster_gap=0.25, non_hermitian=True)
         again = SearchTask.from_json(task.to_json())
         assert again == task
+
+    #: ``SearchTask(target="[2,2,1,1]").to_json()`` as written before the
+    #: objective weights were removed
+    SAVED_DEFAULT_TASK = (
+        '{"n": 6, "target": {"pattern": [2, 2, 1, 1]}, "restarts": 50, "max_iters": 5000,'
+        ' "seed": 0, "tol_success": 1e-08, "w_chm": 1.0, "w_spec": 1.0,'
+        ' "min_cluster_gap": 0.5, "non_hermitian": false, "stop_on_success": true}'
+    )
+
+    def test_saved_task_still_loads(self):
+        task = SearchTask(target="[2,2,1,1]")
+        assert SearchTask.from_json(self.SAVED_DEFAULT_TASK) == task
+        saved = json.loads(self.SAVED_DEFAULT_TASK)
+        del saved["w_chm"], saved["w_spec"]
+        assert json.loads(task.to_json()) == saved
 
     def test_spectrum_target_round_trip(self):
         spec = eigenvalues(gen_tao(1))
         task = SearchTask(target=spec, restarts=2, seed=1)
         again = SearchTask.from_json(task.to_json())
         assert np.max(np.abs(again.target.values - spec.values)) < 1e-16
-
-    def test_rejects_bad_weights(self):
-        with pytest.raises(ValueError):
-            SearchTask(target="[2,2,1,1]", seed=0, w_chm=0.0)
 
     def test_rejects_zero_restarts(self):
         with pytest.raises(ValueError):
