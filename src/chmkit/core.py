@@ -200,21 +200,23 @@ def singular_values(M) -> np.ndarray:
     return np.linalg.svd(as_matrix(M, square=False), compute_uv=False)
 
 
+def _rank(sv: np.ndarray, tol: float) -> np.ndarray:
+    """How many singular values (descending, last axis) exceed ``tol`` times the largest."""
+    return np.sum(sv > tol * sv[..., :1], axis=-1)
+
+
 def numerical_rank(M, tol: float = 1e-8) -> int:
     """Number of singular values above ``tol`` times the largest one."""
-    sv = singular_values(M)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > tol * sv[0]))
+    return int(_rank(singular_values(M), tol))
 
 
 def rank_one_submatrix_scan(H, r: int, c: int, tol: float = 1e-8) -> list:
     """Enumerate all r x c submatrices of ``H`` with numerical rank one.
 
     Returns a list of ``(rows, cols)`` index tuples in lexicographic order.
-    ``H`` is small (n <= 8), so every block is gathered into one array and
-    one batched SVD applies ``numerical_rank``'s rule to all of them: the
-    largest singular value is positive and exactly one exceeds ``tol`` times it.
+    ``H`` is small (n <= 8), so every block is gathered into one array, one
+    batched SVD gives their singular values, and a block is a witness when
+    ``numerical_rank``'s count (``_rank``) is exactly one.
     """
     H = as_matrix(H, square=False)
     nr, nc = H.shape
@@ -227,8 +229,7 @@ def rank_one_submatrix_scan(H, r: int, c: int, tol: float = 1e-8) -> list:
     rows, cols = np.array(row_sets), np.array(col_sets)
     blocks = H[rows[:, None, :, None], cols[None, :, None, :]]  # [R, C, r, c]
     sv = np.linalg.svd(blocks, compute_uv=False)  # [R, C, min(r, c)], descending
-    top = sv[..., :1]
-    rank_one = (top[..., 0] > 0.0) & (np.sum(sv > tol * top, axis=-1) == 1)
+    rank_one = _rank(sv, tol) == 1
     return [(row_sets[i], col_sets[j]) for i, j in zip(*np.nonzero(rank_one))]
 
 

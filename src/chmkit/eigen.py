@@ -133,17 +133,15 @@ def _qr_step(B: np.ndarray, mu: complex) -> None:
     B[idx, idx] += mu
 
 
-def eigenvalues(H, max_iters: int | None = None) -> Spectrum:
+def eigenvalues(H) -> Spectrum:
     """Full eigenvalue multiset of a square complex matrix.
 
     Hessenberg reduction followed by Wilkinson-shifted QR with deflation.
     Raises :class:`ConvergenceError` (carrying the values found so far) if
-    more than ``max_iters`` QR steps are needed; the default budget is 100 n.
+    more than 100 n QR steps are needed.
     """
     H = as_matrix(H)
     n = H.shape[0]
-    if max_iters is None:
-        max_iters = 100 * n
     if n == 1:
         return Spectrum(np.array([H[0, 0]]))
 
@@ -179,9 +177,9 @@ def eigenvalues(H, max_iters: int | None = None) -> Spectrum:
             hi -= 2
             stuck = 0
             continue
-        if steps >= max_iters:
+        if steps >= 100 * n:
             raise ConvergenceError(
-                f"QR failed to converge within {max_iters} iterations",
+                f"QR failed to converge within {100 * n} iterations",
                 partial=eigs[~np.isnan(eigs.real)],
             )
         if stuck and stuck % 12 == 0:
@@ -250,10 +248,10 @@ def _canonical_phase(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def eigenpairs(H, cluster_tol: float = CLUSTER_TOL) -> list:
+def eigenpairs(H) -> list:
     """Eigenpairs of ``H`` via inverse iteration on the computed eigenvalues.
 
-    Eigenvalues within ``cluster_tol`` of each other are treated as one
+    Eigenvalues within ``CLUSTER_TOL`` of each other are treated as one
     cluster; for each cluster an orthonormal basis of the invariant subspace
     is returned (with a Rayleigh-Ritz rotation to individual eigenvectors
     when the cluster is not scalar).  When a degenerate eigenspace is closed
@@ -267,7 +265,7 @@ def eigenpairs(H, cluster_tol: float = CLUSTER_TOL) -> list:
     n = H.shape[0]
     spec = eigenvalues(H)
     norm_h = max(np.linalg.norm(H), 1e-300)
-    clusters = cluster_indices(spec.values, cluster_tol)
+    clusters = cluster_indices(spec.values)
 
     pairs: list[EigenPair] = []
     for ci, members in enumerate(clusters):
@@ -304,7 +302,7 @@ def eigenpairs(H, cluster_tol: float = CLUSTER_TOL) -> list:
                         partial=spec,
                     )
                 # rotate to eigenvectors of the small compressed block
-                sub = eigenpairs(B, cluster_tol=cluster_tol)
+                sub = eigenpairs(B)
                 W = np.column_stack([p.vector for p in sub])
                 X = X @ W
 

@@ -288,7 +288,7 @@ def _weight_offset(cos_a: np.ndarray) -> np.ndarray:
     return np.sqrt(9.0 * cos_a**2 - 3.0 * cos_a - 6.0) / (6.0 * (1.0 - cos_a))
 
 
-def gadget_rotation_constants(grid: int = 10_000) -> GadgetReport:
+def gadget_rotation_constants() -> GadgetReport:
     """Reproduce the constants forced by a shared rotation angle.
 
     With both rotated eigenvalues at the same angle ``a``, unimodularity of
@@ -316,7 +316,7 @@ def gadget_rotation_constants(grid: int = 10_000) -> GadgetReport:
         formula_dev = max(formula_dev, float(np.max(np.abs(roots - closed))))
 
     # bound sweep: 0 <= offset <= sqrt(6)/12, maximum attained at cos a = -1
-    cg = np.linspace(-1.0, -2.0 / 3.0, grid)
+    cg = np.linspace(-1.0, -2.0 / 3.0, 10_000)
     offsets = _weight_offset(cg)
     bound = SQRT6 / 12.0
     max_offset = float(np.max(offsets))

@@ -2,17 +2,17 @@
 
 The search space is the 25 free phases of a dephased unimodular 6x6 matrix
 (first row and column pinned to ones, which removes the diagonal-equivalence
-orbit directions).  ``_residual_and_jacobian`` defines what the search
-minimizes: a residual vector r whose squared norm is the objective.  It
-stacks the unitarity defect H H^dag - n I with a spectral block: either the
-eigenvalues minus an explicit target spectrum under the best pairing, or,
-for a multiplicity pattern whose cluster centers float on the circle of
-radius sqrt(6), each eigenvalue's deviation from its cluster center, each
-center's modulus defect and a hinge for centers closer than
-``min_cluster_gap``, over the best set partition of the eigenvalues into
-the pattern's blocks.  The partitions' masks, block sizes and block-pair
-indices depend only on (pattern, n), so ``_partition_table`` builds them
-once per process and each evaluation is a few array products.
+orbit directions).  ``_residual`` defines what the search minimizes: a
+residual vector r whose squared norm is the objective.  It stacks the
+unitarity defect H H^dag - n I with a spectral block: either the eigenvalues
+minus an explicit target spectrum under the best pairing, or, for a
+multiplicity pattern whose cluster centers float on the circle of radius
+sqrt(6), the rows of ``_best_partition``: each eigenvalue's deviation from
+its block mean, each mean's modulus defect and, for every block pair, a
+hinge that is zero unless the means are closer than ``min_cluster_gap``.
+The partitions' masks, block sizes and block pairs depend only on
+(pattern, n), so ``_partition_table`` builds them once per process and each
+evaluation is a few array products.
 
 Every restart runs Levenberg-Marquardt (damped Gauss-Newton) on r from a
 random start, with one residual-and-Jacobian evaluation per trial step.
@@ -33,8 +33,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import eigen
 from .core import chm_residuals
-from .eigen import ConvergenceError, Spectrum, spectrum_distance
+from .eigen import ConvergenceError, Spectrum, _all_perms, spectrum_distance
 from .spectral import multiplicity_profile
 
 #: margin used by the non-Hermitian barrier: candidates must keep
@@ -219,26 +220,29 @@ def matrix_to_phases(H: np.ndarray) -> np.ndarray:
     return np.angle(H[1:, 1:]).ravel()
 
 
-def _unitarity_block(H: np.ndarray, n: int):
-    """Unitarity rows (r_u, J_u) of the residual: r_u stacks the real and
-    imaginary parts of G = H H^dag - n I, and J_u is its exact Jacobian in the
-    free phases.  Phase theta_jk moves H by dH = i h_jk e_j e_k^T, so
-    dG = dH H^dag + (dH H^dag)^dag with (dH H^dag)_ab = delta_aj i h_jk conj(h_bk).
-    """
+def _unitarity_residual(H: np.ndarray, n: int) -> np.ndarray:
+    """Unitarity rows r_u: the real and imaginary parts of G = H H^dag - n I."""
     G = H @ H.conj().T
     G.flat[:: n + 1] -= n
+    return np.concatenate([G.real.ravel(), G.imag.ravel()])
+
+
+def _unitarity_jacobian(H: np.ndarray, n: int) -> np.ndarray:
+    """Exact Jacobian J_u of the unitarity rows in the free phases.  Phase
+    theta_jk moves H by dH = i h_jk e_j e_k^T, so dG = dH H^dag + (dH H^dag)^dag
+    with (dH H^dag)_ab = delta_aj i h_jk conj(h_bk)."""
     rows = 1j * H[1:, 1:, None] * np.conj(H[:, 1:].T)[None]  # [j, k, b]
     A = np.zeros((n, n, n - 1, n - 1), dtype=np.complex128)  # [a, b, j, k]
     j = np.arange(n - 1)
     A[j + 1, :, j, :] = rows.transpose(0, 2, 1)
     dG = (A + np.conj(A.transpose(1, 0, 2, 3))).reshape(n * n, -1)
-    return np.concatenate([G.real.ravel(), G.imag.ravel()]), np.vstack([dG.real, dG.imag])
+    return np.vstack([dG.real, dG.imag])
 
 
 def chm_gradient(phases: np.ndarray, n: int = 6) -> np.ndarray:
     """Analytic gradient 2 J_u^T r_u of ||H H^dag - n I||_F^2 in the free phases."""
-    r_u, J_u = _unitarity_block(phases_to_matrix(phases, n), n)
-    return 2.0 * J_u.T @ r_u
+    H = phases_to_matrix(phases, n)
+    return 2.0 * _unitarity_jacobian(H, n).T @ _unitarity_residual(H, n)
 
 
 class _PartitionTable(NamedTuple):
@@ -247,16 +251,14 @@ class _PartitionTable(NamedTuple):
 
     masks: np.ndarray  # bool [P, K, n]: block k of partition p holds index i
     masks_c: np.ndarray  # masks as complex, for ``masks_c @ eigs``
-    masks_f: np.ndarray  # masks as float, for ``masks_f @ |eigs|^2``
     counts: np.ndarray  # int [P, K] block sizes
     owner: np.ndarray  # int [P, n]: the block of partition p that holds index i
-    iu: np.ndarray  # block pairs (iu[q], ju[q]) with iu < ju, for the gap hinge
-    ju: np.ndarray
+    pairs: np.ndarray  # complex [pairs, K]: pairs @ mu = mu_a - mu_b over block pairs a < b
 
 
 @functools.lru_cache(maxsize=None)
 def _partition_table(pattern: tuple, n: int) -> _PartitionTable:
-    """Masks, block counts and block-pair indices for every set partition of
+    """Masks, block counts and block-pair differences for every set partition of
     range(n) into blocks of the given sizes.  The arrays are shared by every
     caller, so they are read-only."""
     partitions = []
@@ -285,62 +287,53 @@ def _partition_table(pattern: tuple, n: int) -> _PartitionTable:
         masks.append(m)
     masks = np.array(masks)
     iu, ju = np.triu_indices(len(pattern), 1)
+    eye = np.eye(len(pattern), dtype=np.complex128)
     table = _PartitionTable(
-        masks, masks.astype(np.complex128), masks.astype(np.float64),
-        masks.sum(axis=2), masks.argmax(axis=1), iu, ju,
+        masks, masks.astype(np.complex128), masks.sum(axis=2), masks.argmax(axis=1),
+        eye[iu] - eye[ju],
     )
     for arr in table:
         arr.flags.writeable = False
     return table
 
 
-def _partition_costs(eigs: np.ndarray, pattern: tuple, n: int, min_gap: float):
-    """Clustering cost [P] of every partition into the pattern's blocks, in
-    the order of ``_partition_table``; see ``pattern_penalty`` for the terms."""
+def _best_partition(eigs: np.ndarray, pattern: tuple, n: int, min_gap: float):
+    """The spectral rows of every partition of ``eigs`` into the pattern's
+    blocks: each eigenvalue's deviation from its block mean (real and
+    imaginary parts), each block mean's modulus defect |mu| - sqrt(n), and
+    for every block pair the hinge max(min_gap - |mu_a - mu_b|, 0).  Returns
+    the rows of the partition p whose rows have the least squared norm, and
+    (p, its block means).
+    """
     t = _partition_table(tuple(pattern), n)
-    sums = t.masks_c @ eigs  # [P, K] complex
-    means = sums / t.counts
-    sq = t.masks_f @ (np.abs(eigs) ** 2)  # [P, K]
-    within = np.maximum(sq - (np.abs(sums) ** 2) / t.counts, 0.0)
-    center = (np.abs(means) - math.sqrt(n)) ** 2
-    costs = (within + center).sum(axis=1)
-    if t.iu.size and min_gap > 0.0:
-        gaps = np.abs(means[:, t.iu] - means[:, t.ju])  # [P, pairs]
-        costs = costs + (np.maximum(min_gap - gaps, 0.0) ** 2).sum(axis=1)
-    return costs
+    mu = (t.masks_c @ eigs) / t.counts  # [P, K]
+    dev = eigs - mu[np.arange(len(mu))[:, None], t.owner]  # [P, n]
+    hinge = np.maximum(min_gap - np.abs(mu @ t.pairs.T), 0.0)  # [P, pairs]
+    rows = np.concatenate([dev.real, dev.imag, np.abs(mu) - math.sqrt(n), hinge], axis=1)
+    p = int(np.einsum("pr,pr->p", rows, rows).argmin())
+    return rows[p], (p, mu[p])
 
 
-def pattern_penalty(
-    eigs: np.ndarray, pattern: tuple, n: int = 6, min_gap: float = 0.5
-) -> float:
+def pattern_penalty(eigs: np.ndarray, pattern: tuple, n: int = 6, min_gap: float = 0.5) -> float:
     """Clustering penalty: spread, center-modulus defect, and separation.
 
-    Minimized exactly over all assignments of the n eigenvalues into blocks
-    of the given sizes.  Per block: the within-block spread plus the
-    deviation of the block-center modulus from sqrt(n); per block pair: a
-    hinge that charges centers closer than ``min_gap``, so the pattern means
-    an exact multiplicity profile rather than any refinement of one.
-    Cluster centers are block means, so they float freely on the circle.
+    The squared norm of ``_best_partition``'s rows, minimized exactly over all
+    assignments of the n eigenvalues into blocks of the given sizes.  The
+    hinges charge block centers closer than ``min_gap``, so the pattern means
+    an exact multiplicity profile rather than any refinement of one.  Cluster
+    centers are block means, so they float freely on the circle.
     """
-    return float(_partition_costs(eigs, pattern, n, min_gap).min())
-
-
-def _match_to_reference(eigs: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Permutation of ``eigs`` that best matches ``ref`` in least squares (n <= 8)."""
-    from .eigen import _all_perms
-
-    perms = _all_perms(len(ref))
-    cost = np.abs(ref[None, :] - eigs[perms]) ** 2
-    return perms[int(cost.sum(axis=1).argmin())]
+    rows, _ = _best_partition(eigs, pattern, n, min_gap)
+    return float(rows @ rows)
 
 
 def objective(phases, task: SearchTask) -> float:
-    """The search objective ||r||^2 for the residual r of ``_residual_and_jacobian``:
+    """The search objective ||r||^2 for the residual r of ``_residual``:
     ||H H^dag - n I||_F^2 + spectral penalty (+ non-Hermitian barrier)."""
     phases = np.asarray(phases, dtype=np.float64).ravel()
     if phases.size != task.num_phases:
         raise ValueError(f"expected {task.num_phases} phases, got {phases.size}")
-    r, _ = _residual_and_jacobian(phases, task)
+    r, _ = _residual(phases, task)
     return float(r @ r)
 
 
@@ -356,8 +349,8 @@ def gradient_check(phases, h: float = 1e-6, n: int = 6) -> float:
     for k in range(phases.size):
         bump = np.zeros_like(phases)
         bump[k] = h
-        rp = _unitarity_block(phases_to_matrix(phases + bump, n), n)[0]
-        rm = _unitarity_block(phases_to_matrix(phases - bump, n), n)[0]
+        rp = _unitarity_residual(phases_to_matrix(phases + bump, n), n)
+        rm = _unitarity_residual(phases_to_matrix(phases - bump, n), n)
         gf[k] = (rp @ rp - rm @ rm) / (2.0 * h)
     denom = np.maximum(1.0, np.maximum(np.abs(ga), np.abs(gf)))
     return float(np.max(np.abs(ga - gf) / denom))
@@ -367,60 +360,67 @@ def gradient_check(phases, h: float = 1e-6, n: int = 6) -> float:
 # local descent: Levenberg-Marquardt on the residual vector
 # ---------------------------------------------------------------------------
 
-def _residual_and_jacobian(theta: np.ndarray, task: SearchTask):
-    """Residual vector r, whose squared norm is the search objective, and its
-    exact Jacobian in the free phases.
-
-    The residual stacks the unitarity rows of ``_unitarity_block``, the
-    spectral block and, for a non-Hermitian task, the barrier row.  The
-    spectral block is the eigenvalues minus the target under the best
-    pairing, or for a
-    pattern, over the best partition: each eigenvalue's deviation from its
-    block mean, each block-mean modulus defect, and a hinge row for each
-    block pair closer than ``min_cluster_gap``.  Phase theta_jk moves H by
-    the rank-one dH = i h_jk e_j e_k^T, so one eigendecomposition
-    H = X diag(w) X^-1 gives every eigenvalue derivative by first-order
-    perturbation theory, d w_i = (X^-1 dH X)_ii = i h_jk (X^-1)_ij X_ki.
-    """
+def _residual(theta: np.ndarray, task: SearchTask):
+    """Residual stage: r stacks the unitarity rows, the spectral block and,
+    for a non-Hermitian task, the barrier row; its length depends only on
+    the task.  Returns r and what ``_jacobian`` reuses: H, its eigenvectors
+    X, and the pairing with the target spectrum or (partition, block means)."""
     n = task.n
     H = phases_to_matrix(theta, n)
-    free = H[1:, 1:]
-    r_u, J_u = _unitarity_block(H, n)
-    res, jac = [r_u], [J_u]
-
+    res = [_unitarity_residual(H, n)]
     w, X = np.linalg.eig(H)
+    if isinstance(task.target, Spectrum):
+        # the least-squares pairing of w with the target, over all n! orders
+        ref, perms = task.target.values, _all_perms(n)
+        pick = perms[int((np.abs(ref - w[perms]) ** 2).sum(axis=1).argmin())]
+        diff = w[pick] - ref
+        res += [diff.real, diff.imag]
+    else:
+        rows, pick = _best_partition(w, task.target, n, task.min_cluster_gap)
+        res.append(rows)
+    if task.non_hermitian:
+        K = H - H.conj().T
+        res.append([max(HERMITIAN_BARRIER - float(np.sum(np.abs(K) ** 2)), 0.0)])
+    return np.concatenate(res), (H, X, pick)
+
+
+def _jacobian(r: np.ndarray, stage: tuple, task: SearchTask) -> np.ndarray:
+    """Jacobian stage: the exact Jacobian of ``_residual``'s r in the free phases.
+    Phase theta_jk moves H by the rank-one dH = i h_jk e_j e_k^T, so by
+    first-order perturbation theory of H = X diag(w) X^-1,
+    d w_i = (X^-1 dH X)_ii = i h_jk (X^-1)_ij X_ki."""
+    n, (H, X, pick) = task.n, stage
+    free = H[1:, 1:]
+    jac = [_unitarity_jacobian(H, n)]
     Xinv = np.linalg.inv(X)
     dw = (1j * free[None] * Xinv[:, 1:, None] * X.T[:, None, 1:]).reshape(n, -1)
     if isinstance(task.target, Spectrum):
-        order = _match_to_reference(w, task.target.values)
-        diff, ddiff = w[order] - task.target.values, dw[order]
-        res += [diff.real, diff.imag]
+        ddiff = dw[pick]
         jac += [ddiff.real, ddiff.imag]
     else:
         t = _partition_table(task.target, n)
-        p = int(_partition_costs(w, task.target, n, task.min_cluster_gap).argmin())
-        counts = t.counts[p]
-        mu = t.masks_c[p] @ w / counts
-        dmu = t.masks_c[p] @ dw / counts[:, None]
-        dev, ddev = w - mu[t.owner[p]], dw - dmu[t.owner[p]]
-        absmu = np.abs(mu)
-        dabs = np.real(np.conj(mu)[:, None] * dmu) / absmu[:, None]
-        res += [dev.real, dev.imag, absmu - math.sqrt(n)]
-        jac += [ddev.real, ddev.imag, dabs]
-        # hinge rows of the block pairs (a, b) closer than min_cluster_gap
-        close = np.abs(mu[t.iu] - mu[t.ju]) < task.min_cluster_gap
-        a, b = t.iu[close], t.ju[close]
-        sep = mu[a] - mu[b]
-        gaps = np.abs(sep)
-        res.append(task.min_cluster_gap - gaps)
-        jac.append(-np.real(np.conj(sep)[:, None] * (dmu[a] - dmu[b])) / gaps[:, None])
+        p, mu = pick
+        dmu = t.masks_c[p] @ dw / t.counts[p][:, None]
+        ddev = dw - dmu[t.owner[p]]
+        dabs = np.real(np.conj(mu)[:, None] * dmu) / np.abs(mu)[:, None]
+        sep = t.pairs @ mu
+        gaps = np.abs(sep)[:, None]
+        dgap = np.real(np.conj(sep)[:, None] * (t.pairs @ dmu))  # |sep| d|sep|
+        # pairs at least min_cluster_gap apart: zero row, no division by the gap
+        near = gaps < task.min_cluster_gap
+        dhinge = -np.divide(dgap, gaps, out=np.zeros_like(dgap), where=near)
+        jac += [ddev.real, ddev.imag, dabs, dhinge]
     if task.non_hermitian:
         # ||K||^2 with K = H - H^dag moves by -4 Im(h_jk conj(K_jk)) per phase
         K = H - H.conj().T
-        gap = max(HERMITIAN_BARRIER - float(np.sum(np.abs(K) ** 2)), 0.0)
-        res.append([gap])
-        jac.append(4.0 * (gap > 0.0) * np.imag(free * np.conj(K[1:, 1:])).reshape(1, -1))
-    return np.concatenate(res), np.vstack(jac)
+        jac.append(4.0 * (r[-1] > 0.0) * np.imag(free * np.conj(K[1:, 1:])).reshape(1, -1))
+    return np.vstack(jac)
+
+
+def _residual_and_jacobian(theta: np.ndarray, task: SearchTask):
+    """The residual r of ``_residual`` and its exact Jacobian J = ``_jacobian``."""
+    r, stage = _residual(theta, task)
+    return r, _jacobian(r, stage, task)
 
 
 def _qualifies(phases: np.ndarray, task: SearchTask, value: float) -> bool:
@@ -430,10 +430,8 @@ def _qualifies(phases: np.ndarray, task: SearchTask, value: float) -> bool:
     H = phases_to_matrix(phases, task.n)
     if not chm_residuals(H, tol=1e-8).is_chm:
         return False
-    from .eigen import eigenvalues
-
     try:
-        spec = eigenvalues(H)
+        spec = eigen.eigenvalues(H)
     except ConvergenceError:
         return False
     if isinstance(task.target, Spectrum):
@@ -518,10 +516,8 @@ def minimize(task: SearchTask, trace_rows: list | None = None) -> SearchReport:
             if task.stop_on_success:
                 break
     H = phases_to_matrix(best_theta, task.n)
-    from .eigen import eigenvalues
-
     try:
-        best_spectrum = eigenvalues(H)
+        best_spectrum = eigen.eigenvalues(H)
     except ConvergenceError:
         # descriptive only: a found matrix has already passed this solve in
         # _qualifies, so only a not-found best candidate can land here

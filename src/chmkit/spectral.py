@@ -146,13 +146,13 @@ def verify_hermitian_equivalence(H, tol: float = 1e-8) -> HermitianEquivalenceRe
     if H.shape[0] != 6:
         raise ValueError("the equivalence check is specific to 6x6 matrices")
     _require_dephased_chm(H, tol)
-    return _hermitian_leg(H, eigenvalues(H), tol)
+    spec = eigenvalues(H)
+    return _hermitian_leg(H, spec, multiplicity_profile(spec), tol)
 
 
-def _hermitian_leg(D, spec, tol: float) -> HermitianEquivalenceReport:
+def _hermitian_leg(D, spec, profile: list, tol: float) -> HermitianEquivalenceReport:
     herm_res = float(np.linalg.norm(D - D.conj().T))
     trace_abs = float(abs(np.trace(D)))
-    profile = tuple(multiplicity_profile(spec))
     pm_dev = float(np.max(np.minimum(np.abs(spec.values - SQRT6), np.abs(spec.values + SQRT6))))
     has_triple, trace_zero = profile[0] >= 3, trace_abs <= tol
     legs = {
@@ -172,7 +172,7 @@ def _hermitian_leg(D, spec, tol: float) -> HermitianEquivalenceReport:
         is_hermitian=legs["is_hermitian"], has_triple_eigenvalue=has_triple,
         trace_zero=trace_zero, spectrum_is_pm_sqrt6=legs["spectrum_is_pm_sqrt6"],
         equivalence_holds=holds, hermiticity_residual=herm_res, trace_abs=trace_abs,
-        profile=profile, counterexample=counterexample,
+        profile=tuple(profile), counterexample=counterexample,
     )
 
 
@@ -208,7 +208,8 @@ def verify_matrix(H, tol: float = DEFAULT_TOL) -> VerifyReport:
     n = 6 only ``multiplicity_profile`` (no eigenvalue more than twice once
     one copy each of +-sqrt 6 is set aside) and ``hermitian_equivalence``;
     ``verifier_error`` means the eigensolver failed.  One ``eigenpairs(D)``
-    solve feeds every spectral leg and the reported spectrum and profile.
+    solve feeds every spectral leg and the reported spectrum, and one
+    clustering gives the reported profile and the Hermitian leg's.
     """
     H = as_matrix(H)
     n = H.shape[0]
@@ -228,7 +229,8 @@ def verify_matrix(H, tol: float = DEFAULT_TOL) -> VerifyReport:
     check_tol = _check_tol(tol)
     spectrum = Spectrum(np.array([p.value for p in pairs]))
     ce = _constant_leg(D, pairs, exclude_tol=check_tol)
-    eq = _hermitian_leg(D, spectrum, 1e-8) if n == 6 else None
+    profile = multiplicity_profile(spectrum)
+    eq = _hermitian_leg(D, spectrum, profile, 1e-8) if n == 6 else None
     failed = None
     if not all(r <= check_tol for r in (ce.residual_plus, ce.residual_minus, ce.max_first_coord)):
         failed = "constant_eigenpairs"
@@ -237,7 +239,7 @@ def verify_matrix(H, tol: float = DEFAULT_TOL) -> VerifyReport:
     elif n == 6 and not eq.equivalence_holds:
         failed = "hermitian_equivalence"
     return VerifyReport(
-        **base, constant_eigenpairs=ce, multiplicity_profile=multiplicity_profile(spectrum),
+        **base, constant_eigenpairs=ce, multiplicity_profile=profile,
         spectrum=[[v.real, v.imag] for v in spectrum.values], hermitian_equivalence=eq,
         verified=failed is None, failed=failed,
     )

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -190,6 +191,29 @@ class TestRankOneScan:
             assert oracles.is_rank_one_by_minors(M[np.ix_(rows, cols)])
         assert all(set(rows) == {1, 3} for rows, _ in wits)
         assert len(wits) == 10  # C(5,3) column choices for the planted pair
+
+    def test_witness_iff_numerical_rank_one(self):
+        # random unimodular matrices, with every other one given a planted
+        # coincidence (two proportional rows or columns) and one a zero block,
+        # whose singular values are all 0
+        rng = np.random.default_rng(41)
+        mats = []
+        for k in range(8):
+            M = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (6, 6)))
+            i, j = rng.choice(6, 2, replace=False)
+            if k % 4 == 1:
+                M[j] = M[i] * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+            elif k % 4 == 3:
+                M[:, j] = M[:, i] * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+            mats.append(M)
+        mats[0][:3, :3] = 0.0
+        for M in mats:
+            for r, c in ((2, 4), (4, 2), (3, 3), (1, 3), (2, 2)):
+                wits = set(rank_one_submatrix_scan(M, r, c, 1e-8))
+                for rows in itertools.combinations(range(6), r):
+                    for cols in itertools.combinations(range(6), c):
+                        rank = numerical_rank(M[np.ix_(rows, cols)], 1e-8)
+                        assert ((rows, cols) in wits) == (rank == 1), (rows, cols, rank)
 
     def test_oversized_request_rejected(self):
         with pytest.raises(DimensionError):

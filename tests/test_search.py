@@ -169,7 +169,9 @@ class TestPolishJacobian:
         return total
 
     @pytest.mark.parametrize(
-        "target", ["[4,1,1]", "[2,2,1,1]", "spectrum", "[4,1,1]-gap5", "[3,1,1,1]-non-hermitian"]
+        "target",
+        ["[4,1,1]", "[2,2,1,1]", "[3,2,1]", "spectrum", "[4,1,1]-gap5",
+         "[3,1,1,1]-non-hermitian"],
     )
     def test_matches_central_differences(self, target):
         task, points = self._task_and_points(target)
@@ -185,7 +187,7 @@ class TestPolishJacobian:
 
     @pytest.mark.parametrize(
         "target",
-        ["[4,1,1]", "[4,1,1]-gap0", "[4,1,1]-gap5", "[2,2,1,1]", "spectrum",
+        ["[4,1,1]", "[4,1,1]-gap0", "[4,1,1]-gap5", "[2,2,1,1]", "[3,2,1]", "spectrum",
          "[3,1,1,1]-non-hermitian"],
     )
     def test_squared_norm_is_the_objective(self, target):
@@ -196,6 +198,42 @@ class TestPolishJacobian:
         if task.non_hermitian:
             H = phases_to_matrix(points[0])
             assert float(np.sum(np.abs(H - H.conj().T) ** 2)) < 0.1  # barrier row active
+
+    def test_residual_length_depends_only_on_the_task(self):
+        # [4,1,1] has three block pairs, so three hinge rows; at the test's
+        # points the chosen partition's block means are all farther apart
+        # than 0.5, and some pair of them is closer than 5
+        lengths, near_seen = set(), False
+        for target in ("[4,1,1]", "[4,1,1]-gap5"):
+            task, points = self._task_and_points(target)
+            for theta in points:
+                r, J = _residual_and_jacobian(theta, task)
+                lengths.add(r.size)
+                hinge, dhinge = r[-3:], J[-3:]
+                if task.min_cluster_gap == 0.5:
+                    assert np.all(hinge == 0.0)
+                else:
+                    near_seen |= bool(np.any(hinge > 0.0))
+                # a pair that is far enough apart has a zero row in J as well
+                assert np.all(dhinge[hinge == 0.0] == 0.0)
+        assert near_seen
+        assert lengths == {72 + 12 + 3 + 3}
+
+    @pytest.mark.parametrize(
+        "target", ["[4,1,1]", "[3,2,1]", "spectrum", "[3,1,1,1]-non-hermitian"]
+    )
+    def test_objective_skips_the_jacobian(self, target, monkeypatch):
+        task, points = self._task_and_points(target)
+        expected = []
+        for theta in points:
+            r, _ = _residual_and_jacobian(theta, task)
+            expected.append(float(r @ r))
+
+        def fail(*args, **kwargs):
+            raise AssertionError("objective() builds the Jacobian")
+
+        monkeypatch.setattr(np.linalg, "inv", fail)
+        assert [objective(theta, task) for theta in points] == expected
 
 
 class TestMinimize:
