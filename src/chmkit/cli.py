@@ -4,12 +4,18 @@ Subcommands: gen, verify, eigen, dephase, search, gadget, mub.  Output is
 machine readable (JSON by default, CSV where it makes sense); exit codes are
 0 = claim verified / object found, 1 = claim violated / not found,
 2 = usage or input error.  The environment variable ``CHM_TOL`` overrides
-the default validation tolerance.
+the default validation tolerance; it is read on every call.
+
+``build_parser`` builds the argparse parser on the first ``main`` call and
+every later call in the process reuses it, so in-process callers (tests,
+scripted loops over files) do not rebuild the seven subparsers each time.
+Each call parses into a fresh namespace, so no state carries over.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -188,7 +194,10 @@ def _cmd_mub(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``chmkit`` parser, built once per process and shared by every
+    ``main`` call: callers must not mutate it."""
     parser = argparse.ArgumentParser(
         prog="chmkit",
         description="Complex Hadamard matrix toolkit: generate, verify, search.",

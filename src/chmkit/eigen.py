@@ -218,10 +218,17 @@ def cluster_indices(values: np.ndarray, cluster_tol: float = CLUSTER_TOL) -> lis
     return clusters
 
 
+@functools.lru_cache(maxsize=256)
 def _start_block(n: int, m: int, salt: int) -> np.ndarray:
+    """Orthonormal n x m start block of inverse iteration for cluster ``salt``.
+
+    It depends only on its arguments, so it is built once per process and
+    shared; the array is read-only.
+    """
     rng = np.random.default_rng(0xC4A1 + salt)
     X = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
     q, _ = np.linalg.qr(X)
+    q.flags.writeable = False
     return q
 
 

@@ -15,7 +15,8 @@ The partitions' masks, block sizes and block pairs depend only on
 evaluation is a few array products.
 
 Every restart runs Levenberg-Marquardt (damped Gauss-Newton) on r from a
-random start, with one residual-and-Jacobian evaluation per trial step.
+random start, with one residual evaluation per trial step and a Jacobian
+only for the trial that is taken.
 The Jacobian is exact: first-order eigenvalue perturbation turns one
 eigendecomposition into every eigenvalue derivative.  Restarts provide
 globalization and every draw is keyed by (seed, restart index), so reports
@@ -451,12 +452,13 @@ def _descend(theta0: np.ndarray, task: SearchTask, trace_rows: list | None, rest
 
     A step solves (J^T J + lam I) delta = -J^T r and is taken only when it
     lowers the objective r @ r; each rejection multiplies lam by 10, at most 8
-    times per step.  A trial costs one ``_residual_and_jacobian``, whose
-    (r, J) the next step reuses when the trial is accepted; a trial whose
-    solve or eigendecomposition raises ``LinAlgError`` counts as rejected.
-    The restart stops when no damped step improves, when the objective is
-    below 1e-24, when a step lowers it by no more than ``FTOL`` of its
-    value, or after ``task.max_iters`` steps.
+    times per step.  A trial costs one ``_residual``; only a trial that lowers
+    the objective runs ``_jacobian`` on that trial's stage, and the next step
+    reuses its (r, J).  A trial whose solve, eigendecomposition or inverse
+    raises ``LinAlgError`` counts as rejected.  The restart stops when no
+    damped step improves, when the objective is below 1e-24, when a step
+    lowers it by no more than ``FTOL`` of its value, or after
+    ``task.max_iters`` steps.
     """
     theta = theta0.copy()
     r, J = _residual_and_jacobian(theta, task)
@@ -469,13 +471,13 @@ def _descend(theta0: np.ndarray, task: SearchTask, trace_rows: list | None, rest
         for _ in range(8):
             try:
                 cand = theta + np.linalg.solve(JtJ + lam * eye, -g)
-                rc, Jc = _residual_and_jacobian(cand, task)
+                rc, stage = _residual(cand, task)
+                fc = float(rc @ rc)
+                if fc < f:
+                    Jc = _jacobian(rc, stage, task)
+                    break
             except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            fc = float(rc @ rc)
-            if fc < f:
-                break
+                pass
             lam *= 10.0
         else:
             break

@@ -1,7 +1,10 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from chmkit import cli, core, eigen
 from chmkit.families import gen_tao, standard_corpus
 
 OMEGA = np.exp(2j * np.pi / 3)
+SRC = Path(cli.__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -273,3 +277,45 @@ class TestMub:
     def test_wrong_count_is_usage_error(self, capsys, tao_file):
         code = cli.main(["mub", tao_file])
         assert code == 2
+
+
+class TestSharedParser:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_out_does_not_carry_over(self, capsys, tao_file, tmp_path):
+        out_path = tmp_path / "report.json"
+        code, out = run(capsys, "verify", tao_file, "--out", str(out_path))
+        assert code == 0 and out == ""
+        code, out = run(capsys, "verify", tao_file)
+        assert code == 0
+        assert json.loads(out) == json.loads(out_path.read_text())
+
+    def test_usage_error_then_valid_call(self, capsys, tao_file):
+        assert run(capsys, "verify", tao_file, "--no-such-flag")[0] == 2
+        assert run(capsys, "verify")[0] == 2
+        assert run(capsys, "verify", tao_file)[0] == 0
+
+    def test_tolerance_is_read_per_call(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "damaged.json"
+        core.write_matrix(gen_tao(1) + 1e-6, path)
+        assert run(capsys, "verify", str(path), "--tol", "1e-3")[0] == 0
+        # neither --tol nor the environment of an earlier call carries over
+        assert run(capsys, "verify", str(path))[0] == 1
+        monkeypatch.setenv("CHM_TOL", "1e-3")
+        assert run(capsys, "verify", str(path))[0] == 0
+        monkeypatch.delenv("CHM_TOL")
+        assert run(capsys, "verify", str(path))[0] == 1
+
+
+def test_python_dash_m_exit_codes(tao_file, tmp_path):
+    eye = tmp_path / "eye.json"
+    core.write_matrix(np.eye(6, dtype=complex), eye)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    codes = [
+        subprocess.run([sys.executable, "-m", "chmkit", "verify", str(path)],
+                       env=env, capture_output=True, timeout=120).returncode
+        for path in (tao_file, eye, tmp_path / "missing.json")
+    ]
+    assert codes == [0, 1, 2]

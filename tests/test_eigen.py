@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import chmkit.eigen
 from chmkit.eigen import (
     Spectrum,
     _canonical_phase,
+    _start_block,
     eigenpairs,
     eigenvalues,
     spectrum_distance,
@@ -144,6 +146,42 @@ class TestEigenpairs:
             spec = eigenvalues(H)
             pair_spec = Spectrum(np.array([p.value for p in eigenpairs(H)]))
             assert spectrum_distance(spec, pair_spec) < 1e-9, name
+
+
+def _near_double_unitary() -> np.ndarray:
+    """sqrt(6) times a unitary whose two nearest eigenvalues are 9.6e-8 apart:
+    one cluster whose compressed block is not scalar, so ``eigenpairs``
+    recurses into it."""
+    rng = np.random.default_rng(102)
+    Q, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    phases = np.array([0.3, 0.3 + 3.9e-8, 2.5, 3.5, 4.5, 5.5])
+    return Q @ np.diag(np.exp(1j * phases)) @ Q.conj().T * SQRT6
+
+
+class TestStartBlocks:
+    def test_cached_block_is_read_only(self):
+        block = _start_block(6, 2, 0)
+        assert _start_block(6, 2, 0) is block
+        with pytest.raises(ValueError):
+            block[0, 0] = 0.0
+
+    @pytest.mark.parametrize("make, recursions",
+                             [(lambda: gen_tao(1), 0), (_near_double_unitary, 1)],
+                             ids=["tao-double-eigenvalues", "recursion"])
+    def test_repeated_calls_are_bit_identical(self, make, recursions, monkeypatch):
+        H = make()
+        calls = []
+
+        def counted(A):
+            calls.append(A.shape)
+            return eigenpairs(A)
+
+        monkeypatch.setattr(chmkit.eigen, "eigenpairs", counted)
+        first, second = counted(H), counted(H)
+        assert len(calls) == 2 * (1 + recursions)
+        for a, b in zip(first, second, strict=True):
+            assert a.value == b.value and a.residual == b.residual
+            assert np.array_equal(a.vector, b.vector)
 
 
 class TestSpectrumDistance:

@@ -13,7 +13,9 @@ from chmkit.eigen import ConvergenceError, Spectrum, eigenvalues
 from chmkit.families import gen_fourier, gen_hermitian, gen_tao
 from chmkit.search import (
     SearchReport,
+    _jacobian,
     _partition_table,
+    _residual,
     _residual_and_jacobian,
     SearchTask,
     chm_gradient,
@@ -313,14 +315,54 @@ class TestOneResidual:
             calls.append(theta)
             if len(calls) == 3:  # the second trial step of the restart
                 raise np.linalg.LinAlgError("Singular matrix")
-            return _residual_and_jacobian(theta, task)
+            return _residual(theta, task)
 
-        monkeypatch.setattr(chmkit.search, "_residual_and_jacobian", flaky)
+        monkeypatch.setattr(chmkit.search, "_residual", flaky)
         report = minimize(task)
         assert len(calls) > 3
         assert report.traces[0].iterations >= 2
         # the rejected trial raised the damping, so the next trial is a new point
         assert not np.array_equal(calls[2], calls[3])
+
+    def test_linalg_error_in_an_improving_trials_jacobian_rejects_it(self, monkeypatch):
+        task = SearchTask(target="[2,2,1,1]", restarts=1, max_iters=50, seed=2)
+        trials, jacobians = [], []
+
+        def record(theta, task):
+            trials.append(theta)
+            return _residual(theta, task)
+
+        def flaky(r, stage, task):
+            jacobians.append(len(trials))
+            if len(jacobians) == 2:  # the first trial that lowers the objective
+                raise np.linalg.LinAlgError("Singular matrix")
+            return _jacobian(r, stage, task)
+
+        monkeypatch.setattr(chmkit.search, "_residual", record)
+        monkeypatch.setattr(chmkit.search, "_jacobian", flaky)
+        report = minimize(task)
+        assert report.traces[0].iterations >= 1
+        # no step was taken before it, so the next trial starts from the same
+        # point with ten times the damping: a shorter step
+        start, failed, after = trials[0], trials[jacobians[1] - 1], trials[jacobians[1]]
+        assert np.linalg.norm(after - start) < np.linalg.norm(failed - start)
+
+    def test_jacobian_only_for_taken_steps(self, monkeypatch):
+        counts = {"_residual": 0, "_jacobian": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(chmkit.search, "_residual", counted("_residual", _residual))
+        monkeypatch.setattr(chmkit.search, "_jacobian", counted("_jacobian", _jacobian))
+        report = minimize(SearchTask(target="[4,1,1]", restarts=1, seed=0))
+        # one Jacobian at the start point and one per step taken; rejected
+        # trials cost a residual only
+        assert counts["_jacobian"] == report.traces[0].iterations + 1
+        assert counts["_residual"] > counts["_jacobian"]
 
 
 class TestConvergenceError:
