@@ -4,13 +4,22 @@ These deliberately avoid the code paths they check: the characteristic
 polynomial comes from trace recursion (Faddeev-LeVerrier) and is rooted
 through numpy's companion-matrix machinery, determinants are Laplace
 expansions, and the assignment distance is a plain recursive search.
+The inverse-iteration oracle is the eigensolver's earlier one-cluster-at-a-
+time loop; it shares only ``eigenvalues`` and the small helpers with the
+batched ``eigenpairs`` it checks.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
+
+from chmkit.eigen import (
+    CLUSTER_TOL, ConvergenceError, EigenPair, _canonical_phase, _realify_basis, _start_block,
+    cluster_indices, eigenvalues,
+)
 
 
 def charpoly_coeffs(A: np.ndarray) -> np.ndarray:
@@ -78,6 +87,69 @@ def minimax_assignment(a: np.ndarray, b: np.ndarray) -> float:
 
     rec(0, 0, 0.0)
     return float(best[0])
+
+
+def greedy_match_distance(a, b) -> float:
+    """Max |a_i - b_j| when each a_i, in turn, takes the nearest b_j not yet
+    taken.  It equals the multiset distance when every cluster of values is
+    narrower than half its distance to any other, and works for any n."""
+    rest = list(b)
+    worst = 0.0
+    for v in a:
+        j = min(range(len(rest)), key=lambda k: abs(v - rest[k]))
+        worst = max(worst, abs(v - rest.pop(j)))
+    return worst
+
+
+def eigenpairs_by_cluster(H) -> list:
+    """Eigenpairs by inverse iteration run for one cluster at a time.
+
+    Same shifts, start blocks, iteration cap, stop, real-basis rotation and
+    Rayleigh-Ritz recursion as ``chmkit.eigen.eigenpairs``, one cluster and
+    one column at a time; a whole-spectrum cluster without scalar action
+    raises.  Pairs come in cluster order.
+    """
+    H = np.asarray(H, dtype=np.complex128)
+    n = H.shape[0]
+    spec = eigenvalues(H)
+    norm_h = max(np.linalg.norm(H), 1e-300)
+    pairs = []
+    for ci, members in enumerate(cluster_indices(spec.values, CLUSTER_TOL)):
+        m = len(members)
+        shift = complex(np.mean(spec.values[members])) + norm_h * 1e-11 * (1.0 + 0.5j)
+        X = _start_block(n, m, salt=ci)
+        M = H - shift * np.eye(n)
+        for _ in range(8):
+            try:
+                Y = np.linalg.solve(M, X)
+            except np.linalg.LinAlgError:
+                shift += norm_h * 1e-9 * (0.7 + 0.9j)
+                M = H - shift * np.eye(n)
+                continue
+            Xn, _ = np.linalg.qr(Y)
+            delta = np.linalg.norm(Xn @ (Xn.conj().T @ X) - X)
+            X = Xn
+            if delta < 1e-14 * math.sqrt(m):
+                break
+        if m > 1:
+            real_basis = _realify_basis(X)
+            if real_basis is not None:
+                X = real_basis
+            B = X.conj().T @ H @ X
+            if np.linalg.norm(B - np.diag(np.diag(B))) > 1e-8 * norm_h:
+                if m == n:
+                    raise ConvergenceError("whole-spectrum cluster with non-scalar action")
+                sub = eigenpairs_by_cluster(B)
+                X = X @ np.column_stack([p.vector for p in sub])
+        for j in range(m):
+            v = _canonical_phase(X[:, j].copy())
+            v = v / np.linalg.norm(v)
+            lam = complex(np.vdot(v, H @ v))
+            res = float(np.linalg.norm(H @ v - lam * v))
+            if res > 1e-6 * norm_h:
+                raise ConvergenceError(f"inverse iteration failed for eigenvalue {lam!r}")
+            pairs.append(EigenPair(value=lam, vector=v, residual=res))
+    return pairs
 
 
 def is_rank_one_by_minors(M: np.ndarray, tol: float = 1e-8) -> bool:

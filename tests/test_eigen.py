@@ -5,15 +5,17 @@ import pytest
 
 import chmkit.eigen
 from chmkit.eigen import (
+    ConvergenceError,
     Spectrum,
     _canonical_phase,
     _start_block,
+    cluster_indices,
     eigenpairs,
     eigenvalues,
     spectrum_distance,
 )
-from chmkit.core import DimensionError
-from chmkit.families import Q_VALUES, gen_fourier, gen_haagerup, gen_tao
+from chmkit.core import DimensionError, dephase
+from chmkit.families import Q_VALUES, gen_fourier, gen_haagerup, gen_tao, standard_corpus
 
 import oracles
 
@@ -94,6 +96,28 @@ class TestEigenvalues:
         with pytest.raises(DimensionError):
             eigenvalues(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_non_normal_matrices_match_companion_oracle(self, n):
+        rng = np.random.default_rng(1000 + n)
+        for _ in range(10):
+            A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            d = oracles.greedy_match_distance(eigenvalues(A).values, oracles.companion_spectrum(A))
+            assert d <= 1e-9 * np.linalg.norm(A)
+
+    def test_qr_failure_carries_the_values_found_so_far(self, monkeypatch):
+        # the trailing 1x1 block deflates at once; with sweeps that do nothing
+        # the leading 3x3 block never converges
+        rng = np.random.default_rng(4)
+        H = np.zeros((4, 4), dtype=complex)
+        H[:3, :3] = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        H[3, 3] = 5.0
+        monkeypatch.setattr(chmkit.eigen, "_qr_sweep", lambda a, lo, hi, mu: None)
+        with pytest.raises(ConvergenceError) as info:
+            eigenvalues(H)
+        partial = info.value.partial
+        assert isinstance(partial, np.ndarray) and partial.dtype == np.complex128
+        assert partial.tolist() == [5.0]
+
 
 class TestEigenpairs:
     def test_identity(self):
@@ -147,15 +171,115 @@ class TestEigenpairs:
             pair_spec = Spectrum(np.array([p.value for p in eigenpairs(H)]))
             assert spectrum_distance(spec, pair_spec) < 1e-9, name
 
+    def test_near_double_eigenvalues_are_separated(self):
+        # two eigenvalues 3.9e-8 apart form one cluster whose compressed 2x2
+        # block spans its whole space without scalar action
+        for seed in range(200):
+            H = _scaled_unitary(seed, [0.3, 0.3 + 3.9e-8, 2.5, 3.5, 4.5, 5.5])
+            pairs = eigenpairs(H)
+            V = np.column_stack([p.vector for p in pairs])
+            assert np.linalg.norm(V.conj().T @ V - np.eye(6)) < 1e-6, seed
+            assert max(p.residual for p in pairs) <= 1e-6 * np.linalg.norm(H), seed
+
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_jordan_block_raises(self, n):
+        J = 2.0 * np.eye(n, dtype=complex) + np.eye(n, k=1)
+        with pytest.raises(ConvergenceError):
+            eigenpairs(J)
+
+    def test_singular_solve_nudges_the_shifts(self, monkeypatch):
+        H = gen_haagerup(np.exp(0.7j))
+        solve = np.linalg.solve
+        calls = []
+
+        def singular_once(*args):
+            calls.append(1)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", singular_once)
+        pairs = eigenpairs(H)
+        assert len(calls) > 1
+        assert spectrum_distance(Spectrum(np.array([p.value for p in pairs])),
+                                 HAAGERUP_SPECTRUM) < 1e-10
+        assert max(p.residual for p in pairs) <= 1e-8 * np.linalg.norm(H)
+
+    def test_simple_eigenvalues_share_one_solve_series(self, monkeypatch):
+        # six clusters of size one are one stack: at most 8 solves in all,
+        # not a series of solves per cluster
+        H = gen_haagerup(np.exp(0.7j))
+        assert [len(c) for c in cluster_indices(eigenvalues(H).values)] == [1] * 6
+        solve = np.linalg.solve
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        eigenpairs(H)
+        assert 1 <= len(calls) <= 8
+
+
+def _scaled_unitary(seed: int, phases) -> np.ndarray:
+    """sqrt(n) Q diag(exp(i phases)) Q^dag with Q the QR factor of a complex
+    Gaussian from ``default_rng(seed)``."""
+    n = len(phases)
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return Q @ np.diag(np.exp(1j * np.asarray(phases))) @ Q.conj().T * math.sqrt(n)
+
+
+def _monomial(rng, n: int) -> np.ndarray:
+    M = np.zeros((n, n), dtype=complex)
+    M[rng.permutation(n), np.arange(n)] = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n))
+    return M
+
+
+def _oracle_inputs(kind: str) -> list:
+    if kind == "corpus":
+        return [dephase(H)[0] for _, H in standard_corpus()]
+    if kind == "scrambled":
+        rng = np.random.default_rng(17)
+        return [dephase(_monomial(rng, 6) @ H @ _monomial(rng, 6))[0]
+                for _, H in standard_corpus()]
+    if kind == "fourier":
+        return [gen_fourier(n) for n in range(2, 17)]
+    rng = np.random.default_rng(23)
+    return [_scaled_unitary(int(rng.integers(1 << 30)), rng.uniform(0, 2 * math.pi, n))
+            for n in range(2, 9) for _ in range(4)]
+
+
+class TestBatchedAgainstOracle:
+    """The batched inverse iteration against the one-cluster-at-a-time loop."""
+
+    @pytest.mark.parametrize("kind", ["corpus", "scrambled", "fourier", "unitary"])
+    def test_matches_per_cluster_loop(self, kind):
+        for H in _oracle_inputs(kind):
+            norm_h = np.linalg.norm(H)
+            ours = eigenpairs(H)
+            ref = oracles.eigenpairs_by_cluster(H)
+            a = np.array([p.value for p in ours])
+            b = np.array([p.value for p in ref])
+            assert np.array_equal(a, Spectrum(a).values)  # the pairs come in Spectrum order
+            assert oracles.greedy_match_distance(a, b) <= 1e-12 * norm_h
+            assert max(p.residual for p in ours) <= 1e-6 * norm_h
+            ref_clusters = cluster_indices(b)
+            ref_means = [b[c].mean() for c in ref_clusters]
+            for members in cluster_indices(a):
+                k = int(np.argmin([abs(a[members].mean() - mu) for mu in ref_means]))
+                assert len(ref_clusters[k]) == len(members)
+                U = np.column_stack([ours[j].vector for j in members])
+                W = np.column_stack([ref[j].vector for j in ref_clusters[k]])
+                assert np.linalg.norm(U @ U.conj().T - W @ W.conj().T) <= 1e-10
+
 
 def _near_double_unitary() -> np.ndarray:
     """sqrt(6) times a unitary whose two nearest eigenvalues are 9.6e-8 apart:
     one cluster whose compressed block is not scalar, so ``eigenpairs``
     recurses into it."""
-    rng = np.random.default_rng(102)
-    Q, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
-    phases = np.array([0.3, 0.3 + 3.9e-8, 2.5, 3.5, 4.5, 5.5])
-    return Q @ np.diag(np.exp(1j * phases)) @ Q.conj().T * SQRT6
+    return _scaled_unitary(102, [0.3, 0.3 + 3.9e-8, 2.5, 3.5, 4.5, 5.5])
 
 
 class TestStartBlocks:
@@ -220,6 +344,20 @@ class TestSpectrumType:
     def test_sorted_descending(self):
         s = Spectrum(np.array([1.0, 3.0 + 1j, 3.0 - 1j, 2.0]))
         assert list(s.values) == [3.0 + 1j, 3.0 - 1j, 2.0, 1.0]
+
+    def test_order_ignores_rounding_noise(self):
+        # conjugate pairs share their real part and the doubles their value,
+        # so an order by raw (re, im) follows the last bits
+        base = np.array([(3 + math.sqrt(15.0) * 1j) / 2, -SQRT6, (3 - math.sqrt(15.0) * 1j) / 2,
+                         SQRT6, (3 + math.sqrt(15.0) * 1j) / 2, (3 - math.sqrt(15.0) * 1j) / 2,
+                         1j * SQRT6, -1j * SQRT6])
+        expected = Spectrum(base).values
+        rng = np.random.default_rng(9)
+        eps = np.finfo(float).eps
+        for _ in range(50):
+            ulps = rng.integers(-4, 5, (2, base.size))
+            noisy = base.real * (1 + ulps[0] * eps) + 1j * base.imag * (1 + ulps[1] * eps)
+            assert np.max(np.abs(Spectrum(noisy).values - expected)) < 1e-14
 
     def test_csv_round_trip(self):
         s = Spectrum(np.array([1 / 3 + 1j * math.pi, -2.0]))
