@@ -16,9 +16,11 @@ evaluation is a few array products.
 
 Every restart runs Levenberg-Marquardt (damped Gauss-Newton) on r from a
 random start, with one residual evaluation per trial step and a Jacobian
-only for the trial that is taken.
+only for a taken step that does not end the restart.
 The Jacobian is exact: first-order eigenvalue perturbation turns one
-eigendecomposition into every eigenvalue derivative.  Restarts provide
+eigendecomposition into every eigenvalue derivative.  Its blocks are
+written into one array, the unitarity block by scattering to positions
+that ``_unitarity_scatter`` caches per n.  Restarts provide
 globalization and every draw is keyed by (seed, restart index), so reports
 are reproducible bit for bit.
 """
@@ -221,29 +223,60 @@ def matrix_to_phases(H: np.ndarray) -> np.ndarray:
     return np.angle(H[1:, 1:]).ravel()
 
 
-def _unitarity_residual(H: np.ndarray, n: int) -> np.ndarray:
-    """Unitarity rows r_u: the real and imaginary parts of G = H H^dag - n I."""
+def _unitarity_rows(H: np.ndarray, n: int) -> list:
+    """Unitarity rows r_u: the real and imaginary parts of G = H H^dag - n I,
+    as two strided views for ``np.concatenate`` to copy once."""
     G = H @ H.conj().T
-    G.flat[:: n + 1] -= n
-    return np.concatenate([G.real.ravel(), G.imag.ravel()])
+    G.ravel()[:: n + 1] -= n
+    parts = G.view(np.float64).reshape(-1, 2)
+    return [parts[:, 0], parts[:, 1]]
 
 
-def _unitarity_jacobian(H: np.ndarray, n: int) -> np.ndarray:
-    """Exact Jacobian J_u of the unitarity rows in the free phases.  Phase
-    theta_jk moves H by dH = i h_jk e_j e_k^T, so dG = dH H^dag + (dH H^dag)^dag
-    with (dH H^dag)_ab = delta_aj i h_jk conj(h_bk)."""
-    rows = 1j * H[1:, 1:, None] * np.conj(H[:, 1:].T)[None]  # [j, k, b]
-    A = np.zeros((n, n, n - 1, n - 1), dtype=np.complex128)  # [a, b, j, k]
-    j = np.arange(n - 1)
-    A[j + 1, :, j, :] = rows.transpose(0, 2, 1)
-    dG = (A + np.conj(A.transpose(1, 0, 2, 3))).reshape(n * n, -1)
-    return np.vstack([dG.real, dG.imag])
+@functools.lru_cache(maxsize=None)
+def _unitarity_scatter(n: int):
+    """Where the entries of the unitarity Jacobian J_u come from, built once per n.
+
+    Phase theta_jk moves H by dH = i h_jk e_j e_k^T, so G = H H^dag moves by
+    dG = dH H^dag + (dH H^dag)^dag with (dH H^dag)_ab = delta_aj p_jbk, where
+    p_jbk = i h_jk conj(h_bk).  So in column theta_jk, p_jbk lands at (j, b),
+    its conjugate at (b, j), and 2 Re p_jjk on the diagonal; every other
+    entry is zero.  Returns (take, scale, put): with p as a [j, b, k] array,
+    ``J_u.flat[put] = p.view(float).flat[take] * scale``.  The arrays are
+    shared by every caller, so they are read-only.
+    """
+    m, take, scale, put = n - 1, [], [], []
+    for j, b, k in itertools.product(range(m), range(n), range(m)):
+        re, col, a = 2 * ((j * n + b) * m + k), j * m + k, j + 1  # a: j's row of H
+        if b == a:
+            entries = [(re, 2.0, a * n + a)]
+        else:
+            entries = [(re, 1.0, a * n + b), (re + 1, 1.0, n * n + a * n + b),
+                       (re, 1.0, b * n + a), (re + 1, -1.0, n * n + b * n + a)]
+        for at, s, row in entries:
+            take.append(at)
+            scale.append(s)
+            put.append(row * m * m + col)
+    arrays = np.array(take), np.array(scale), np.array(put)
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+def _unitarity_jacobian(H: np.ndarray, ih: np.ndarray, out: np.ndarray) -> None:
+    """Write the exact Jacobian J_u of the unitarity rows in the free phases
+    into the first 2 n^2 rows of ``out``, which must be zero there; ``ih`` is
+    i H[1:, 1:]."""
+    take, scale, put = _unitarity_scatter(H.shape[0])
+    p = ih[:, None, :] * np.conj(H[None, :, 1:])  # [j, b, k]
+    out.ravel()[put] = p.view(np.float64).ravel()[take] * scale
 
 
 def chm_gradient(phases: np.ndarray, n: int = 6) -> np.ndarray:
     """Analytic gradient 2 J_u^T r_u of ||H H^dag - n I||_F^2 in the free phases."""
     H = phases_to_matrix(phases, n)
-    return 2.0 * _unitarity_jacobian(H, n).T @ _unitarity_residual(H, n)
+    J = np.zeros((2 * n * n, (n - 1) ** 2))
+    _unitarity_jacobian(H, 1j * H[1:, 1:], J)
+    return 2.0 * J.T @ np.concatenate(_unitarity_rows(H, n))
 
 
 class _PartitionTable(NamedTuple):
@@ -251,9 +284,12 @@ class _PartitionTable(NamedTuple):
     the eigenvalues, built once per (pattern, n) by ``_partition_table``."""
 
     masks: np.ndarray  # bool [P, K, n]: block k of partition p holds index i
-    masks_c: np.ndarray  # masks as complex, for ``masks_c @ eigs``
-    counts: np.ndarray  # int [P, K] block sizes
+    masks_c: np.ndarray  # complex [P * K, n]: the masks' rows, for ``masks_c @ eigs``
+    counts: np.ndarray  # float [P, K] block sizes
     owner: np.ndarray  # int [P, n]: the block of partition p that holds index i
+    gather: np.ndarray  # int [P, n]: p K + owner, where mu.ravel() holds index i's block mean
+    first: np.ndarray  # int [P, pairs]: p K + a over block pairs a < b, into mu.ravel()
+    second: np.ndarray  # int [P, pairs]: p K + b
     pairs: np.ndarray  # complex [pairs, K]: pairs @ mu = mu_a - mu_b over block pairs a < b
 
 
@@ -289,27 +325,29 @@ def _partition_table(pattern: tuple, n: int) -> _PartitionTable:
     masks = np.array(masks)
     iu, ju = np.triu_indices(len(pattern), 1)
     eye = np.eye(len(pattern), dtype=np.complex128)
+    base = np.arange(len(masks))[:, None] * len(pattern)
+    owner = masks.argmax(axis=1)
     table = _PartitionTable(
-        masks, masks.astype(np.complex128), masks.sum(axis=2), masks.argmax(axis=1),
-        eye[iu] - eye[ju],
+        masks, masks.reshape(-1, n).astype(np.complex128), masks.sum(axis=2).astype(np.float64),
+        owner, base + owner, base + iu, base + ju, eye[iu] - eye[ju],
     )
     for arr in table:
         arr.flags.writeable = False
     return table
 
 
-def _best_partition(eigs: np.ndarray, pattern: tuple, n: int, min_gap: float):
-    """The spectral rows of every partition of ``eigs`` into the pattern's
-    blocks: each eigenvalue's deviation from its block mean (real and
-    imaginary parts), each block mean's modulus defect |mu| - sqrt(n), and
-    for every block pair the hinge max(min_gap - |mu_a - mu_b|, 0).  Returns
-    the rows of the partition p whose rows have the least squared norm, and
-    (p, its block means).
+def _best_partition(eigs: np.ndarray, t: _PartitionTable, n: int, min_gap: float):
+    """The spectral rows of every partition of ``eigs`` in the table ``t``:
+    each eigenvalue's deviation from its block mean (real and imaginary
+    parts), each block mean's modulus defect |mu| - sqrt(n), and for every
+    block pair the hinge max(min_gap - |mu_a - mu_b|, 0).  Returns the rows
+    of the partition p whose rows have the least squared norm, and (p, its
+    block means).
     """
-    t = _partition_table(tuple(pattern), n)
-    mu = (t.masks_c @ eigs) / t.counts  # [P, K]
-    dev = eigs - mu[np.arange(len(mu))[:, None], t.owner]  # [P, n]
-    hinge = np.maximum(min_gap - np.abs(mu @ t.pairs.T), 0.0)  # [P, pairs]
+    mu = (t.masks_c @ eigs).reshape(t.counts.shape) / t.counts  # [P, K]
+    flat = mu.ravel()
+    dev = eigs - flat[t.gather]  # [P, n]
+    hinge = np.maximum(min_gap - np.abs(flat[t.first] - flat[t.second]), 0.0)  # [P, pairs]
     rows = np.concatenate([dev.real, dev.imag, np.abs(mu) - math.sqrt(n), hinge], axis=1)
     p = int(np.einsum("pr,pr->p", rows, rows).argmin())
     return rows[p], (p, mu[p])
@@ -324,7 +362,7 @@ def pattern_penalty(eigs: np.ndarray, pattern: tuple, n: int = 6, min_gap: float
     an exact multiplicity profile rather than any refinement of one.  Cluster
     centers are block means, so they float freely on the circle.
     """
-    rows, _ = _best_partition(eigs, pattern, n, min_gap)
+    rows, _ = _best_partition(eigs, _partition_table(tuple(pattern), n), n, min_gap)
     return float(rows @ rows)
 
 
@@ -334,7 +372,7 @@ def objective(phases, task: SearchTask) -> float:
     phases = np.asarray(phases, dtype=np.float64).ravel()
     if phases.size != task.num_phases:
         raise ValueError(f"expected {task.num_phases} phases, got {phases.size}")
-    r, _ = _residual(phases, task)
+    r, _ = _residual(phases, task, _spectral_table(task))
     return float(r @ r)
 
 
@@ -350,8 +388,8 @@ def gradient_check(phases, h: float = 1e-6, n: int = 6) -> float:
     for k in range(phases.size):
         bump = np.zeros_like(phases)
         bump[k] = h
-        rp = _unitarity_residual(phases_to_matrix(phases + bump, n), n)
-        rm = _unitarity_residual(phases_to_matrix(phases - bump, n), n)
+        rp = np.concatenate(_unitarity_rows(phases_to_matrix(phases + bump, n), n))
+        rm = np.concatenate(_unitarity_rows(phases_to_matrix(phases - bump, n), n))
         gf[k] = (rp @ rp - rm @ rm) / (2.0 * h)
     denom = np.maximum(1.0, np.maximum(np.abs(ga), np.abs(gf)))
     return float(np.max(np.abs(ga - gf) / denom))
@@ -361,23 +399,31 @@ def gradient_check(phases, h: float = 1e-6, n: int = 6) -> float:
 # local descent: Levenberg-Marquardt on the residual vector
 # ---------------------------------------------------------------------------
 
-def _residual(theta: np.ndarray, task: SearchTask):
+def _spectral_table(task: SearchTask) -> _PartitionTable | None:
+    """The partition table of a pattern task; None for a ``Spectrum`` target."""
+    if isinstance(task.target, Spectrum):
+        return None
+    return _partition_table(task.target, task.n)
+
+
+def _residual(theta: np.ndarray, task: SearchTask, table: _PartitionTable | None):
     """Residual stage: r stacks the unitarity rows, the spectral block and,
     for a non-Hermitian task, the barrier row; its length depends only on
-    the task.  Returns r and what ``_jacobian`` reuses: H, its eigenvectors
-    X, and the pairing with the target spectrum or (partition, block means)."""
+    the task.  ``table`` is ``_spectral_table(task)``.  Returns r and what
+    ``_jacobian`` reuses: H, its eigenvectors X, and the pairing with the
+    target spectrum or (partition, block means)."""
     n = task.n
     H = phases_to_matrix(theta, n)
-    res = [_unitarity_residual(H, n)]
+    res = _unitarity_rows(H, n)
     w, X = np.linalg.eig(H)
-    if isinstance(task.target, Spectrum):
+    if table is None:
         # the least-squares pairing of w with the target, over all n! orders
         ref, perms = task.target.values, _all_perms(n)
         pick = perms[int((np.abs(ref - w[perms]) ** 2).sum(axis=1).argmin())]
         diff = w[pick] - ref
         res += [diff.real, diff.imag]
     else:
-        rows, pick = _best_partition(w, task.target, n, task.min_cluster_gap)
+        rows, pick = _best_partition(w, table, n, task.min_cluster_gap)
         res.append(rows)
     if task.non_hermitian:
         K = H - H.conj().T
@@ -385,109 +431,117 @@ def _residual(theta: np.ndarray, task: SearchTask):
     return np.concatenate(res), (H, X, pick)
 
 
-def _jacobian(r: np.ndarray, stage: tuple, task: SearchTask) -> np.ndarray:
-    """Jacobian stage: the exact Jacobian of ``_residual``'s r in the free phases.
-    Phase theta_jk moves H by the rank-one dH = i h_jk e_j e_k^T, so by
+def _jacobian(r: np.ndarray, stage: tuple, task: SearchTask,
+              table: _PartitionTable | None) -> np.ndarray:
+    """Jacobian stage: the exact Jacobian of ``_residual``'s r in the free
+    phases, every block written into one array in the rows of r.  Phase
+    theta_jk moves H by the rank-one dH = i h_jk e_j e_k^T, so by
     first-order perturbation theory of H = X diag(w) X^-1,
     d w_i = (X^-1 dH X)_ii = i h_jk (X^-1)_ij X_ki."""
     n, (H, X, pick) = task.n, stage
-    free = H[1:, 1:]
-    jac = [_unitarity_jacobian(H, n)]
+    J = np.zeros((r.size, (n - 1) ** 2))
+    ih = 1j * H[1:, 1:]
+    _unitarity_jacobian(H, ih, J)
     Xinv = np.linalg.inv(X)
-    dw = (1j * free[None] * Xinv[:, 1:, None] * X.T[:, None, 1:]).reshape(n, -1)
-    if isinstance(task.target, Spectrum):
+    dw = (ih[None] * Xinv[:, 1:, None] * X.T[:, None, 1:]).reshape(n, -1)
+    s = 2 * n * n  # the first spectral row
+    if table is None:
         ddiff = dw[pick]
-        jac += [ddiff.real, ddiff.imag]
+        J[s:s + n], J[s + n:s + 2 * n] = ddiff.real, ddiff.imag
     else:
-        t = _partition_table(task.target, n)
         p, mu = pick
-        dmu = t.masks_c[p] @ dw / t.counts[p][:, None]
-        ddev = dw - dmu[t.owner[p]]
-        dabs = np.real(np.conj(mu)[:, None] * dmu) / np.abs(mu)[:, None]
-        sep = t.pairs @ mu
-        gaps = np.abs(sep)[:, None]
-        dgap = np.real(np.conj(sep)[:, None] * (t.pairs @ dmu))  # |sep| d|sep|
-        # pairs at least min_cluster_gap apart: zero row, no division by the gap
-        near = gaps < task.min_cluster_gap
-        dhinge = -np.divide(dgap, gaps, out=np.zeros_like(dgap), where=near)
-        jac += [ddev.real, ddev.imag, dabs, dhinge]
+        nb = len(mu)
+        h = s + 2 * n + nb  # the first hinge row
+        dmu = table.masks_c[p * nb:(p + 1) * nb] @ dw / table.counts[p, :, None]
+        ddev = dw - dmu[table.owner[p]]
+        J[s:s + n], J[s + n:s + 2 * n] = ddev.real, ddev.imag
+        J[s + 2 * n:h] = np.real(np.conj(mu)[:, None] * dmu) / np.abs(mu)[:, None]
+        # pairs at least min_cluster_gap apart keep a zero row, with no
+        # division by their gap.  A pair's hinge row in r is positive exactly
+        # when gaps < min_cluster_gap below, since pairs @ mu (entries 0 and
+        # +-1) rounds each mu_a - mu_b as _best_partition's subtraction does
+        dhinge = J[h:h + len(table.pairs)]
+        if r[h:h + len(table.pairs)].any():
+            sep = table.pairs @ mu
+            gaps = np.abs(sep)[:, None]
+            dgap = np.real(np.conj(sep)[:, None] * (table.pairs @ dmu))  # |sep| d|sep|
+            np.divide(dgap, gaps, out=dhinge, where=gaps < task.min_cluster_gap)
+            np.negative(dhinge, out=dhinge)
     if task.non_hermitian:
         # ||K||^2 with K = H - H^dag moves by -4 Im(h_jk conj(K_jk)) per phase
         K = H - H.conj().T
-        jac.append(4.0 * (r[-1] > 0.0) * np.imag(free * np.conj(K[1:, 1:])).reshape(1, -1))
-    return np.vstack(jac)
+        J[-1] = 4.0 * (r[-1] > 0.0) * np.imag(H[1:, 1:] * np.conj(K[1:, 1:])).ravel()
+    return J
 
 
-def _residual_and_jacobian(theta: np.ndarray, task: SearchTask):
-    """The residual r of ``_residual`` and its exact Jacobian J = ``_jacobian``."""
-    r, stage = _residual(theta, task)
-    return r, _jacobian(r, stage, task)
-
-
-def _qualifies(phases: np.ndarray, task: SearchTask, value: float) -> bool:
-    """Soundness gate for a 'found' verdict: CHM residuals and profile match."""
+def _qualifies(phases: np.ndarray, task: SearchTask, value: float) -> Spectrum | None:
+    """Soundness gate for a 'found' verdict: CHM residuals and profile match.
+    Returns the spectrum the candidate was checked with if it passes, else None."""
     if value > task.tol_success:
-        return False
+        return None
     H = phases_to_matrix(phases, task.n)
     if not chm_residuals(H, tol=1e-8).is_chm:
-        return False
+        return None
     try:
         spec = eigen.eigenvalues(H)
     except ConvergenceError:
-        return False
+        return None
     if isinstance(task.target, Spectrum):
-        return spectrum_distance(spec, task.target) <= 1e-6
+        return spec if spectrum_distance(spec, task.target) <= 1e-6 else None
     profile = tuple(multiplicity_profile(spec, cluster_tol=1e-6))
     if profile != tuple(task.target):
-        return False
+        return None
     if task.non_hermitian:
         herm = float(np.sum(np.abs(H - H.conj().T) ** 2))
         if herm < HERMITIAN_BARRIER:
-            return False
-    return True
+            return None
+    return spec
 
 
-def _descend(theta0: np.ndarray, task: SearchTask, trace_rows: list | None, restart: int):
+def _descend(theta0: np.ndarray, task: SearchTask, table: _PartitionTable | None,
+             trace_rows: list | None, restart: int):
     """One restart: Levenberg-Marquardt from ``theta0``; returns (phases, value, steps).
 
     A step solves (J^T J + lam I) delta = -J^T r and is taken only when it
     lowers the objective r @ r; each rejection multiplies lam by 10, at most 8
-    times per step.  A trial costs one ``_residual``; only a trial that lowers
-    the objective runs ``_jacobian`` on that trial's stage, and the next step
-    reuses its (r, J).  A trial whose solve, eigendecomposition or inverse
-    raises ``LinAlgError`` counts as rejected.  The restart stops when no
-    damped step improves, when the objective is below 1e-24, when a step
-    lowers it by no more than ``FTOL`` of its value, or after
-    ``task.max_iters`` steps.
+    times per step.  A trial costs one ``_residual``; a trial that lowers the
+    objective runs ``_jacobian`` on that trial's stage, unless the step ends
+    the restart, and the next step reuses its (r, J).  A trial whose solve,
+    eigendecomposition or inverse raises ``LinAlgError`` counts as rejected.
+    The restart stops when no damped step improves, when the objective is
+    below 1e-24, when a step lowers it by no more than ``FTOL`` of its value,
+    or after ``task.max_iters`` steps.
     """
     theta = theta0.copy()
-    r, J = _residual_and_jacobian(theta, task)
+    r, stage = _residual(theta, task, table)
+    J = _jacobian(r, stage, task, table)
     f = float(r @ r)
     lam = 1e-3
-    eye = np.eye(theta.size)
     steps = 0
-    while steps < task.max_iters and f >= 1e-24:
-        JtJ, g = J.T @ J, J.T @ r
+    done = task.max_iters <= 0 or f < 1e-24
+    while not done:
+        JtJ, rhs = J.T @ J, -(J.T @ r)
         for _ in range(8):
             try:
-                cand = theta + np.linalg.solve(JtJ + lam * eye, -g)
-                rc, stage = _residual(cand, task)
+                A = JtJ.copy()
+                A.ravel()[:: A.shape[0] + 1] += lam
+                cand = theta + np.linalg.solve(A, rhs)
+                rc, stage = _residual(cand, task, table)
                 fc = float(rc @ rc)
                 if fc < f:
-                    Jc = _jacobian(rc, stage, task)
+                    done = steps + 1 >= task.max_iters or fc < 1e-24 or f - fc <= FTOL * fc
+                    Jc = None if done else _jacobian(rc, stage, task, table)
                     break
             except np.linalg.LinAlgError:
                 pass
             lam *= 10.0
         else:
             break
-        f_prev, theta, f, r, J = f, cand, fc, rc, Jc
+        theta, f, r, J = cand, fc, rc, Jc
         lam = max(lam / 3.0, 1e-12)
         if trace_rows is not None:
             trace_rows.append((restart, steps, f))
         steps += 1
-        if f_prev - f <= FTOL * f:
-            break
     return theta, f, steps
 
 
@@ -500,30 +554,32 @@ def minimize(task: SearchTask, trace_rows: list | None = None) -> SearchReport:
     ``trace_rows``, when given, collects one (restart, iteration, residual)
     row per Levenberg-Marquardt step.
     """
+    table = _spectral_table(task)
     best_f = math.inf
-    best_theta = None
+    best_theta = best_spectrum = None
     traces = []
     found = False
     found_restart = None
     for r in range(task.restarts):
         theta0 = np.random.default_rng([task.seed, r]).uniform(0.0, 2.0 * math.pi, task.num_phases)
-        theta, f, iters = _descend(theta0, task, trace_rows, r)
+        theta, f, iters = _descend(theta0, task, table, trace_rows, r)
         traces.append(RestartTrace(restart=r, seed=task.seed, final_residual=f, iterations=iters))
-        if f < best_f:
-            best_f, best_theta = f, theta
-        if _qualifies(theta, task, f):
+        spectrum = _qualifies(theta, task, f)
+        if spectrum is not None or f < best_f:
+            best_f, best_theta, best_spectrum = f, theta, spectrum
+        if spectrum is not None:
             found = True
             found_restart = r
-            best_f, best_theta = f, theta
             if task.stop_on_success:
                 break
     H = phases_to_matrix(best_theta, task.n)
-    try:
-        best_spectrum = eigen.eigenvalues(H)
-    except ConvergenceError:
-        # descriptive only: a found matrix has already passed this solve in
-        # _qualifies, so only a not-found best candidate can land here
-        best_spectrum = Spectrum(np.linalg.eigvals(H))
+    if best_spectrum is None:
+        # a found matrix keeps the spectrum the gate solved; a not-found
+        # best candidate is solved here, and the solve is descriptive only
+        try:
+            best_spectrum = eigen.eigenvalues(H)
+        except ConvergenceError:
+            best_spectrum = Spectrum(np.linalg.eigvals(H))
     return SearchReport(
         task=task,
         best_residual=best_f,

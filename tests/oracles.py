@@ -6,7 +6,10 @@ through numpy's companion-matrix machinery, determinants are Laplace
 expansions, and the assignment distance is a plain recursive search.
 The inverse-iteration oracle is the eigensolver's earlier one-cluster-at-a-
 time loop; it shares only ``eigenvalues`` and the small helpers with the
-batched ``eigenpairs`` it checks.
+batched ``eigenpairs`` it checks.  The search oracles are the residual,
+Jacobian and descent in their first form; they share only
+``phases_to_matrix``, the constants and the partition masks with the code
+they check.
 """
 
 from __future__ import annotations
@@ -17,9 +20,10 @@ import math
 import numpy as np
 
 from chmkit.eigen import (
-    CLUSTER_TOL, ConvergenceError, EigenPair, _canonical_phase, _realify_basis, _start_block,
-    cluster_indices, eigenvalues,
+    CLUSTER_TOL, ConvergenceError, EigenPair, Spectrum, _all_perms, _canonical_phase,
+    _realify_basis, _start_block, cluster_indices, eigenvalues,
 )
+from chmkit.search import FTOL, HERMITIAN_BARRIER, _partition_table, phases_to_matrix
 
 
 def charpoly_coeffs(A: np.ndarray) -> np.ndarray:
@@ -211,3 +215,102 @@ def cluster_profile(values, tol: float) -> list:
             old = label[j]
             label = [label[i] if x == old else x for x in label]
     return sorted((label.count(x) for x in set(label)), reverse=True)
+
+
+def residual_and_jacobian_stacked(theta, task):
+    """The search's residual r and exact Jacobian J in their first form.
+
+    The unitarity Jacobian comes from a 4-D array A[a, b, j, k] of the
+    entries of dH H^dag as A + conj(A^T), the spectral rows from the
+    partition masks alone (block counts, owners and block pairs derived
+    here, every partition's means and pair differences as array products),
+    and the blocks of J are stacked with ``np.vstack``.  ``search._residual``
+    and ``search._jacobian`` must give the same r and J bit for bit.
+    """
+    n = task.n
+    H = phases_to_matrix(theta, n)
+    G = H @ H.conj().T
+    G.flat[:: n + 1] -= n
+    res = [np.concatenate([G.real.ravel(), G.imag.ravel()])]
+    w, X = np.linalg.eig(H)
+    if isinstance(task.target, Spectrum):
+        ref, perms = task.target.values, _all_perms(n)
+        pick = perms[int((np.abs(ref - w[perms]) ** 2).sum(axis=1).argmin())]
+        diff = w[pick] - ref
+        res += [diff.real, diff.imag]
+    else:
+        masks = _partition_table(task.target, n).masks
+        masks_c, counts, owner = masks.astype(np.complex128), masks.sum(axis=2), masks.argmax(axis=1)
+        iu, ju = np.triu_indices(len(task.target), 1)
+        eye = np.eye(len(task.target), dtype=np.complex128)
+        pairs = eye[iu] - eye[ju]
+        mu = (masks_c @ w) / counts
+        dev = w - mu[np.arange(len(mu))[:, None], owner]
+        hinge = np.maximum(task.min_cluster_gap - np.abs(mu @ pairs.T), 0.0)
+        rows = np.concatenate([dev.real, dev.imag, np.abs(mu) - math.sqrt(n), hinge], axis=1)
+        p = int(np.einsum("pr,pr->p", rows, rows).argmin())
+        res.append(rows[p])
+    if task.non_hermitian:
+        K = H - H.conj().T
+        res.append([max(HERMITIAN_BARRIER - float(np.sum(np.abs(K) ** 2)), 0.0)])
+    r = np.concatenate(res)
+
+    free = H[1:, 1:]
+    rows_u = 1j * H[1:, 1:, None] * np.conj(H[:, 1:].T)[None]  # [j, k, b]
+    A = np.zeros((n, n, n - 1, n - 1), dtype=np.complex128)  # [a, b, j, k]
+    j = np.arange(n - 1)
+    A[j + 1, :, j, :] = rows_u.transpose(0, 2, 1)
+    dG = (A + np.conj(A.transpose(1, 0, 2, 3))).reshape(n * n, -1)
+    jac = [np.vstack([dG.real, dG.imag])]
+    Xinv = np.linalg.inv(X)
+    dw = (1j * free[None] * Xinv[:, 1:, None] * X.T[:, None, 1:]).reshape(n, -1)
+    if isinstance(task.target, Spectrum):
+        ddiff = dw[pick]
+        jac += [ddiff.real, ddiff.imag]
+    else:
+        dmu = masks_c[p] @ dw / counts[p][:, None]
+        ddev = dw - dmu[owner[p]]
+        dabs = np.real(np.conj(mu[p])[:, None] * dmu) / np.abs(mu[p])[:, None]
+        sep = pairs @ mu[p]
+        gaps = np.abs(sep)[:, None]
+        dgap = np.real(np.conj(sep)[:, None] * (pairs @ dmu))
+        near = gaps < task.min_cluster_gap
+        dhinge = -np.divide(dgap, gaps, out=np.zeros_like(dgap), where=near)
+        jac += [ddev.real, ddev.imag, dabs, dhinge]
+    if task.non_hermitian:
+        jac.append(4.0 * (r[-1] > 0.0) * np.imag(free * np.conj(K[1:, 1:])).reshape(1, -1))
+    return r, np.vstack(jac)
+
+
+def descend_every_jacobian(theta0, task):
+    """One Levenberg-Marquardt restart as first written: the residual and
+    Jacobian of ``residual_and_jacobian_stacked`` at every trial point, the
+    restart's last step included, and the damped matrix built as
+    J^T J + lam I.  Returns (phases, value, trace rows (step, value))."""
+    theta = theta0.copy()
+    r, J = residual_and_jacobian_stacked(theta, task)
+    f = float(r @ r)
+    lam = 1e-3
+    eye = np.eye(theta.size)
+    steps, rows = 0, []
+    while steps < task.max_iters and f >= 1e-24:
+        JtJ, g = J.T @ J, J.T @ r
+        for _ in range(8):
+            try:
+                cand = theta + np.linalg.solve(JtJ + lam * eye, -g)
+                rc, Jc = residual_and_jacobian_stacked(cand, task)
+                fc = float(rc @ rc)
+                if fc < f:
+                    break
+            except np.linalg.LinAlgError:
+                pass
+            lam *= 10.0
+        else:
+            break
+        f_prev, theta, f, r, J = f, cand, fc, rc, Jc
+        lam = max(lam / 3.0, 1e-12)
+        rows.append((steps, f))
+        steps += 1
+        if f_prev - f <= FTOL * f:
+            break
+    return theta, f, rows

@@ -12,11 +12,13 @@ from chmkit.core import chm_residuals, dephase
 from chmkit.eigen import ConvergenceError, Spectrum, eigenvalues
 from chmkit.families import gen_fourier, gen_hermitian, gen_tao
 from chmkit.search import (
+    FTOL,
     SearchReport,
+    _descend,
     _jacobian,
     _partition_table,
     _residual,
-    _residual_and_jacobian,
+    _spectral_table,
     SearchTask,
     chm_gradient,
     gradient_check,
@@ -30,6 +32,13 @@ from chmkit.search import (
 from chmkit.spectral import multiplicity_profile
 
 SQRT6 = math.sqrt(6.0)
+
+
+def _residual_and_jacobian(theta, task):
+    """r and its exact Jacobian at one point, as the descent builds them."""
+    table = _spectral_table(task)
+    r, stage = _residual(theta, task, table)
+    return r, _jacobian(r, stage, task, table)
 
 
 class TestPatternParsing:
@@ -238,6 +247,81 @@ class TestPolishJacobian:
         assert [objective(theta, task) for theta in points] == expected
 
 
+class TestFirstFormOracle:
+    """The residual and Jacobian are built in place from cached index tables;
+    they must equal their first form in ``oracles`` (a 4-D unitarity array,
+    every block stacked with ``np.vstack``) bit for bit, and so must the
+    descent, which skips the Jacobian of a restart's last step."""
+
+    PATTERNS = [(6,), (5, 1), (4, 2), (4, 1, 1), (3, 3), (3, 2, 1), (3, 1, 1, 1), (2, 2, 2),
+                (2, 2, 1, 1), (2, 1, 1, 1, 1), (1,) * 6]
+    POINTS = np.random.default_rng(61).uniform(0, 2 * np.pi, (4, 25))
+
+    @staticmethod
+    def _assert_bitwise_equal(theta, task):
+        r, J = _residual_and_jacobian(theta, task)
+        r_o, J_o = oracles.residual_and_jacobian_stacked(theta, task)
+        assert np.array_equal(r, r_o)
+        assert J.shape == J_o.shape and np.array_equal(J, J_o)
+        return r
+
+    @pytest.mark.parametrize("gap", [0.0, 0.5, 1.5, 5.0])
+    @pytest.mark.parametrize("pattern", PATTERNS)
+    def test_pattern_rows(self, pattern, gap):
+        task = SearchTask(target=pattern, seed=0, min_cluster_gap=gap)
+        for theta in self.POINTS:
+            self._assert_bitwise_equal(theta, task)
+
+    def test_hinge_rows_are_none_some_and_all_active(self):
+        # the hinge rows' Jacobian is built only when some pair is nearer than
+        # the gap; test_pattern_rows meets no such pair, some and every one
+        seen = set()
+        for gap, pattern in itertools.product((0.5, 1.5, 5.0), self.PATTERNS[1:]):
+            pairs = len(pattern) * (len(pattern) - 1) // 2
+            task = SearchTask(target=pattern, seed=0, min_cluster_gap=gap)
+            for theta in self.POINTS:
+                r, _ = _residual_and_jacobian(theta, task)
+                active = np.count_nonzero(r[r.size - pairs:])
+                seen.add("none" if active == 0 else "all" if active == pairs else "some")
+        assert seen == {"none", "some", "all"}
+
+    def test_spectrum_target(self):
+        rng = np.random.default_rng(62)
+        target = Spectrum(np.linalg.eigvals(phases_to_matrix(rng.uniform(0, 2 * np.pi, 25))))
+        task = SearchTask(target=target, seed=0)
+        for _ in range(4):
+            self._assert_bitwise_equal(rng.uniform(0, 2 * np.pi, 25), task)
+
+    def test_non_hermitian_near_the_hermitian_family(self):
+        rng = np.random.default_rng(63)
+        task = SearchTask(target="[3,1,1,1]-non-hermitian", seed=0)
+        base = matrix_to_phases(dephase(gen_hermitian(2.9))[0])
+        for _ in range(4):
+            r = self._assert_bitwise_equal(base + 1e-3 * rng.standard_normal(25), task)
+            assert r[-1] > 0.0  # barrier row active
+
+    @pytest.mark.parametrize(
+        "target, seed, max_iters, stop",
+        [("[4,1,1]", 0, 10, "max_iters"), ("[4,1,1]", 0, 5000, "ftol"),
+         ("[2,2,1,1]", 2, 5000, "converged"), ("[3,1,1,1]-non-hermitian", 3, 20, "max_iters")],
+    )
+    def test_descent(self, target, seed, max_iters, stop):
+        task = SearchTask(target=target, seed=seed, max_iters=max_iters)
+        theta0 = np.random.default_rng([seed, 0]).uniform(0.0, 2.0 * math.pi, 25)
+        rows = []
+        theta, f, steps = _descend(theta0, task, _spectral_table(task), rows, 0)
+        theta_o, f_o, rows_o = oracles.descend_every_jacobian(theta0, task)
+        assert np.array_equal(theta, theta_o) and f == f_o
+        assert [(step, value) for _, step, value in rows] == rows_o
+        assert steps == len(rows_o)
+        if stop == "max_iters":
+            assert steps == max_iters
+        elif stop == "ftol":
+            assert steps < max_iters and rows_o[-2][1] - f <= FTOL * f
+        else:
+            assert f < 1e-24
+
+
 class TestMinimize:
     def test_finds_tao_type_pattern(self):
         task = SearchTask(target="[2,2,1,1]", restarts=20, max_iters=3000, seed=1)
@@ -299,6 +383,22 @@ class TestMinimize:
         ]
 
 
+class TestGateSpectrum:
+    def test_found_report_reuses_the_gates_spectrum(self, monkeypatch):
+        solved = []
+
+        def recorded(H):
+            solved.append(H.copy())
+            return eigenvalues(H)
+
+        monkeypatch.setattr(chmkit.eigen, "eigenvalues", recorded)
+        report = minimize(SearchTask(target="[2,2,1,1]", restarts=3, seed=2))
+        assert report.found
+        # the soundness gate solved the found matrix; minimize did not solve it again
+        assert len(solved) == 1 and np.array_equal(solved[0], report.best_matrix)
+        assert np.array_equal(report.best_spectrum.values, eigenvalues(report.best_matrix).values)
+
+
 class TestOneResidual:
     def test_descent_does_not_call_objective(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -311,11 +411,11 @@ class TestOneResidual:
         task = SearchTask(target="[2,2,1,1]", restarts=1, max_iters=50, seed=2)
         calls = []
 
-        def flaky(theta, task):
+        def flaky(theta, *args):
             calls.append(theta)
             if len(calls) == 3:  # the second trial step of the restart
                 raise np.linalg.LinAlgError("Singular matrix")
-            return _residual(theta, task)
+            return _residual(theta, *args)
 
         monkeypatch.setattr(chmkit.search, "_residual", flaky)
         report = minimize(task)
@@ -328,15 +428,15 @@ class TestOneResidual:
         task = SearchTask(target="[2,2,1,1]", restarts=1, max_iters=50, seed=2)
         trials, jacobians = [], []
 
-        def record(theta, task):
+        def record(theta, *args):
             trials.append(theta)
-            return _residual(theta, task)
+            return _residual(theta, *args)
 
-        def flaky(r, stage, task):
+        def flaky(*args):
             jacobians.append(len(trials))
             if len(jacobians) == 2:  # the first trial that lowers the objective
                 raise np.linalg.LinAlgError("Singular matrix")
-            return _jacobian(r, stage, task)
+            return _jacobian(*args)
 
         monkeypatch.setattr(chmkit.search, "_residual", record)
         monkeypatch.setattr(chmkit.search, "_jacobian", flaky)
@@ -358,10 +458,13 @@ class TestOneResidual:
 
         monkeypatch.setattr(chmkit.search, "_residual", counted("_residual", _residual))
         monkeypatch.setattr(chmkit.search, "_jacobian", counted("_jacobian", _jacobian))
-        report = minimize(SearchTask(target="[4,1,1]", restarts=1, seed=0))
-        # one Jacobian at the start point and one per step taken; rejected
-        # trials cost a residual only
-        assert counts["_jacobian"] == report.traces[0].iterations + 1
+        rows = []
+        report = minimize(SearchTask(target="[4,1,1]", restarts=1, seed=0), trace_rows=rows)
+        # this restart ends on FTOL, a step that lowers f by little
+        assert rows[-2][2] - rows[-1][2] <= FTOL * rows[-1][2]
+        # one Jacobian at the start point and one per step taken but the
+        # last, which ends the restart; rejected trials cost a residual only
+        assert counts["_jacobian"] == report.traces[0].iterations
         assert counts["_residual"] > counts["_jacobian"]
 
 

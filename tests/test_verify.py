@@ -42,7 +42,7 @@ class TestWitness321:
     def test_search_gate_accepts_it(self):
         task = SearchTask(target=[3, 2, 1], seed=11)
         phases = matrix_to_phases(core.read_matrix(WITNESS_321))
-        assert _qualifies(phases, task, objective(phases, task))
+        assert _qualifies(phases, task, objective(phases, task)) is not None
 
     def test_verify_accepts_it(self):
         report = verify_matrix(core.read_matrix(WITNESS_321))
