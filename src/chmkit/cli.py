@@ -50,9 +50,10 @@ def _tolerance(args) -> float:
     return DEFAULT_TOL
 
 
-def _emit(payload, args=None, out=None) -> None:
-    text = payload if isinstance(payload, str) else json.dumps(payload)
-    path = out if out is not None else getattr(args, "out", None)
+def _emit(payload, args) -> None:
+    """Write a string as it is and anything else (a report, a dict) as JSON."""
+    text = payload if isinstance(payload, str) else json.dumps(core._plain(payload))
+    path = getattr(args, "out", None)
     if path:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(text)
@@ -72,35 +73,25 @@ def _load_matrix(path: str) -> np.ndarray:
 
 
 def _family_spec(args) -> families.FamilySpec:
-    kind = args.family
+    """``--family``'s spec, from the option its generator reads (Haagerup: ``--q-arg``)."""
+    name = families.FAMILIES[args.family][1]
+    value = np.exp(1j * args.q_arg) if name == "q" else getattr(args, name)
     try:
-        if kind == "fourier":
-            return families.FamilySpec(kind="fourier", n=args.n)
-        if kind == "tao":
-            return families.FamilySpec(kind="tao", omega_branch=args.omega_branch)
-        if kind == "haagerup":
-            return families.FamilySpec(kind="haagerup", q=np.exp(1j * args.q_arg))
-        if kind == "hermitian":
-            return families.FamilySpec(kind="hermitian", theta=args.theta)
+        return families.FamilySpec(kind=args.family, **{name: value})
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
-    raise _CliError(f"unknown family {kind!r}")
 
 
 def _cmd_gen(args) -> int:
-    spec = _family_spec(args)
-    try:
-        H = spec.build()
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
-    _emit(core.matrix_to_json(H), args)
+    # the spec was validated by building its member, so this build cannot fail
+    _emit(core.matrix_to_json(_family_spec(args).build()), args)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
     tol = _tolerance(args)
     report = spectral.verify_matrix(_load_matrix(args.matrix), tol)
-    _emit(report.to_dict(), args)
+    _emit(report, args)
     return EXIT_OK if report.verified else EXIT_VIOLATED
 
 
@@ -113,7 +104,7 @@ def _cmd_eigen(args) -> int:
     if args.format == "csv":
         _emit(spec.to_csv().rstrip("\n"), args)
     else:
-        _emit({"n": spec.n, "values": [[v.real, v.imag] for v in spec.values]}, args)
+        _emit({"n": spec.n, "values": spec}, args)
     return EXIT_OK
 
 
@@ -145,7 +136,7 @@ def _cmd_search(args) -> int:
             fh.write("restart,iteration,residual\n")
             for r, it, f in trace_rows:
                 fh.write(f"{r},{it},{f:.17g}\n")
-    _emit(report.to_json(), args)
+    _emit(report, args)
     return EXIT_OK if report.found else EXIT_VIOLATED
 
 
@@ -175,7 +166,7 @@ def _cmd_gadget(args) -> int:
         report = gadgets.gadget_real_pair_rank(d, f, a=args.a, b=args.b)
     else:  # pragma: no cover - argparse choices guard this
         raise _CliError(f"unknown gadget {name!r}")
-    _emit(report.to_dict(), args)
+    _emit(report, args)
     return EXIT_OK if report.verdict else EXIT_VIOLATED
 
 
@@ -190,7 +181,7 @@ def _cmd_mub(args) -> int:
         report = mub.trio_check(*mats)
     except (ValueError, core.DimensionError) as exc:
         raise _CliError(str(exc)) from exc
-    _emit(report.to_dict(), args)
+    _emit(report, args)
     return EXIT_OK
 
 
@@ -205,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a family member and write matrix JSON")
-    p.add_argument("--family", required=True, choices=("fourier", "tao", "haagerup", "hermitian"))
+    p.add_argument("--family", required=True, choices=tuple(families.FAMILIES))
     p.add_argument("--n", type=int, default=6, help="dimension (fourier only)")
     p.add_argument("--omega-branch", type=int, default=1, choices=(1, 2), dest="omega_branch")
     p.add_argument("--q-arg", type=float, default=math.pi / 5, dest="q_arg",

@@ -50,17 +50,38 @@ def as_matrix(values, square: bool = True) -> np.ndarray:
 
 
 class _Report:
-    """Base of the frozen report dataclasses: ``to_dict`` gives the fields in
-    declaration order, nested reports as dicts and tuples as lists."""
+    """Base of the frozen report and record dataclasses, and chmkit's one JSON
+    codec: ``to_dict`` gives the fields in declaration order through
+    ``_plain``, and ``to_json`` dumps that dict.  A subclass overrides
+    ``to_dict`` only where its wire format renames or reshapes a field."""
 
     def to_dict(self) -> dict:
         return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
 
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
+
+
+_LEAVES = frozenset((float, int, str, bool, type(None)))
+
 
 def _plain(value):
+    """The JSON form of ``value``: reports become dicts, tuples lists, a complex
+    number [re, im], and arrays (and array-likes such as ``Spectrum``) nested
+    lists.  Leaves return first: every ``verify`` report comes through here."""
+    if type(value) in _LEAVES:
+        return value
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
     if isinstance(value, _Report):
         return value.to_dict()
-    return list(value) if isinstance(value, tuple) else value
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if hasattr(value, "__array__"):
+        return _plain(np.asarray(value).tolist())
+    return value
 
 
 @dataclass(frozen=True)
@@ -255,6 +276,12 @@ def matrix_from_json(text: str) -> np.ndarray:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"not valid JSON: {exc}") from exc
+    return matrix_from_object(obj)
+
+
+def matrix_from_object(obj) -> np.ndarray:
+    """The matrix of a decoded ``{"n", "re", "im"}`` object (a matrix file, or
+    a search report's ``best_matrix``), rejecting malformed objects."""
     if not isinstance(obj, dict) or not {"n", "re", "im"} <= set(obj):
         raise ValueError('matrix JSON must contain "n", "re" and "im"')
     n = obj["n"]

@@ -76,6 +76,10 @@ class Spectrum:
     def n(self) -> int:
         return self.values.size
 
+    def __array__(self, dtype=None, copy=None):
+        """The values, so that ``core._plain`` writes a spectrum as [[re, im], ...]."""
+        return np.array(self.values, dtype=dtype, copy=copy)
+
     def to_csv(self) -> str:
         """One ``re,im`` line per value, 17 significant digits."""
         return "\n".join(f"{v.real:.17g},{v.imag:.17g}" for v in self.values) + "\n"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_matrix
+from .core import _plain, _Report, as_matrix
 
 #: lower edge of the valid |theta| range for the Hermitian family
 HERMITIAN_THETA_MIN = math.acos((-1.0 + math.sqrt(3.0)) / 2.0)
@@ -133,15 +133,22 @@ def gen_hermitian(theta: float) -> np.ndarray:
     )
 
 
-_KINDS = ("fourier", "tao", "haagerup", "hermitian")
+#: family kind -> (its generator, the one ``FamilySpec`` field the generator reads)
+FAMILIES = {
+    "fourier": (gen_fourier, "n"),
+    "tao": (gen_tao, "omega_branch"),
+    "haagerup": (gen_haagerup, "q"),
+    "hermitian": (gen_hermitian, "theta"),
+}
 
 
 @dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(_Report):
     """Tagged parameter record selecting one family member.
 
-    Only the fields relevant to ``kind`` are consulted: ``n`` for Fourier,
-    ``omega_branch`` for Tao, ``q`` for Haagerup, ``theta`` for Hermitian.
+    Only the field that ``FAMILIES`` names for ``kind`` is consulted and
+    written, Haagerup's ``q`` as ``q_re`` and ``q_im``.  A spec is validated
+    by building its member, with the generator's domain checks.
     """
 
     kind: str
@@ -151,53 +158,36 @@ class FamilySpec:
     theta: float = math.pi
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown family kind {self.kind!r}; expected one of {_KINDS}")
-        if self.kind == "fourier" and self.n < 2:
-            raise ValueError("Fourier family needs n >= 2")
-        if self.kind == "tao" and self.omega_branch not in (1, 2):
-            raise ValueError("omega_branch must be 1 or 2")
-        if self.kind == "haagerup" and abs(abs(complex(self.q)) - 1.0) > 1e-12:
-            raise ValueError("Haagerup q must be unimodular within 1e-12")
-        if self.kind == "hermitian" and not (
-            HERMITIAN_THETA_MIN - 1e-12 <= abs(float(self.theta)) <= math.pi + 1e-12
-        ):
-            raise ValueError("Hermitian theta outside valid domain")
+        if self.kind not in FAMILIES:
+            raise ValueError(f"unknown family {self.kind!r}; expected one of {list(FAMILIES)}")
+        self.build()
 
     def build(self) -> np.ndarray:
-        if self.kind == "fourier":
-            return gen_fourier(self.n)
-        if self.kind == "tao":
-            return gen_tao(self.omega_branch)
-        if self.kind == "haagerup":
-            return gen_haagerup(self.q)
-        return gen_hermitian(self.theta)
+        generator, name = FAMILIES[self.kind]
+        return generator(getattr(self, name))
 
-    def to_json(self) -> str:
-        if self.kind == "fourier":
-            payload = {"kind": "fourier", "n": self.n}
-        elif self.kind == "tao":
-            payload = {"kind": "tao", "omega_branch": self.omega_branch}
-        elif self.kind == "haagerup":
+    def to_dict(self) -> dict:
+        name = FAMILIES[self.kind][1]
+        if name == "q":
             q = complex(self.q)
-            payload = {"kind": "haagerup", "q_re": q.real, "q_im": q.imag}
-        else:
-            payload = {"kind": "hermitian", "theta": float(self.theta)}
-        return json.dumps(payload)
+            return {"kind": self.kind, "q_re": q.real, "q_im": q.imag}
+        return {"kind": self.kind, name: _plain(getattr(self, name))}
 
     @classmethod
     def from_json(cls, text: str) -> "FamilySpec":
+        """Inverse of ``to_json``; a malformed payload raises ``ValueError``."""
         obj = json.loads(text)
-        kind = obj.get("kind")
-        if kind == "fourier":
-            return cls(kind="fourier", n=int(obj["n"]))
-        if kind == "tao":
-            return cls(kind="tao", omega_branch=int(obj.get("omega_branch", 1)))
-        if kind == "haagerup":
-            return cls(kind="haagerup", q=complex(obj["q_re"], obj["q_im"]))
-        if kind == "hermitian":
-            return cls(kind="hermitian", theta=float(obj["theta"]))
-        raise ValueError(f"unknown family kind {kind!r}")
+        kind = obj.get("kind") if isinstance(obj, dict) else None
+        if kind not in FAMILIES:
+            raise ValueError(f"family JSON needs a kind in {list(FAMILIES)}, got {kind!r}")
+        name = FAMILIES[kind][1]
+        keys = ("q_re", "q_im") if name == "q" else (name,)
+        numbers = (int,) if name in ("n", "omega_branch") else (int, float)  # never bool
+        if any(type(obj.get(key)) not in numbers for key in keys):
+            kinds = " or ".join(t.__name__ for t in numbers)
+            raise ValueError(f"{kind} family JSON needs {' and '.join(keys)} as {kinds}")
+        values = [obj[key] for key in keys]
+        return cls(kind=kind, **{name: complex(*values) if name == "q" else values[0]})
 
 
 #: unimodular q sample points used by the standard corpus and sweeps

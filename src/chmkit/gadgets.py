@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SQRT6, as_matrix, chm_residuals, numerical_rank, rank_one_submatrix_scan
+from .core import SQRT6, _Report, as_matrix, chm_residuals, numerical_rank, rank_one_submatrix_scan
 from .eigen import eigenvalues
 
 #: minimum observed violation for a gadget verdict to count as a pass
@@ -23,8 +23,9 @@ MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
-class GadgetReport:
-    """Structured certificate: named residuals, witnesses, verdict, margin."""
+class GadgetReport(_Report):
+    """Structured certificate: named residuals, witnesses, verdict, margin.
+    The wire format writes the verdict as "pass" or "fail"."""
 
     name: str
     residuals: dict
@@ -34,14 +35,7 @@ class GadgetReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "residuals": self.residuals,
-            "verdict": "pass" if self.verdict else "fail",
-            "margin": self.margin,
-            "witnesses": [[list(r), list(c)] for r, c in self.witnesses],
-            "details": self.details,
-        }
+        return {**super().to_dict(), "verdict": "pass" if self.verdict else "fail"}
 
 
 @dataclass(frozen=True)

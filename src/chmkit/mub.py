@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionError, as_matrix, matrix_from_json, matrix_to_json
+from .core import DimensionError, _Report, as_matrix, matrix_from_object, matrix_to_json
 
 
 def _require_unitary(M: np.ndarray, label: str, tol: float) -> None:
@@ -54,8 +54,7 @@ class BasisSet:
         items = json.loads(text)
         if not isinstance(items, list) or not items:
             raise ValueError("basis-set JSON must be a non-empty list of matrix objects")
-        mats = [matrix_from_json(json.dumps(item)) for item in items]
-        return cls.from_matrices(mats)
+        return cls.from_matrices([matrix_from_object(item) for item in items])
 
 
 def unbiasedness_residual(A, B, tol: float = 1e-10) -> float:
@@ -72,19 +71,18 @@ def unbiasedness_residual(A, B, tol: float = 1e-10) -> float:
 
 
 @dataclass(frozen=True)
-class TrioReport:
-    """Pairwise unbiasedness residuals among {I, H1/sqrt6, H2/sqrt6, H3/sqrt6}."""
+class TrioReport(_Report):
+    """Pairwise unbiasedness residuals among {I, H1/sqrt6, H2/sqrt6, H3/sqrt6},
+    keyed by basis-name pairs such as ("I", "H1"); the wire format joins a
+    pair's names as "I|H1"."""
 
     residuals: dict
     max_residual: float
     worst_pair: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "residuals": {"|".join(k): v for k, v in self.residuals.items()},
-            "max_residual": self.max_residual,
-            "worst_pair": list(self.worst_pair),
-        }
+        residuals = {"|".join(k): v for k, v in self.residuals.items()}
+        return {**super().to_dict(), "residuals": residuals}
 
 
 def trio_check(H1, H2, H3, tol: float = 1e-8) -> TrioReport:

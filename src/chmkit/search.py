@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import eigen
-from .core import chm_residuals
+from .core import _Report, chm_residuals, matrix_from_object
 from .eigen import ConvergenceError, Spectrum, _all_perms, spectrum_distance
 from .spectral import multiplicity_profile
 
@@ -73,7 +73,7 @@ def parse_pattern(text: str):
 
 
 @dataclass(frozen=True)
-class SearchTask:
+class SearchTask(_Report):
     """Target description plus restart/iteration/seed policy.
 
     ``min_cluster_gap`` is the separation below which two cluster centers of
@@ -120,13 +120,10 @@ class SearchTask:
     def num_phases(self) -> int:
         return (self.n - 1) ** 2
 
-    def to_json(self) -> str:
-        obj = {f.name: getattr(self, f.name) for f in fields(self)}
-        if isinstance(self.target, Spectrum):
-            obj["target"] = {"spectrum": [[v.real, v.imag] for v in self.target.values]}
-        else:
-            obj["target"] = {"pattern": list(self.target)}
-        return json.dumps(obj)
+    def to_dict(self) -> dict:
+        d = super().to_dict()  # the target tagged: {"pattern": ...} or {"spectrum": ...}
+        d["target"] = {"spectrum" if isinstance(self.target, Spectrum) else "pattern": d["target"]}
+        return d
 
     @classmethod
     def from_json(cls, text: str) -> "SearchTask":
@@ -135,16 +132,19 @@ class SearchTask:
         ``w_spec``) still load."""
         obj = json.loads(text)
         raw = obj.pop("target")
-        if "spectrum" in raw:
-            target = Spectrum(np.array([complex(re, im) for re, im in raw["spectrum"]]))
-        else:
-            target = tuple(raw["pattern"])
+        target = _spectrum(raw["spectrum"]) if "spectrum" in raw else tuple(raw["pattern"])
         names = {f.name for f in fields(cls)}
         return cls(target=target, **{k: v for k, v in obj.items() if k in names})
 
 
-@dataclass(frozen=True)
-class RestartTrace:
+def _spectrum(pairs) -> Spectrum:
+    """The spectrum of its [[re, im], ...] JSON form."""
+    return Spectrum(np.array([complex(re, im) for re, im in pairs]))
+
+
+class RestartTrace(NamedTuple):
+    """One restart's outcome; a report's ``trace`` writes it as a 4-element row."""
+
     restart: int
     seed: int
     final_residual: float
@@ -152,56 +152,49 @@ class RestartTrace:
 
 
 @dataclass(frozen=True)
-class SearchReport:
-    """Best candidate over all restarts plus the per-restart convergence trace."""
+class SearchReport(_Report):
+    """Best candidate over all restarts plus the per-restart convergence trace.
+    The wire format writes ``found`` as ``verdict``, ``traces`` as ``trace``
+    and ``best_matrix`` as a matrix file's {"n", "re", "im"} object."""
 
     task: SearchTask
     best_residual: float
+    found: bool
+    found_restart: int | None
     best_phases: np.ndarray
     best_matrix: np.ndarray
     best_spectrum: Spectrum
     traces: list
-    found: bool
-    found_restart: int | None = None
 
     @property
     def verdict(self) -> str:
         return "found" if self.found else "not-found"
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "task": json.loads(self.task.to_json()),
-                "best_residual": self.best_residual,
-                "verdict": self.verdict,
-                "found_restart": self.found_restart,
-                "best_phases": list(self.best_phases),
-                "best_matrix": {
-                    "n": self.task.n,
-                    "re": self.best_matrix.real.tolist(),
-                    "im": self.best_matrix.imag.tolist(),
-                },
-                "best_spectrum": [[v.real, v.imag] for v in self.best_spectrum.values],
-                "trace": [
-                    [t.restart, t.seed, t.final_residual, t.iterations] for t in self.traces
-                ],
-            }
-        )
+    def to_dict(self) -> dict:
+        d = super().to_dict()
+        d["found"] = self.verdict
+        H = self.best_matrix
+        d["best_matrix"] = {"n": self.task.n, "re": H.real.tolist(), "im": H.imag.tolist()}
+        wire = {"found": "verdict", "traces": "trace"}
+        return {wire.get(k, k): v for k, v in d.items()}
 
     @classmethod
     def from_json(cls, text: str) -> "SearchReport":
+        """Inverse of ``to_json``; ``best_matrix`` is validated as a matrix file is."""
         obj = json.loads(text)
         task = SearchTask.from_json(json.dumps(obj["task"]))
-        mat = np.array(obj["best_matrix"]["re"]) + 1j * np.array(obj["best_matrix"]["im"])
+        H = matrix_from_object(obj["best_matrix"])
+        if H.shape[0] != task.n:
+            raise ValueError(f"best_matrix has {H.shape[0]} rows; the task's n is {task.n}")
         return cls(
             task=task,
             best_residual=obj["best_residual"],
-            best_phases=np.array(obj["best_phases"]),
-            best_matrix=mat,
-            best_spectrum=Spectrum(np.array([complex(r, i) for r, i in obj["best_spectrum"]])),
-            traces=[RestartTrace(*row) for row in obj["trace"]],
             found=obj["verdict"] == "found",
             found_restart=obj["found_restart"],
+            best_phases=np.array(obj["best_phases"]),
+            best_matrix=H,
+            best_spectrum=_spectrum(obj["best_spectrum"]),
+            traces=[RestartTrace(*row) for row in obj["trace"]],
         )
 
 
@@ -575,18 +568,15 @@ def minimize(task: SearchTask, trace_rows: list | None = None) -> SearchReport:
     H = phases_to_matrix(best_theta, task.n)
     if best_spectrum is None:
         # a found matrix keeps the spectrum the gate solved; a not-found
-        # best candidate is solved here, and the solve is descriptive only
-        try:
-            best_spectrum = eigen.eigenvalues(H)
-        except ConvergenceError:
-            best_spectrum = Spectrum(np.linalg.eigvals(H))
+        # best candidate's spectrum is descriptive only, so numpy solves it
+        best_spectrum = Spectrum(np.linalg.eigvals(H))
     return SearchReport(
         task=task,
         best_residual=best_f,
+        found=found,
+        found_restart=found_restart,
         best_phases=best_theta,
         best_matrix=H,
         best_spectrum=best_spectrum,
         traces=traces,
-        found=found,
-        found_restart=found_restart,
     )

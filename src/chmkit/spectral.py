@@ -162,7 +162,7 @@ def _hermitian_leg(D, spec, profile: list, tol: float) -> HermitianEquivalenceRe
     }
     holds = len(set(legs.values())) == 1
     counterexample = None if holds else {
-        "spectrum": [[v.real, v.imag] for v in spec.values],
+        "spectrum": spec,
         "hermiticity_residual": herm_res,
         "trace_abs": trace_abs,
         "profile": list(profile),
@@ -189,7 +189,7 @@ class VerifyReport(_Report):
     dephase_error: str | None = None
     constant_eigenpairs: ConstantEigenpairReport | None = None
     multiplicity_profile: list | None = None
-    spectrum: list | None = None
+    spectrum: Spectrum | None = None
     hermitian_equivalence: HermitianEquivalenceReport | None = None
     verifier_error: str | None = None
     verified: bool = False
@@ -239,7 +239,6 @@ def verify_matrix(H, tol: float = DEFAULT_TOL) -> VerifyReport:
     elif n == 6 and not eq.equivalence_holds:
         failed = "hermitian_equivalence"
     return VerifyReport(
-        **base, constant_eigenpairs=ce, multiplicity_profile=profile,
-        spectrum=[[v.real, v.imag] for v in spectrum.values], hermitian_equivalence=eq,
-        verified=failed is None, failed=failed,
+        **base, constant_eigenpairs=ce, multiplicity_profile=profile, spectrum=spectrum,
+        hermitian_equivalence=eq, verified=failed is None, failed=failed,
     )

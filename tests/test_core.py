@@ -20,6 +20,7 @@ from chmkit.core import (
     numerical_rank,
     rank_one_submatrix_scan,
 )
+from chmkit.eigen import Spectrum
 from chmkit.families import gen_fourier, gen_haagerup, gen_tao
 
 import oracles
@@ -218,6 +219,31 @@ class TestRankOneScan:
     def test_oversized_request_rejected(self):
         with pytest.raises(DimensionError):
             rank_one_submatrix_scan(np.ones((3, 3)), 4, 2)
+
+
+class TestPlain:
+    @pytest.mark.parametrize(
+        "value, plain",
+        [
+            (1.5, 1.5),
+            (None, None),
+            (np.float64(0.25), 0.25),
+            (np.int64(3), 3),
+            (1 - 2j, [1.0, -2.0]),
+            (np.complex128(complex(-0.0, 1.0)), [-0.0, 1.0]),
+            ((1, (2, "x")), [1, [2, "x"]]),
+            ({"a": (1j, False)}, {"a": [[0.0, 1.0], False]}),
+            (np.array([[1 + 2j, 3]]), [[[1.0, 2.0], [3.0, 0.0]]]),
+            (Spectrum(np.array([1j, 2.0])), [[2.0, 0.0], [0.0, 1.0]]),
+            (chm_residuals(np.ones((1, 1))),
+             {"n": 1, "unimodularity_residual": 0.0, "unitarity_residual": 0.0,
+              "tol": core.DEFAULT_TOL, "is_chm": True}),
+        ],
+    )
+    def test_json_form(self, value, plain):
+        out = core._plain(value)
+        assert out == plain
+        assert json.dumps(out) == json.dumps(plain)
 
 
 class TestMatrixJson:

@@ -125,19 +125,40 @@ class TestSweepInvariant:
 
 class TestFamilySpec:
     @pytest.mark.parametrize(
-        "spec",
+        "spec, wire",
         [
-            FamilySpec(kind="fourier", n=6),
-            FamilySpec(kind="tao", omega_branch=2),
-            FamilySpec(kind="haagerup", q=np.exp(0.4j)),
-            FamilySpec(kind="hermitian", theta=2.0),
+            (FamilySpec(kind="fourier", n=6), '{"kind": "fourier", "n": 6}'),
+            (FamilySpec(kind="tao", omega_branch=2), '{"kind": "tao", "omega_branch": 2}'),
+            (FamilySpec(kind="haagerup", q=np.exp(0.4j)),
+             '{"kind": "haagerup", "q_re": 0.9210609940028851, "q_im": 0.3894183423086505}'),
+            (FamilySpec(kind="hermitian", theta=2.0), '{"kind": "hermitian", "theta": 2.0}'),
         ],
         ids=["fourier", "tao", "haagerup", "hermitian"],
     )
-    def test_json_round_trip(self, spec):
-        again = FamilySpec.from_json(spec.to_json())
+    def test_json_round_trip(self, spec, wire):
+        assert spec.to_json() == wire
+        again = FamilySpec.from_json(wire)
         assert again.kind == spec.kind
         assert np.array_equal(again.build(), spec.build())
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"kind": "fourier"}',
+            '{"kind": "haagerup", "q_re": 1.0}',
+            "[1, 2]",
+            '{"kind": "fourier", "n": 2.7}',
+            '{"kind": "fourier", "n": true}',
+            '{"kind": "tao"}',
+            '{"kind": "hermitian", "theta": "2.0"}',
+            '{"kind": "hermitian", "theta": 0.1}',
+            '{"kind": "unknown", "n": 6}',
+            "not json",
+        ],
+    )
+    def test_from_json_rejects_malformed_payloads(self, text):
+        with pytest.raises(ValueError):
+            FamilySpec.from_json(text)
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -123,6 +124,10 @@ class TestTripleEigenvalue:
         assert len(rep.witnesses) >= 1
         rows, cols = rep.witnesses[0]
         assert oracles.is_rank_one_by_minors(H[np.ix_(rows, cols)])
+        wire = json.loads(rep.to_json())
+        assert list(wire) == ["name", "residuals", "verdict", "margin", "witnesses", "details"]
+        assert wire["verdict"] == "pass"
+        assert wire["witnesses"] == [[list(r), list(c)] for r, c in rep.witnesses]
 
     def test_diagonal_root_count_never_exceeds_two(self):
         rng = np.random.default_rng(17)

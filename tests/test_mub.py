@@ -51,6 +51,10 @@ class TestTrioCheck:
         assert rep.max_residual == pytest.approx(1.0 - 1.0 / SQRT6, abs=1e-14)
         # each CHM is still unbiased against the identity
         assert rep.residuals[("I", "H1")] < 1e-12
+        wire = rep.to_dict()
+        assert list(wire) == ["residuals", "max_residual", "worst_pair"]
+        assert list(wire["residuals"]) == ["I|H1", "I|H2", "I|H3", "H1|H2", "H1|H3", "H2|H3"]
+        assert wire["worst_pair"] == ["H1", "H2"]
 
     def test_tao_haagerup_fourier_recorded_value(self):
         rep = trio_check(gen_tao(1), gen_haagerup(1j), gen_fourier(6))

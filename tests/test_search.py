@@ -8,6 +8,7 @@ import pytest
 import chmkit.eigen
 import chmkit.search
 import oracles
+from chmkit import core
 from chmkit.core import chm_residuals, dephase
 from chmkit.eigen import ConvergenceError, Spectrum, eigenvalues
 from chmkit.families import gen_fourier, gen_hermitian, gen_tao
@@ -382,6 +383,43 @@ class TestMinimize:
             t.final_residual for t in report.traces
         ]
 
+    def test_report_wire_format(self):
+        report = minimize(SearchTask(target="[2,2,1,1]", restarts=2, max_iters=60, seed=5))
+        d = json.loads(report.to_json())
+        assert list(d) == ["task", "best_residual", "verdict", "found_restart", "best_phases",
+                           "best_matrix", "best_spectrum", "trace"]
+        assert list(d["task"]) == ["target", "n", "restarts", "max_iters", "seed", "tol_success",
+                                   "min_cluster_gap", "non_hermitian", "stop_on_success"]
+        assert d["task"]["target"] == {"pattern": [2, 2, 1, 1]}
+        assert d["trace"] == [[t.restart, t.seed, t.final_residual, t.iterations]
+                              for t in report.traces]
+        assert list(d["best_matrix"]) == ["n", "re", "im"]
+        assert d["best_spectrum"] == [[v.real, v.imag] for v in report.best_spectrum.values]
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d["best_matrix"]["re"][0].__setitem__(0, math.nan),
+            lambda d: d["best_matrix"].__setitem__("n", 5),
+            lambda d: d["best_matrix"].pop("im"),
+            lambda d: d.__setitem__("best_matrix", [[1.0]]),
+        ],
+        ids=["nan-entry", "n-disagrees-with-rows", "missing-im", "not-an-object"],
+    )
+    def test_report_from_json_validates_best_matrix(self, edit):
+        report = minimize(SearchTask(target="[2,2,1,1]", restarts=1, max_iters=20, seed=5))
+        d = json.loads(report.to_json())
+        edit(d)
+        with pytest.raises(ValueError):
+            SearchReport.from_json(json.dumps(d))
+
+    def test_report_from_json_rejects_a_matrix_of_another_size(self):
+        report = minimize(SearchTask(target="[2,2,1,1]", restarts=1, max_iters=20, seed=5))
+        d = json.loads(report.to_json())
+        d["best_matrix"] = json.loads(core.matrix_to_json(np.eye(5)))
+        with pytest.raises(ValueError, match="n is 6"):
+            SearchReport.from_json(json.dumps(d))
+
 
 class TestGateSpectrum:
     def test_found_report_reuses_the_gates_spectrum(self, monkeypatch):
@@ -479,7 +517,7 @@ class TestConvergenceError:
         monkeypatch.setattr(chmkit.eigen, "eigenvalues", self._fail)
         report = minimize(task)
         # the soundness gate could not solve for the spectrum, so no verdict
-        # of "found"; the reported spectrum falls back to numpy's
+        # of "found"; a not-found report's spectrum is numpy's in any case
         assert not report.found
         fallback = Spectrum(np.linalg.eigvals(report.best_matrix))
         assert np.array_equal(report.best_spectrum.values, fallback.values)
