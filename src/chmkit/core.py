@@ -8,10 +8,12 @@ transformations everything else builds on.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -231,13 +233,79 @@ def numerical_rank(M, tol: float = 1e-8) -> int:
     return int(_rank(singular_values(M), tol))
 
 
+#: the rank-one scan rules a block out before the SVD when one of its 2x2
+#: minors exceeds this many times max(tol, _MINOR_TOL_FLOOR) times the block's
+#: squared Frobenius norm (the argument is in ``rank_one_submatrix_scan``)
+_MINOR_SLACK = 2.0
+#: below this tol the rounding of the minors and of LAPACK's sigma_2 (a few
+#: eps), not tol, bounds a rank-one block's minors
+_MINOR_TOL_FLOOR = 1e-13
+#: the smallest positive normal float: it covers the rounding of minors that underflow
+_TINY = float(np.finfo(np.float64).tiny)
+
+
+class _ScanTables(NamedTuple):
+    """Index tables of the rank-one scan for one (nr, nc, r, c)."""
+
+    row_sets: tuple  # the r-row subsets, lexicographic
+    col_sets: tuple  # the c-column subsets, lexicographic
+    rows: np.ndarray  # int [R, r]
+    cols: np.ndarray  # int [C, c]
+    i: np.ndarray  # int [P, 1]: first row of each row pair, lexicographic
+    j: np.ndarray  # int [P, 1]: second row
+    k: np.ndarray  # int [1, Q]: first column of each column pair
+    l: np.ndarray  # int [1, Q]: second column
+    minors: np.ndarray  # int [R * C, m]: block b's minors in the flat [P, Q] minor table
+
+
+@functools.lru_cache(maxsize=32)
+def _scan_tables(nr: int, nc: int, r: int, c: int) -> _ScanTables:
+    """The scan's subsets, the row and column pairs of the 2x2 minors of an
+    nr x nc matrix, and which of those minors lie in each r x c block.  The
+    arrays are shared by every caller, so they are read-only."""
+    row_sets = tuple(itertools.combinations(range(nr), r))
+    col_sets = tuple(itertools.combinations(range(nc), c))
+    row_pairs = list(itertools.combinations(range(nr), 2))
+    col_pairs = list(itertools.combinations(range(nc), 2))
+    row_at = {p: a for a, p in enumerate(row_pairs)}
+    col_at = {p: a for a, p in enumerate(col_pairs)}
+    inner_rows = [[row_at[p] for p in itertools.combinations(R, 2)] for R in row_sets]
+    inner_cols = [[col_at[p] for p in itertools.combinations(C, 2)] for C in col_sets]
+    minors = np.array([[a * len(col_pairs) + b for a in ra for b in cb]  # [R * C, m]
+                       for ra in inner_rows for cb in inner_cols], dtype=np.intp)
+    rp = np.array(row_pairs, dtype=np.intp).reshape(-1, 2)
+    cp = np.array(col_pairs, dtype=np.intp).reshape(-1, 2)
+    tables = _ScanTables(
+        row_sets, col_sets, np.array(row_sets, dtype=np.intp), np.array(col_sets, dtype=np.intp),
+        rp[:, :1], rp[:, 1:], cp[:, 0][None, :], cp[:, 1][None, :],
+        minors,
+    )
+    for arr in tables[2:]:
+        arr.flags.writeable = False
+    return tables
+
+
 def rank_one_submatrix_scan(H, r: int, c: int, tol: float = 1e-8) -> list:
     """Enumerate all r x c submatrices of ``H`` with numerical rank one.
 
     Returns a list of ``(rows, cols)`` index tuples in lexicographic order.
-    ``H`` is small (n <= 8), so every block is gathered into one array, one
-    batched SVD gives their singular values, and a block is a witness when
-    ``numerical_rank``'s count (``_rank``) is exactly one.
+    A block is a witness when ``numerical_rank``'s count (``_rank``) of its
+    singular values is exactly one; the blocks that can still be witnesses
+    go through one batched SVD.
+
+    The rest are ruled out by their 2x2 minors, all C(nr,2) C(nc,2) of which
+    are computed once.  For a 2x2 submatrix S of a block M, |det S| =
+    s_1(S) s_2(S) <= sigma_1(M) sigma_2(M) by interlacing, and sigma_1^2 <= F,
+    the squared Frobenius norm of M.  ``_rank == 1`` needs sigma_2 <= tol
+    sigma_1, so every minor of a witness has |det| <= tol F, up to the
+    rounding of the minors (a few eps F) and of LAPACK's sigma_2 (a few eps
+    sigma_1).  A block with a minor |det| > _MINOR_SLACK * max(tol,
+    _MINOR_TOL_FLOOR) * F is therefore not a witness: the slack factor 2
+    covers that rounding, the floor keeps it covered for a tol near eps, and
+    the smallest normal float, added to the bound, covers minors that
+    underflow.  Where the products overflow, F does too, and an infinite or
+    NaN bound rules nothing out.  Zero blocks, and every block when
+    min(r, c) = 1 (it has no minors), go to the SVD.
     """
     H = as_matrix(H, square=False)
     nr, nc = H.shape
@@ -245,13 +313,18 @@ def rank_one_submatrix_scan(H, r: int, c: int, tol: float = 1e-8) -> list:
         raise DimensionError(f"submatrix shape ({r}, {c}) exceeds matrix shape {H.shape}")
     if r < 1 or c < 1:
         raise DimensionError("submatrix dimensions must be positive")
-    row_sets = list(itertools.combinations(range(nr), r))
-    col_sets = list(itertools.combinations(range(nc), c))
-    rows, cols = np.array(row_sets), np.array(col_sets)
-    blocks = H[rows[:, None, :, None], cols[None, :, None, :]]  # [R, C, r, c]
-    sv = np.linalg.svd(blocks, compute_uv=False)  # [R, C, min(r, c)], descending
+    t = _scan_tables(nr, nc, r, c)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow rules nothing out
+        det = np.abs(H[t.i, t.k] * H[t.j, t.l] - H[t.i, t.l] * H[t.j, t.k]).ravel()
+        sq = H.real**2 + H.imag**2
+        frob = sq[:, t.cols].sum(axis=-1)[t.rows].sum(axis=1).ravel()  # [R * C]
+        bound = _MINOR_SLACK * max(tol, _MINOR_TOL_FLOOR) * frob + _TINY
+        left = np.flatnonzero(~(det[t.minors] > bound[:, None]).any(axis=1))
+    ri, ci = np.divmod(left, len(t.col_sets))
+    blocks = H[t.rows[ri][:, :, None], t.cols[ci][:, None, :]]  # [S, r, c]
+    sv = np.linalg.svd(blocks, compute_uv=False)  # [S, min(r, c)], descending
     rank_one = _rank(sv, tol) == 1
-    return [(row_sets[i], col_sets[j]) for i, j in zip(*np.nonzero(rank_one))]
+    return [(t.row_sets[a], t.col_sets[b]) for a, b in zip(ri[rank_one], ci[rank_one])]
 
 
 # ---------------------------------------------------------------------------

@@ -300,14 +300,18 @@ def gadget_rotation_constants() -> GadgetReport:
     sin_star = math.sqrt(1.0 - c_star**2)
     sin_dev = abs(sin_star - math.sqrt(15.0) / 8.0)
 
-    # the closed-form roots match a direct quadratic solve across the range
+    # the closed-form roots match a direct quadratic solve across the range:
+    # the roots of x^2 - x + q are the eigenvalues of its companion matrix
+    # [[1, -q], [1, 0]] (the matrix np.roots builds), all solved as one stack
     cs = np.linspace(-1.0, -2.0 / 3.0, 101)
-    formula_dev = 0.0
-    for c in cs:
-        roots = np.sort(np.roots([1.0, -1.0, 5.0 / (12.0 * (1.0 - c))]).real)
-        offset = float(_weight_offset(np.array([c]))[0])
-        closed = np.sort([0.5 - offset, 0.5 + offset])
-        formula_dev = max(formula_dev, float(np.max(np.abs(roots - closed))))
+    companion = np.zeros((cs.size, 2, 2))
+    companion[:, 0, 0] = 1.0
+    companion[:, 0, 1] = -5.0 / (12.0 * (1.0 - cs))
+    companion[:, 1, 0] = 1.0
+    roots = np.sort(np.linalg.eigvals(companion).real, axis=1)
+    offset = _weight_offset(cs)[:, None]
+    closed = np.hstack([0.5 - offset, 0.5 + offset])
+    formula_dev = float(np.max(np.abs(roots - closed)))
 
     # bound sweep: 0 <= offset <= sqrt(6)/12, maximum attained at cos a = -1
     cg = np.linspace(-1.0, -2.0 / 3.0, 10_000)
@@ -319,7 +323,7 @@ def gadget_rotation_constants() -> GadgetReport:
 
     # direct check: at the forced constants the diagonal really is unimodular
     a_star = math.acos(c_star)
-    diag_dev = abs(SQRT6 * abs(1.0 + (np.exp(1j * a_star) - 1.0) * r_star) - 1.0)
+    diag_dev = float(abs(SQRT6 * abs(1.0 + (np.exp(1j * a_star) - 1.0) * r_star) - 1.0))
 
     verdict = (
         cos_dev <= 1e-10

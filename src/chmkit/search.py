@@ -180,22 +180,40 @@ class SearchReport(_Report):
 
     @classmethod
     def from_json(cls, text: str) -> "SearchReport":
-        """Inverse of ``to_json``; ``best_matrix`` is validated as a matrix file is."""
+        """Inverse of ``to_json``.  Raises ``ValueError`` unless ``best_matrix``
+        is a valid matrix file object of the task's n, ``best_phases`` holds
+        the task's number of finite phases, ``best_spectrum`` has n values and
+        every ``trace`` row is 4 numbers."""
         obj = json.loads(text)
         task = SearchTask.from_json(json.dumps(obj["task"]))
         H = matrix_from_object(obj["best_matrix"])
         if H.shape[0] != task.n:
             raise ValueError(f"best_matrix has {H.shape[0]} rows; the task's n is {task.n}")
+        phases = obj["best_phases"]
+        if not (_numbers(phases, task.num_phases) and all(map(math.isfinite, phases))):
+            raise ValueError(f"best_phases must be {task.num_phases} finite numbers")
+        spectrum = obj["best_spectrum"]
+        if not (isinstance(spectrum, list) and len(spectrum) == task.n
+                and all(_numbers(pair, 2) for pair in spectrum)):
+            raise ValueError(f"best_spectrum must be {task.n} [re, im] pairs, one per eigenvalue")
+        if not (isinstance(obj["trace"], list) and all(_numbers(row, 4) for row in obj["trace"])):
+            raise ValueError("every trace row must be 4 numbers")
         return cls(
             task=task,
             best_residual=obj["best_residual"],
             found=obj["verdict"] == "found",
             found_restart=obj["found_restart"],
-            best_phases=np.array(obj["best_phases"]),
+            best_phases=np.array(phases, dtype=np.float64),
             best_matrix=H,
-            best_spectrum=_spectrum(obj["best_spectrum"]),
+            best_spectrum=_spectrum(spectrum),
             traces=[RestartTrace(*row) for row in obj["trace"]],
         )
+
+
+def _numbers(value, size: int) -> bool:
+    """True when ``value`` is a JSON list of ``size`` numbers (not booleans)."""
+    return (isinstance(value, list) and len(value) == size
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value))
 
 
 # ---------------------------------------------------------------------------

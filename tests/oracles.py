@@ -9,7 +9,8 @@ time loop; it shares only ``eigenvalues`` and the small helpers with the
 batched ``eigenpairs`` it checks.  The search oracles are the residual,
 Jacobian and descent in their first form; they share only
 ``phases_to_matrix``, the constants and the partition masks with the code
-they check.
+they check.  The rank-one scan oracle is the scan without its 2x2-minor
+screen: every block through one batched SVD and ``_rank``.
 """
 
 from __future__ import annotations
@@ -19,10 +20,12 @@ import math
 
 import numpy as np
 
+from chmkit.core import _rank, as_matrix
 from chmkit.eigen import (
     CLUSTER_TOL, ConvergenceError, EigenPair, Spectrum, _all_perms, _canonical_phase,
     _realify_basis, _start_block, cluster_indices, eigenvalues,
 )
+from chmkit.gadgets import _weight_offset
 from chmkit.search import FTOL, HERMITIAN_BARRIER, _partition_table, phases_to_matrix
 
 
@@ -167,6 +170,34 @@ def is_rank_one_by_minors(M: np.ndarray, tol: float = 1e-8) -> bool:
             if abs(minor) > tol * scale**2:
                 return False
     return True
+
+
+def rank_one_scan_unscreened(H, r: int, c: int, tol: float = 1e-8) -> list:
+    """``rank_one_submatrix_scan`` in its first form: all C(nr,r) C(nc,c)
+    blocks gathered into one array, one batched SVD, and a witness wherever
+    ``_rank`` counts exactly one singular value."""
+    H = as_matrix(H, square=False)
+    nr, nc = H.shape
+    row_sets = list(itertools.combinations(range(nr), r))
+    col_sets = list(itertools.combinations(range(nc), c))
+    rows, cols = np.array(row_sets), np.array(col_sets)
+    blocks = H[rows[:, None, :, None], cols[None, :, None, :]]  # [R, C, r, c]
+    sv = np.linalg.svd(blocks, compute_uv=False)  # [R, C, min(r, c)], descending
+    rank_one = _rank(sv, tol) == 1
+    return [(row_sets[i], col_sets[j]) for i, j in zip(*np.nonzero(rank_one))]
+
+
+def rotation_root_deviation_by_roots(cs) -> float:
+    """The rotation gadget's ``root_formula_deviation`` as first computed:
+    one ``np.roots`` of x^2 - x + 5/(12(1 - c)) per c, against the closed
+    form 1/2 -+ offset, folded by a running max."""
+    dev = 0.0
+    for c in cs:
+        roots = np.sort(np.roots([1.0, -1.0, 5.0 / (12.0 * (1.0 - c))]).real)
+        offset = float(_weight_offset(np.array([c]))[0])
+        closed = np.sort([0.5 - offset, 0.5 + offset])
+        dev = max(dev, float(np.max(np.abs(roots - closed))))
+    return dev
 
 
 def pattern_penalty_by_enumeration(eigs, pattern, n: int = 6, min_gap: float = 0.5) -> float:

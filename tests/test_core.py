@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chmkit import core
+from chmkit import core, gadgets
 from chmkit.core import (
     DegenerateInputError,
     DimensionError,
@@ -219,6 +219,115 @@ class TestRankOneScan:
     def test_oversized_request_rejected(self):
         with pytest.raises(DimensionError):
             rank_one_submatrix_scan(np.ones((3, 3)), 4, 2)
+
+
+class TestScreenedScanOracle:
+    """The 2x2-minor screen only skips SVDs: the witness list, order included,
+    is the unscreened scan's (``oracles.rank_one_scan_unscreened``)."""
+
+    @staticmethod
+    def assert_same(H, r, c, tol=1e-8):
+        ours = rank_one_submatrix_scan(H, r, c, tol)
+        assert ours == oracles.rank_one_scan_unscreened(H, r, c, tol)
+        return ours
+
+    @pytest.mark.parametrize("coincident", [False, True])
+    def test_triple_matrices(self, coincident):
+        rng = np.random.default_rng(13 + coincident)
+        found = 0
+        for _ in range(40):
+            z = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+            if coincident:  # two equal entries of the sixth eigenvector
+                i, j = rng.choice(np.arange(1, 5), 2, replace=False)
+                z[j] = z[i]
+            z -= z.mean()
+            z /= np.linalg.norm(z)
+            z *= z[0].conjugate() / abs(z[0])
+            alpha = rng.uniform(0.0, 2.0 * math.pi)
+            beta = alpha + rng.uniform(0.5, 2.0 * math.pi - 0.5)
+            H = gadgets.triple_eigenvalue_matrix(
+                SQRT6 * np.exp(1j * alpha), SQRT6 * np.exp(1j * beta), np.abs(z), np.angle(z[1:]))
+            found += len(self.assert_same(H, 2, 4))
+        assert (found > 0) == coincident
+
+    def test_real_pair_reconstructions(self):
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            d, f = gadgets.sample_real_pair(rng)
+            a, b = rng.uniform(0.0, 2.0 * math.pi, 2)
+            self.assert_same(gadgets.real_pair_matrix(d, f, a, b), 4, 2)
+
+    def test_planted_blocks_straddling_tol(self):
+        # rank-one blocks perturbed by 1e-12 to 1e-6 of their norm, so that
+        # sigma_2 / sigma_1 falls on both sides of tol = 1e-8
+        rng = np.random.default_rng(19)
+        outcomes = set()
+        for k in range(60):
+            H = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+            r, c = ((2, 4), (4, 2), (3, 3), (2, 2))[k % 4]
+            rows = rng.choice(6, r, replace=False)
+            cols = rng.choice(6, c, replace=False)
+            u = rng.standard_normal(r) + 1j * rng.standard_normal(r)
+            v = rng.standard_normal(c) + 1j * rng.standard_normal(c)
+            block = np.outer(u, v)
+            noise = rng.standard_normal((r, c)) + 1j * rng.standard_normal((r, c))
+            rel = 10.0 ** rng.uniform(-12.0, -6.0)
+            H[np.ix_(rows, cols)] = block + rel * np.linalg.norm(block) * noise / np.linalg.norm(noise)
+            wits = self.assert_same(H, r, c)
+            outcomes.add((tuple(sorted(rows)), tuple(sorted(cols))) in wits)
+        assert outcomes == {True, False}
+
+    def test_zero_blocks(self):
+        H = np.exp(1j * np.random.default_rng(23).uniform(0.0, 2.0 * math.pi, (6, 6)))
+        H[:3, :4] = 0.0
+        for r, c in ((2, 4), (3, 3), (2, 2)):
+            self.assert_same(H, r, c)
+        self.assert_same(np.zeros((4, 5)), 2, 3)
+
+    @pytest.mark.parametrize("r, c", [(1, 3), (3, 1), (1, 1), (1, 6), (6, 1)])
+    def test_blocks_without_minors(self, r, c):
+        rng = np.random.default_rng(29)
+        H = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        H[2, :3] = 0.0
+        assert len(self.assert_same(H, r, c)) > 0
+
+    def test_non_square(self):
+        rng = np.random.default_rng(31)
+        H = rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))
+        H[3] = H[1] * (0.4 + 0.2j)
+        for r, c in ((2, 3), (3, 2), (2, 7), (5, 1)):
+            self.assert_same(H, r, c)
+        self.assert_same(H.T, 3, 2)
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e-160, 1.0, 1e150, 1e160])
+    @pytest.mark.parametrize("tol", [0.0, 1e-16, 1e-8, math.inf, math.nan])
+    def test_extreme_scales_and_tolerances(self, scale, tol):
+        # minors that underflow, products that overflow, and a tol below the
+        # rounding of the minors must not rule out a block the SVD keeps
+        rng = np.random.default_rng(37)
+        for _ in range(4):
+            H = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+            u = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+            v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+            H[:3, :4] = np.outer(u[:3], v[:4])
+            H[2:5, 1:] = np.outer(u[2:5], v[1:])
+            for r, c in ((2, 4), (3, 3), (2, 2)):
+                self.assert_same(H * scale, r, c, tol)
+
+    def test_nothing_survives_the_screen(self, monkeypatch):
+        H = gen_tao(1)
+        stacks = []
+        svd = np.linalg.svd
+
+        def recording_svd(a, *args, **kwargs):
+            stacks.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        assert rank_one_submatrix_scan(H, 2, 4, 1e-8) == []
+        monkeypatch.undo()
+        assert stacks == [(0, 2, 4)]
+        assert oracles.rank_one_scan_unscreened(H, 2, 4, 1e-8) == []
 
 
 class TestPlain:

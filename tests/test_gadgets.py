@@ -202,6 +202,16 @@ class TestRotationConstants:
         assert rep.details["offset_bound"] == pytest.approx(math.sqrt(6.0) / 12.0)
 
 
+    def test_root_formula_deviation_matches_per_c_roots(self):
+        # the stacked companion eigenvalues are np.roots' own, bit for bit
+        rep = gadget_rotation_constants()
+        cs = np.linspace(-1.0, -2.0 / 3.0, 101)
+        assert rep.residuals["root_formula_deviation"] == oracles.rotation_root_deviation_by_roots(cs)
+
+    def test_repr_has_no_numpy_scalars(self):
+        assert "np." not in repr(gadget_rotation_constants())
+
+
 class TestRealPairRank:
     def test_generic_inputs_hit_rank_four(self):
         rng = np.random.default_rng(31)
@@ -339,3 +349,28 @@ class TestPhaseSymmetryIdentity:
         assert ((2, 3, 4), (0, 1, 5)) in wits
         block = H[np.ix_((2, 3, 4), (0, 1, 5))]
         assert oracles.is_rank_one_by_minors(block)
+
+
+def _real_pair_coincident():
+    return gadget_real_pair_rank(*TestRealPairRank._coincident_fixture(), a=1.0, b=2.0)
+
+
+GADGET_BUILDERS = {
+    "repeated-tail": lambda rng: gadget_repeated_tail(6, SQRT6 * np.exp(0.9j)),
+    "triple-eigenvalue": lambda rng: gadget_triple_eigenvalue(
+        SQRT6 * np.exp(0.4j), SQRT6 * np.exp(2.5j), *random_feasible_weights(rng))[1],
+    "gram-rank": lambda rng: gadget_gram_rank(),
+    "rotation-constants": lambda rng: gadget_rotation_constants(),
+    "real-pair-generic": lambda rng: gadget_real_pair_rank(*sample_real_pair(rng)),
+    "real-pair-coincident": lambda rng: _real_pair_coincident(),
+    "symmetry-identity": lambda rng: phase_symmetry_identity(
+        *sample_projector_pair(rng), a=1.1, b=2.3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GADGET_BUILDERS))
+def test_every_residual_is_a_builtin_float(name):
+    report = GADGET_BUILDERS[name](np.random.default_rng(43))
+    assert report.residuals
+    for key, value in report.residuals.items():
+        assert type(value) is float, (key, type(value))

@@ -413,6 +413,35 @@ class TestMinimize:
         with pytest.raises(ValueError):
             SearchReport.from_json(json.dumps(d))
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d.__setitem__("best_phases", [math.nan] * 3),
+            lambda d: d.__setitem__("best_phases", d["best_phases"][:-1]),
+            lambda d: d["best_phases"].__setitem__(4, math.inf),
+            lambda d: d["best_phases"].__setitem__(0, "0.5"),
+            lambda d: d.__setitem__("best_phases", 0.5),
+            lambda d: d.__setitem__("best_spectrum", d["best_spectrum"][:1]),
+            lambda d: d["best_spectrum"].append([0.0, 0.0]),
+            lambda d: d["best_spectrum"].__setitem__(0, [1.0]),
+            lambda d: d["trace"].__setitem__(0, d["trace"][0][:3]),
+            lambda d: d["trace"].__setitem__(0, d["trace"][0] + [1]),
+            lambda d: d["trace"][0].__setitem__(2, None),
+            lambda d: d["trace"].__setitem__(0, 7),
+        ],
+        ids=["three-nan-phases", "one-phase-short", "infinite-phase", "string-phase",
+             "phases-not-a-list", "one-value-spectrum", "seven-value-spectrum", "short-pair",
+             "three-element-trace-row", "five-element-trace-row", "null-in-trace-row",
+             "trace-row-not-a-list"],
+    )
+    def test_report_from_json_validates_phases_spectrum_and_trace(self, edit):
+        report = minimize(SearchTask(target="[2,2,1,1]", restarts=1, max_iters=20, seed=5))
+        d = json.loads(report.to_json())
+        assert len(d["best_phases"]) == 25 and len(d["best_spectrum"]) == 6
+        edit(d)
+        with pytest.raises(ValueError):
+            SearchReport.from_json(json.dumps(d))
+
     def test_report_from_json_rejects_a_matrix_of_another_size(self):
         report = minimize(SearchTask(target="[2,2,1,1]", restarts=1, max_iters=20, seed=5))
         d = json.loads(report.to_json())
