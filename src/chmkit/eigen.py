@@ -1,17 +1,16 @@
 """Small dense complex eigensolver and spectrum utilities.
 
-The solver is self-contained.  ``eigenvalues`` reduces the matrix to upper
-Hessenberg form by Householder reflections and then runs single-shift
-(Wilkinson) QR iteration with deflation in complex arithmetic.  The QR
-sweeps are Givens rotations on a list of lists of Python ``complex``: on
-matrices this small, numpy's cost per call on scalars and 1-row slices
-exceeds the arithmetic.  ``eigenpairs`` recovers eigenvectors by shifted
-inverse iteration, run for all eigenvalue clusters of one size at once as a
-stacked solve and QR.  A cluster that spans the whole space of a compressed
-block but does not act on it as a scalar (two eigenvalues closer than
-``CLUSTER_TOL``) is solved again one eigenvalue at a time.  The solver is
-tuned for the n <= 16 matrices this package works with, not for large
-problems.
+The solver is self-contained.  One core, ``_schur``, serves ``eigenvalues``
+and ``eigenpairs``: it reduces the matrix to upper Hessenberg form by
+Householder reflections and then runs single-shift (Wilkinson) QR iteration
+with deflation in complex arithmetic.  The QR sweeps are Givens rotations
+on lists of lists of Python ``complex``: on matrices this small, numpy's
+cost per call on scalars and 1-row slices exceeds the arithmetic.  For
+``eigenpairs`` the core also accumulates its reflections and rotations into
+the unitary Q of the Schur form H = Q T Q^dag; the eigenvectors of the
+triangular T come by back substitution, and Q maps them to those of H.  The
+solver is tuned for the n <= 16 matrices this package works with, not for
+large problems.
 """
 
 from __future__ import annotations
@@ -32,13 +31,19 @@ CLUSTER_TOL = 1e-7
 
 _EPS = float(np.finfo(np.float64).eps)
 
+#: smallest pivot of the back substitution, as LAPACK's safe minimum over eps
+_SAFE_MIN = float(np.finfo(np.float64).tiny) / _EPS
+
+#: back substitution rescales a vector whose entries grow past this
+_BIG = 1e100
+
 #: the spectrum order rounds values to this fraction of the spectral radius:
 #: far above rounding noise and far below ``CLUSTER_TOL``
 _ORDER_GRID = 1e-9
 
 
 class ConvergenceError(RuntimeError):
-    """QR or inverse iteration failed to converge; carries partial results."""
+    """QR failed to converge, or no eigenvectors were found; carries partial results."""
 
     def __init__(self, message: str, partial=None):
         super().__init__(message)
@@ -53,9 +58,10 @@ def _spectrum_order(values: np.ndarray) -> np.ndarray:
     parts of a conjugate pair, the members of a multiple eigenvalue) keep
     their given order instead of one set by rounding noise.
     """
-    grid = _ORDER_GRID * float(np.max(np.abs(values))) or 1.0
-    key = np.round(values / grid)
-    return np.lexsort((-key.imag, -key.real))
+    vals = np.asarray(values).tolist()
+    grid = _ORDER_GRID * max(map(abs, vals)) or 1.0
+    keys = [(-round(v.real / grid), -round(v.imag / grid)) for v in vals]
+    return np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -102,28 +108,34 @@ class EigenPair:
     residual: float = 0.0
 
 
-def _hessenberg(A: np.ndarray) -> np.ndarray:
-    """Unitary similarity reduction to upper Hessenberg form (in a copy)."""
-    A = A.copy()
+def _hessenberg(H: np.ndarray, vectors: bool) -> tuple:
+    """Unitary similarity reduction of ``H`` to upper Hessenberg form
+    A = Q^dag H Q by Householder reflections.
+
+    Returns the rows of A and, when ``vectors`` is set, the columns of Q
+    (else None), as lists of Python ``complex`` for the QR sweeps.
+    """
+    A = H.copy()
     n = A.shape[0]
+    Q = np.eye(n, dtype=np.complex128) if vectors else None
+    skip = _EPS * max(1.0, float(np.linalg.norm(H)))
     for k in range(n - 2):
         x = A[k + 1 :, k]
-        nx = np.linalg.norm(x)
-        if nx <= _EPS * max(1.0, np.linalg.norm(A)):
+        nx = math.sqrt(np.vdot(x, x).real)
+        if nx <= skip:
             continue
         v = x.copy()
-        pivot = x[0]
-        phase = pivot / abs(pivot) if pivot != 0 else 1.0
-        v[0] += phase * nx
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            continue
-        v = v / nv
-        # P = I - 2 v v^dag applied as a similarity on rows/cols k+1..n-1
-        A[k + 1 :, k:] -= 2.0 * np.outer(v, v.conj() @ A[k + 1 :, k:])
-        A[:, k + 1 :] -= 2.0 * np.outer(A[:, k + 1 :] @ v, v.conj())
+        pivot = complex(v[0])
+        v[0] += (pivot / abs(pivot) if pivot != 0 else 1.0) * nx
+        # scaled so that P = I - v v^dag is the reflection
+        v *= math.sqrt(2.0 / np.vdot(v, v).real)
+        vc = v.conj()
+        A[k + 1 :, k:] -= v[:, None] * (vc @ A[k + 1 :, k:])
+        A[:, k + 1 :] -= (A[:, k + 1 :] @ v)[:, None] * vc
+        if Q is not None:
+            Q[:, k + 1 :] -= (Q[:, k + 1 :] @ v)[:, None] * vc
         A[k + 2 :, k] = 0.0
-    return A
+    return A.tolist(), (Q.T.tolist() if Q is not None else None)
 
 
 def _eig2(a, b, c, d):
@@ -142,9 +154,19 @@ def _negligible(a: list, k: int, floor: float) -> bool:
     return abs(a[k][k - 1]) <= _EPS * (abs(a[k - 1][k - 1]) + abs(a[k][k])) + floor
 
 
-def _qr_sweep(a: list, lo: int, hi: int, mu: complex) -> None:
+def _rotate(cols: list, i: int, c: complex, s: complex) -> None:
+    """Columns i, i+1 of the matrix whose columns are the lists ``cols``,
+    times the rotation [[c, -conj(s)], [s, conj(c)]], in place."""
+    cc, sc = c.conjugate(), s.conjugate()
+    u, v = cols[i], cols[i + 1]
+    cols[i] = [c * x + s * y for x, y in zip(u, v)]
+    cols[i + 1] = [cc * y - sc * x for x, y in zip(u, v)]
+
+
+def _qr_sweep(a: list, q: list | None, lo: int, hi: int, mu: complex) -> None:
     """One shifted QR sweep (Givens rotations) on the Hessenberg block
-    lo..hi of the row lists ``a``, in place."""
+    lo..hi of the row lists ``a``, in place; each rotation also multiplies
+    the matrix whose columns are the lists ``q`` from the right, when given."""
     for i in range(lo, hi + 1):
         a[i][i] -= mu
     rots = []
@@ -168,25 +190,25 @@ def _qr_sweep(a: list, lo: int, hi: int, mu: complex) -> None:
             u, v = row[i], row[i + 1]
             row[i] = c * u + s * v
             row[i + 1] = cc * v - sc * u
+        if q is not None:
+            _rotate(q, i, c, s)
     for i in range(lo, hi + 1):
         a[i][i] += mu
 
 
-def eigenvalues(H) -> Spectrum:
-    """Full eigenvalue multiset of a square complex matrix.
+def _schur(H: np.ndarray, vectors: bool) -> tuple:
+    """Eigenvalues of ``H`` (a complex array, in Schur-diagonal order) and,
+    when ``vectors`` is set, the columns (as lists) of a unitary Q for which
+    Q^dag H Q is upper triangular with those values on its diagonal (else
+    None).
 
-    Hessenberg reduction followed by Wilkinson-shifted QR with deflation.
-    Raises :class:`ConvergenceError` (carrying a complex array of the values
+    Hessenberg reduction followed by Wilkinson-shifted QR with deflation;
+    raises :class:`ConvergenceError` (carrying a complex array of the values
     found so far) if more than 100 n QR steps are needed.
     """
-    H = as_matrix(H)
     n = H.shape[0]
-    if n == 1:
-        return Spectrum(np.array([H[0, 0]]))
-
-    A = _hessenberg(H)
-    floor = _EPS * max(float(np.linalg.norm(A)), 1e-300) * 1e-2
-    a = A.tolist()
+    a, q = _hessenberg(H, vectors)
+    floor = _EPS * max(float(np.linalg.norm(H)), 1e-300) * 1e-2
     eigs: list = [None] * n
     hi = n - 1
     steps = 0
@@ -209,8 +231,18 @@ def eigenvalues(H) -> Spectrum:
         if lo > 0:
             a[lo][lo - 1] = 0j
         if hi - lo == 1:
-            near, far = _eig2(a[lo][lo], a[lo][hi], a[hi][lo], a[hi][hi])
+            b11, b12, b21, b22 = a[lo][lo], a[lo][hi], a[hi][lo], a[hi][hi]
+            near, far = _eig2(b11, b12, b21, b22)
             eigs[hi], eigs[lo] = near, far
+            if q is not None:
+                # rotate an eigenvector of ``far`` into column lo, so that
+                # the block becomes triangular
+                x, y = b12, far - b11
+                if abs(x) + abs(y) < abs(far - b22) + abs(b21):
+                    x, y = far - b22, b21
+                r = math.hypot(abs(x), abs(y))
+                if r:
+                    _rotate(q, lo, x / r, y / r)
             hi -= 2
             stuck = 0
             continue
@@ -224,10 +256,20 @@ def eigenvalues(H) -> Spectrum:
             mu = a[hi][hi] + abs(a[hi][hi - 1]) * (0.75 + 0.4330127018922193j)
         else:
             mu, _ = _eig2(a[hi - 1][hi - 1], a[hi - 1][hi], a[hi][hi - 1], a[hi][hi])
-        _qr_sweep(a, lo, hi, mu)
+        _qr_sweep(a, q, lo, hi, mu)
         steps += 1
         stuck += 1
-    return Spectrum(np.array(eigs))
+    return np.array(eigs, dtype=np.complex128), q
+
+
+def eigenvalues(H) -> Spectrum:
+    """Full eigenvalue multiset of a square complex matrix.
+
+    Hessenberg reduction followed by Wilkinson-shifted QR with deflation.
+    Raises :class:`ConvergenceError` (carrying a complex array of the values
+    found so far) if more than 100 n QR steps are needed.
+    """
+    return Spectrum(_schur(as_matrix(H), False)[0])
 
 
 def cluster_indices(values: np.ndarray, cluster_tol: float = CLUSTER_TOL) -> list:
@@ -238,70 +280,46 @@ def cluster_indices(values: np.ndarray, cluster_tol: float = CLUSTER_TOL) -> lis
     cluster.
     """
     clusters: list[list[int]] = []
-    means: list[complex] = []
-    for i, v in enumerate(values):
-        best, best_d = -1, np.inf
-        for ci, mu in enumerate(means):
-            d = abs(v - mu)
+    sums: list[complex] = []
+    for i, v in enumerate(np.asarray(values).tolist()):
+        best, best_d = -1, math.inf
+        for ci, total in enumerate(sums):
+            d = abs(v - total / len(clusters[ci]))
             if d < best_d:
                 best, best_d = ci, d
         if best >= 0 and best_d <= cluster_tol:
             clusters[best].append(i)
-            members = clusters[best]
-            means[best] = complex(np.mean(values[members]))
+            sums[best] += v
         else:
             clusters.append([i])
-            means.append(complex(v))
+            sums.append(v)
     return clusters
 
 
-@functools.lru_cache(maxsize=256)
-def _start_block(n: int, m: int, salt: int) -> np.ndarray:
-    """Orthonormal n x m start block of inverse iteration for cluster ``salt``.
+def _triangular_eigenvectors(T: np.ndarray) -> np.ndarray:
+    """Unit eigenvectors of the upper triangle of ``T``, one per column, by
+    back substitution: column k solves (T - t_kk I) y = 0 with y_k = 1.
 
-    It depends only on its arguments, so it is built once per process and
-    shared; the array is read-only.
+    A pivot t_jj - t_kk smaller than eps |t_kk| is raised to that floor, as
+    LAPACK's ztrevc does, so that equal diagonal entries give finite vectors.
     """
-    rng = np.random.default_rng(0xC4A1 + salt)
-    X = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-    q, _ = np.linalg.qr(X)
-    q.flags.writeable = False
-    return q
-
-
-def _inverse_iteration(H: np.ndarray, means: list, salts: list, m: int,
-                       norm_h: float) -> np.ndarray:
-    """Orthonormal bases of the invariant subspaces near k cluster means.
-
-    Cluster i (size ``m``) starts from ``_start_block(n, m, salts[i])`` at the
-    shift ``means[i]`` + 1e-11 ||H|| (1 + 0.5i).  All k run as one stacked
-    solve and QR per step; a cluster leaves the stack once its subspace moves
-    by less than 1e-14 sqrt(m), after at most 8 steps.  A singular stack
-    nudges every shift in it by 1e-9 ||H|| (0.7 + 0.9i).  Returns a (k, n, m)
-    array.
-    """
-    n = H.shape[0]
-    eye = np.eye(n)
-    out = np.stack([_start_block(n, m, salt=ci) for ci in salts])
-    idx = np.arange(len(means))
-    shifts = np.array(means, dtype=np.complex128) + norm_h * 1e-11 * (1.0 + 0.5j)
-    M = H - shifts[:, None, None] * eye
-    X = out
-    for _ in range(8):
-        try:
-            Y = np.linalg.solve(M, X)
-        except np.linalg.LinAlgError:
-            shifts += norm_h * 1e-9 * (0.7 + 0.9j)
-            M = H - shifts[:, None, None] * eye
-            continue
-        Xn, _ = np.linalg.qr(Y)
-        delta = np.linalg.norm(Xn @ (Xn.conj().transpose(0, 2, 1) @ X) - X, axis=(1, 2))
-        out[idx] = X = Xn
-        going = ~(delta < 1e-14 * math.sqrt(m))
-        if not going.any():
-            break
-        idx, shifts, M, X = idx[going], shifts[going], M[going], X[going]
-    return out
+    t = T.tolist()
+    n = len(t)
+    cols = []
+    for k in range(n):
+        tkk = t[k][k]
+        small = max(_EPS * abs(tkk), _SAFE_MIN)
+        y = [0j] * k + [1.0 + 0j]
+        for j in range(k - 1, -1, -1):
+            row = t[j]
+            pivot = row[j] - tkk
+            y[j] = -sum([row[l] * y[l] for l in range(j + 1, k + 1)]) / (
+                pivot if abs(pivot) >= small else small)
+            if abs(y[j]) > _BIG:  # a defective block: rescale before overflow
+                y = [z / _BIG for z in y]
+        norm = math.hypot(*map(abs, y))
+        cols.append([z / norm for z in y] + [0j] * (n - k - 1))
+    return np.array(cols).T
 
 
 def _realify_basis(X: np.ndarray) -> np.ndarray | None:
@@ -328,92 +346,70 @@ def _canonical_phase(V: np.ndarray) -> np.ndarray:
 
 
 def eigenpairs(H) -> list:
-    """Eigenpairs of ``H`` via inverse iteration on the computed eigenvalues.
+    """Eigenpairs of ``H`` from its Schur form H = Q T Q^dag.
 
+    T's eigenvectors come by back substitution, and Q maps them to H's.
     Eigenvalues within ``CLUSTER_TOL`` of each other are treated as one
-    cluster; for each cluster an orthonormal basis of the invariant subspace
-    is returned (with a Rayleigh-Ritz rotation to individual eigenvectors
-    when the cluster is not scalar).  When a degenerate eigenspace is closed
-    under conjugation the basis is rotated to a real one, so symmetric CHMs
-    get real-alignable eigenvectors.  A cluster that spans the whole space
-    without scalar action is solved one eigenvalue at a time.  The pairs
-    come in the order of :class:`Spectrum`.
+    cluster.  A cluster that acts on the span of its vectors as a scalar
+    gets an orthonormal basis of that span, rotated to a real one when the
+    span is closed under conjugation, so symmetric CHMs get real-alignable
+    eigenvectors.  A cluster without scalar action keeps its individual
+    vectors, which must be orthonormal (to 1e-6).  The pairs come in the
+    order of :class:`Spectrum`.
 
     Intended for (near-)normal matrices such as scaled unitaries; defective
     input raises :class:`ConvergenceError`.
     """
     H = as_matrix(H)
-    n = H.shape[0]
-    spec = eigenvalues(H)
+    eigs, q = _schur(H, True)
     norm_h = max(float(np.linalg.norm(H)), 1e-300)
-    clusters = cluster_indices(spec.values)
-
-    by_size: dict[int, list[int]] = {}
-    for ci, members in enumerate(clusters):
-        by_size.setdefault(len(members), []).append(ci)
-    bases: list = [None] * len(clusters)
-    for m, cis in by_size.items():
-        means = [complex(np.mean(spec.values[clusters[ci]])) for ci in cis]
-        for ci, X in zip(cis, _inverse_iteration(H, means, cis, m, norm_h)):
-            bases[ci] = X
-
-    for ci, members in enumerate(clusters):
-        m = len(members)
-        if m == 1:
+    Qt = np.array(q)  # Q transposed
+    W = Qt.T @ _triangular_eigenvectors(Qt.conj() @ H @ Qt.T)
+    order = _spectrum_order(eigs)
+    V = W[:, order]
+    for members in cluster_indices(eigs[order]):
+        if len(members) == 1:
             continue
-        X = _realify_basis(bases[ci])
-        if X is None:
-            X = bases[ci]
-        B = X.conj().T @ H @ X
-        if np.linalg.norm(B - np.diag(np.diag(B))) > 1e-8 * norm_h:
-            if m == n:
-                X = _separate(H, spec, norm_h)
-            else:
-                # rotate to eigenvectors of the small compressed block
-                sub = eigenpairs(B)
-                X = X @ np.column_stack([p.vector for p in sub])
-        bases[ci] = X
+        X = V[:, members]
+        basis, _ = np.linalg.qr(X)
+        real = _realify_basis(basis)
+        if real is not None:
+            basis = real
+        B = basis.conj().T @ H @ basis
+        if np.linalg.norm(B - np.diag(np.diag(B))) <= 1e-8 * norm_h:
+            V[:, members] = basis
+        elif np.linalg.norm(X.conj().T @ X - np.eye(len(members))) > 1e-6:
+            raise ConvergenceError(
+                "eigenvalue cluster with non-scalar action and no orthonormal "
+                "eigenvectors; matrix is outside the supported (near-normal) class",
+                partial=Spectrum(eigs),
+            )
 
-    V = _canonical_phase(np.concatenate(bases, axis=1))
-    V = V / np.linalg.norm(V, axis=0)
+    V = _canonical_phase(V)
     HV = H @ V
-    lam = np.sum(V.conj() * HV, axis=0)  # Rayleigh quotient refinement
+    lam = (V.conj() * HV).sum(axis=0)  # Rayleigh quotient refinement
     res = np.linalg.norm(HV - lam * V, axis=0)
     vectors = V.T.copy()
-    pairs = [EigenPair(value=complex(lam[j]), vector=vectors[j], residual=float(res[j]))
-             for j in range(n)]
-    failed = np.flatnonzero(res > 1e-6 * norm_h)
+    pairs = [EigenPair(value=v, vector=x, residual=r)
+             for v, x, r in zip(lam.tolist(), vectors, res.tolist())]
+    failed = np.flatnonzero(~(res <= 1e-6 * norm_h))
     if failed.size:
         j = int(failed[0])
         raise ConvergenceError(
-            f"inverse iteration failed for eigenvalue {complex(lam[j])!r} "
+            f"no eigenvector found for eigenvalue {pairs[j].value!r} "
             f"(residual {res[j]:.3e})",
             partial=pairs[:j],
         )
     return [pairs[j] for j in _spectrum_order(lam)]
 
 
-def _separate(H: np.ndarray, spec: Spectrum, norm_h: float) -> np.ndarray:
-    """Eigenvectors of a matrix whose spectrum is one cluster without scalar
-    action, by inverse iteration at each eigenvalue on its own.
-
-    For a normal matrix the n vectors are orthonormal; when they are not
-    (to 1e-6) the cluster is a defective block.
-    """
-    n = H.shape[0]
-    X = _inverse_iteration(H, list(spec.values), range(n), 1, norm_h)[:, :, 0].T
-    if np.linalg.norm(X.conj().T @ X - np.eye(n)) > 1e-6:
-        raise ConvergenceError(
-            "whole-spectrum cluster with non-scalar action and no orthonormal "
-            "eigenvectors; matrix is outside the supported (near-normal) class",
-            partial=spec,
-        )
-    return X
-
-
 @functools.lru_cache(maxsize=8)
 def _all_perms(n: int) -> np.ndarray:
-    return np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    """All n! permutations of range(n) as rows; built once per n and shared,
+    so the array is read-only."""
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    perms.flags.writeable = False
+    return perms
 
 
 def spectrum_distance(a: Spectrum, b: Spectrum) -> float:

@@ -5,12 +5,12 @@ polynomial comes from trace recursion (Faddeev-LeVerrier) and is rooted
 through numpy's companion-matrix machinery, determinants are Laplace
 expansions, and the assignment distance is a plain recursive search.
 The inverse-iteration oracle is the eigensolver's earlier one-cluster-at-a-
-time loop; it shares only ``eigenvalues`` and the small helpers with the
-batched ``eigenpairs`` it checks.  The search oracles are the residual,
-Jacobian and descent in their first form; they share only
-``phases_to_matrix``, the constants and the partition masks with the code
-they check.  The rank-one scan oracle is the scan without its 2x2-minor
-screen: every block through one batched SVD and ``_rank``.
+time loop, with its own start blocks; it shares only ``eigenvalues`` and
+the small helpers with the Schur-form ``eigenpairs`` it checks.  The search
+oracles are the residual, Jacobian and descent in their first form; they
+share only ``phases_to_matrix``, the constants and the partition masks with
+the code they check.  The rank-one scan oracle is the scan without its
+2x2-minor screen: every block through one batched SVD and ``_rank``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from chmkit.core import _rank, as_matrix
 from chmkit.eigen import (
     CLUSTER_TOL, ConvergenceError, EigenPair, Spectrum, _all_perms, _canonical_phase,
-    _realify_basis, _start_block, cluster_indices, eigenvalues,
+    _realify_basis, cluster_indices, eigenvalues,
 )
 from chmkit.gadgets import _weight_offset
 from chmkit.search import FTOL, HERMITIAN_BARRIER, _partition_table, phases_to_matrix
@@ -108,13 +108,22 @@ def greedy_match_distance(a, b) -> float:
     return worst
 
 
-def eigenpairs_by_cluster(H) -> list:
-    """Eigenpairs by inverse iteration run for one cluster at a time.
+def start_block(n: int, m: int, salt: int) -> np.ndarray:
+    """Orthonormal n x m start block of inverse iteration for cluster ``salt``."""
+    rng = np.random.default_rng(0xC4A1 + salt)
+    X = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+    return np.linalg.qr(X)[0]
 
-    Same shifts, start blocks, iteration cap, stop, real-basis rotation and
-    Rayleigh-Ritz recursion as ``chmkit.eigen.eigenpairs``, one cluster and
-    one column at a time; a whole-spectrum cluster without scalar action
-    raises.  Pairs come in cluster order.
+
+def eigenpairs_by_cluster(H) -> list:
+    """Eigenpairs by shifted inverse iteration run for one cluster at a time.
+
+    Each cluster starts from ``start_block`` at its mean plus
+    1e-11 ||H|| (1 + 0.5i) and stops after 8 steps or once its subspace
+    moves by less than 1e-14 sqrt(m); a singular solve nudges the shift.
+    Clusters get the real-basis rotation of ``chmkit.eigen.eigenpairs`` and
+    a Rayleigh-Ritz recursion when not scalar; a whole-spectrum cluster
+    without scalar action raises.  Pairs come in cluster order.
     """
     H = np.asarray(H, dtype=np.complex128)
     n = H.shape[0]
@@ -124,7 +133,7 @@ def eigenpairs_by_cluster(H) -> list:
     for ci, members in enumerate(cluster_indices(spec.values, CLUSTER_TOL)):
         m = len(members)
         shift = complex(np.mean(spec.values[members])) + norm_h * 1e-11 * (1.0 + 0.5j)
-        X = _start_block(n, m, salt=ci)
+        X = start_block(n, m, salt=ci)
         M = H - shift * np.eye(n)
         for _ in range(8):
             try:

@@ -111,8 +111,7 @@ class TestVerify:
         def fail(*args, **kwargs):
             raise eigen.ConvergenceError("QR iteration did not converge")
 
-        monkeypatch.setattr(cli, "eigenvalues", fail)
-        monkeypatch.setattr(eigen, "eigenvalues", fail)
+        monkeypatch.setattr(eigen, "_schur", fail)
         code, out = run(capsys, "verify", tao_file)
         assert code == 1
         payload = json.loads(out)

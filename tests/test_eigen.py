@@ -7,8 +7,9 @@ import chmkit.eigen
 from chmkit.eigen import (
     ConvergenceError,
     Spectrum,
+    _all_perms,
     _canonical_phase,
-    _start_block,
+    _schur,
     cluster_indices,
     eigenpairs,
     eigenvalues,
@@ -111,7 +112,7 @@ class TestEigenvalues:
         H = np.zeros((4, 4), dtype=complex)
         H[:3, :3] = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         H[3, 3] = 5.0
-        monkeypatch.setattr(chmkit.eigen, "_qr_sweep", lambda a, lo, hi, mu: None)
+        monkeypatch.setattr(chmkit.eigen, "_qr_sweep", lambda a, q, lo, hi, mu: None)
         with pytest.raises(ConvergenceError) as info:
             eigenvalues(H)
         partial = info.value.partial
@@ -187,39 +188,26 @@ class TestEigenpairs:
         with pytest.raises(ConvergenceError):
             eigenpairs(J)
 
-    def test_singular_solve_nudges_the_shifts(self, monkeypatch):
-        H = gen_haagerup(np.exp(0.7j))
-        solve = np.linalg.solve
-        calls = []
+    def test_non_normal_diagonalizable_input(self):
+        # Schur vectors alone are not eigenvectors here
+        rng = np.random.default_rng(41)
+        R = np.triu(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)), 1)
+        R += np.diag(np.arange(1.0, 7.0))
+        S = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        for H, values in ((np.array([[1.0, 1.0], [0.0, 2.0]]), [2.0, 1.0]),
+                          (S @ R @ np.linalg.inv(S), np.arange(6.0, 0.0, -1.0))):
+            pairs = eigenpairs(H)
+            assert max(p.residual for p in pairs) <= 1e-8 * np.linalg.norm(H)
+            assert np.max(np.abs(np.array([p.value for p in pairs]) - values)) < 1e-9
 
-        def singular_once(*args):
-            calls.append(1)
-            if len(calls) == 1:
-                raise np.linalg.LinAlgError("Singular matrix")
-            return solve(*args)
-
-        monkeypatch.setattr(np.linalg, "solve", singular_once)
-        pairs = eigenpairs(H)
-        assert len(calls) > 1
-        assert spectrum_distance(Spectrum(np.array([p.value for p in pairs])),
-                                 HAAGERUP_SPECTRUM) < 1e-10
-        assert max(p.residual for p in pairs) <= 1e-8 * np.linalg.norm(H)
-
-    def test_simple_eigenvalues_share_one_solve_series(self, monkeypatch):
-        # six clusters of size one are one stack: at most 8 solves in all,
-        # not a series of solves per cluster
-        H = gen_haagerup(np.exp(0.7j))
-        assert [len(c) for c in cluster_indices(eigenvalues(H).values)] == [1] * 6
-        solve = np.linalg.solve
-        calls = []
-
-        def counted(*args):
-            calls.append(1)
-            return solve(*args)
-
-        monkeypatch.setattr(np.linalg, "solve", counted)
-        eigenpairs(H)
-        assert 1 <= len(calls) <= 8
+    @pytest.mark.parametrize("make", [lambda: gen_tao(1), lambda: _near_double_unitary()],
+                             ids=["tao-double-eigenvalues", "near-double"])
+    def test_repeated_calls_are_bit_identical(self, make):
+        H = make()
+        first, second = eigenpairs(H), eigenpairs(H)
+        for a, b in zip(first, second, strict=True):
+            assert a.value == b.value and a.residual == b.residual
+            assert np.array_equal(a.vector, b.vector)
 
 
 def _scaled_unitary(seed: int, phases) -> np.ndarray:
@@ -252,7 +240,7 @@ def _oracle_inputs(kind: str) -> list:
 
 
 class TestBatchedAgainstOracle:
-    """The batched inverse iteration against the one-cluster-at-a-time loop."""
+    """Schur-form eigenpairs against the one-cluster-at-a-time inverse iteration."""
 
     @pytest.mark.parametrize("kind", ["corpus", "scrambled", "fourier", "unitary"])
     def test_matches_per_cluster_loop(self, kind):
@@ -277,35 +265,27 @@ class TestBatchedAgainstOracle:
 
 def _near_double_unitary() -> np.ndarray:
     """sqrt(6) times a unitary whose two nearest eigenvalues are 9.6e-8 apart:
-    one cluster whose compressed block is not scalar, so ``eigenpairs``
-    recurses into it."""
+    one cluster that does not act on its span as a scalar."""
     return _scaled_unitary(102, [0.3, 0.3 + 3.9e-8, 2.5, 3.5, 4.5, 5.5])
 
 
-class TestStartBlocks:
-    def test_cached_block_is_read_only(self):
-        block = _start_block(6, 2, 0)
-        assert _start_block(6, 2, 0) is block
-        with pytest.raises(ValueError):
-            block[0, 0] = 0.0
+class TestSchurForm:
+    @pytest.mark.parametrize("kind", ["corpus", "scrambled", "fourier", "unitary"])
+    def test_q_is_unitary_and_triangularizes(self, kind):
+        for H in _oracle_inputs(kind):
+            n, norm_h = H.shape[0], np.linalg.norm(H)
+            eigs, q = _schur(H, True)
+            Q = np.array(q).T  # q holds the columns of Q
+            T = Q.conj().T @ H @ Q
+            assert np.linalg.norm(Q.conj().T @ Q - np.eye(n)) <= 1e-13
+            assert np.max(np.abs(np.tril(T, -1))) <= 1e-12 * norm_h
+            assert np.max(np.abs(np.diag(T) - eigs)) <= 1e-12 * norm_h
 
-    @pytest.mark.parametrize("make, recursions",
-                             [(lambda: gen_tao(1), 0), (_near_double_unitary, 1)],
-                             ids=["tao-double-eigenvalues", "recursion"])
-    def test_repeated_calls_are_bit_identical(self, make, recursions, monkeypatch):
-        H = make()
-        calls = []
-
-        def counted(A):
-            calls.append(A.shape)
-            return eigenpairs(A)
-
-        monkeypatch.setattr(chmkit.eigen, "eigenpairs", counted)
-        first, second = counted(H), counted(H)
-        assert len(calls) == 2 * (1 + recursions)
-        for a, b in zip(first, second, strict=True):
-            assert a.value == b.value and a.residual == b.residual
-            assert np.array_equal(a.vector, b.vector)
+    def test_values_without_vectors_are_the_same(self):
+        for H in _oracle_inputs("corpus") + _oracle_inputs("fourier"):
+            values, q = _schur(H, False)
+            assert q is None
+            assert np.array_equal(values, _schur(H, True)[0])
 
 
 class TestSpectrumDistance:
@@ -338,6 +318,12 @@ class TestSpectrumDistance:
     def test_size_mismatch(self):
         with pytest.raises(DimensionError):
             spectrum_distance(Spectrum(np.ones(2)), Spectrum(np.ones(3)))
+
+    def test_cached_permutations_are_read_only(self):
+        perms = _all_perms(6)
+        assert _all_perms(6) is perms
+        with pytest.raises(ValueError):
+            perms[0, 0] = 1
 
 
 class TestSpectrumType:
