@@ -137,6 +137,8 @@ def _cmd_search(args) -> int:
             for r, it, f in trace_rows:
                 fh.write(f"{r},{it},{f:.17g}\n")
     _emit(report, args)
+    if report.conflict:
+        sys.stderr.write(f"conflict: the found matrix fails verify's {report.conflict} leg\n")
     return EXIT_OK if report.found else EXIT_VIOLATED
 
 

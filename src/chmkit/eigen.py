@@ -8,7 +8,11 @@ on lists of lists of Python ``complex``: on matrices this small, numpy's
 cost per call on scalars and 1-row slices exceeds the arithmetic.  For
 ``eigenpairs`` the core also accumulates its reflections and rotations into
 the unitary Q of the Schur form H = Q T Q^dag; the eigenvectors of the
-triangular T come by back substitution, and Q maps them to those of H.  The
+triangular T come by back substitution, and Q maps them to those of H (a
+normal H has a diagonal T, and then Q's columns are the vectors).  Both
+work on H scaled by the power of two that brings its largest entry into
+[1/2, 1), so that no norm or product underflows or overflows at extreme
+scales; the scaling is exact, so it changes no result at moderate ones.  The
 solver is tuned for the n <= 16 matrices this package works with, not for
 large problems.
 """
@@ -108,6 +112,18 @@ class EigenPair:
     residual: float = 0.0
 
 
+def _exponent(H: np.ndarray) -> int:
+    """The ``math.frexp`` exponent e of H's largest entry: H / 2**e has its
+    largest entry in [1/2, 1) (e = 0 for the zero matrix)."""
+    return math.frexp(float(np.abs(H).max()))[1]
+
+
+def _ldexp(z: np.ndarray, e: int) -> np.ndarray:
+    """The contiguous complex array z times 2**e, exactly (unless it leaves
+    the normal range); z itself when e = 0."""
+    return np.ldexp(z.view(np.float64), e).view(np.complex128) if e else z
+
+
 def _hessenberg(H: np.ndarray, vectors: bool) -> tuple:
     """Unitary similarity reduction of ``H`` to upper Hessenberg form
     A = Q^dag H Q by Householder reflections.
@@ -202,11 +218,13 @@ def _schur(H: np.ndarray, vectors: bool) -> tuple:
     Q^dag H Q is upper triangular with those values on its diagonal (else
     None).
 
-    Hessenberg reduction followed by Wilkinson-shifted QR with deflation;
+    Hessenberg reduction followed by Wilkinson-shifted QR with deflation,
+    both on H / 2**e with e = ``_exponent(H)``, whose values are scaled back;
     raises :class:`ConvergenceError` (carrying a complex array of the values
     found so far) if more than 100 n QR steps are needed.
     """
-    n = H.shape[0]
+    n, e = H.shape[0], _exponent(H)
+    H = _ldexp(H, -e)
     a, q = _hessenberg(H, vectors)
     floor = _EPS * max(float(np.linalg.norm(H)), 1e-300) * 1e-2
     eigs: list = [None] * n
@@ -249,7 +267,7 @@ def _schur(H: np.ndarray, vectors: bool) -> tuple:
         if steps >= 100 * n:
             raise ConvergenceError(
                 f"QR failed to converge within {100 * n} iterations",
-                partial=np.array([e for e in eigs if e is not None], dtype=np.complex128),
+                partial=_ldexp(np.array([v for v in eigs if v is not None], np.complex128), e),
             )
         if stuck and stuck % 12 == 0:
             # exceptional shift breaks symmetric cycling (e.g. Fourier-like input)
@@ -259,7 +277,7 @@ def _schur(H: np.ndarray, vectors: bool) -> tuple:
         _qr_sweep(a, q, lo, hi, mu)
         steps += 1
         stuck += 1
-    return np.array(eigs, dtype=np.complex128), q
+    return _ldexp(np.array(eigs, dtype=np.complex128), e), q
 
 
 def eigenvalues(H) -> Spectrum:
@@ -340,15 +358,19 @@ def _realify_basis(X: np.ndarray) -> np.ndarray | None:
 def _canonical_phase(V: np.ndarray) -> np.ndarray:
     """Rotate the vector V, or each column of the matrix V, so that its
     largest-modulus entry is real and positive."""
-    piv = np.take_along_axis(V, np.argmax(np.abs(V), axis=0)[None], axis=0)[0]
+    idx = np.abs(V).argmax(axis=0)
+    piv = V[idx, np.arange(V.shape[1])] if V.ndim == 2 else V[idx]
     mag = np.abs(piv)
-    return V * np.where(mag > 0, piv.conj() / np.where(mag > 0, mag, 1.0), 1.0)
+    return V * np.divide(piv.conj(), mag, out=np.ones_like(piv), where=mag > 0)
 
 
 def eigenpairs(H) -> list:
     """Eigenpairs of ``H`` from its Schur form H = Q T Q^dag.
 
     T's eigenvectors come by back substitution, and Q maps them to H's.
+    When no entry above T's diagonal exceeds 64 eps ||H||, H is normal to
+    rounding and Q's columns are its eigenvectors, with residuals of that
+    order, so the back substitution and the clusters' QR are skipped.
     Eigenvalues within ``CLUSTER_TOL`` of each other are treated as one
     cluster.  A cluster that acts on the span of its vectors as a scalar
     gets an orthonormal basis of that span, rotated to a real one when the
@@ -358,20 +380,27 @@ def eigenpairs(H) -> list:
     order of :class:`Spectrum`.
 
     Intended for (near-)normal matrices such as scaled unitaries; defective
-    input raises :class:`ConvergenceError`.
+    input raises :class:`ConvergenceError`.  Every step works on H / 2**e
+    with e = ``_exponent(H)``, as ``_schur`` does, so clusters and residual
+    tests are relative to H's largest entry; the values and residuals are
+    scaled back, and the vectors need no scaling.
     """
     H = as_matrix(H)
-    eigs, q = _schur(H, True)
+    e = _exponent(H)
+    H = _ldexp(H, -e)
+    eigs, q = _schur(H, True)  # H's exponent is now 0, so this scales by 1
     norm_h = max(float(np.linalg.norm(H)), 1e-300)
     Qt = np.array(q)  # Q transposed
-    W = Qt.T @ _triangular_eigenvectors(Qt.conj() @ H @ Qt.T)
+    T = Qt.conj() @ H @ Qt.T
+    normal = np.abs(np.triu(T, 1)).max(initial=0.0) <= 64 * _EPS * norm_h
+    W = Qt.T if normal else Qt.T @ _triangular_eigenvectors(T)
     order = _spectrum_order(eigs)
     V = W[:, order]
     for members in cluster_indices(eigs[order]):
         if len(members) == 1:
             continue
         X = V[:, members]
-        basis, _ = np.linalg.qr(X)
+        basis = X if normal else np.linalg.qr(X)[0]
         real = _realify_basis(basis)
         if real is not None:
             basis = real
@@ -382,17 +411,18 @@ def eigenpairs(H) -> list:
             raise ConvergenceError(
                 "eigenvalue cluster with non-scalar action and no orthonormal "
                 "eigenvectors; matrix is outside the supported (near-normal) class",
-                partial=Spectrum(eigs),
+                partial=Spectrum(_ldexp(eigs, e)),
             )
 
     V = _canonical_phase(V)
     HV = H @ V
     lam = (V.conj() * HV).sum(axis=0)  # Rayleigh quotient refinement
     res = np.linalg.norm(HV - lam * V, axis=0)
+    failed = np.flatnonzero(~(res <= 1e-6 * norm_h))
+    lam, res = _ldexp(lam, e), np.ldexp(res, e)
     vectors = V.T.copy()
     pairs = [EigenPair(value=v, vector=x, residual=r)
              for v, x, r in zip(lam.tolist(), vectors, res.tolist())]
-    failed = np.flatnonzero(~(res <= 1e-6 * norm_h))
     if failed.size:
         j = int(failed[0])
         raise ConvergenceError(

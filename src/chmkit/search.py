@@ -22,7 +22,8 @@ eigendecomposition into every eigenvalue derivative.  Its blocks are
 written into one array, the unitarity block by scattering to positions
 that ``_unitarity_scatter`` caches per n.  Restarts provide
 globalization and every draw is keyed by (seed, restart index), so reports
-are reproducible bit for bit.
+are reproducible bit for bit.  "Found" means passing ``_gate``, one
+``verify_matrix`` call whose n = 6 theorem legs are reported, never applied.
 """
 
 from __future__ import annotations
@@ -36,10 +37,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import eigen
-from .core import _Report, chm_residuals, matrix_from_object
-from .eigen import ConvergenceError, Spectrum, _all_perms, spectrum_distance
-from .spectral import multiplicity_profile
+from .core import _Report, matrix_from_object
+from .eigen import Spectrum, _all_perms, spectrum_distance
+from .spectral import VerifyReport, verify_matrix
 
 #: margin used by the non-Hermitian barrier: candidates must keep
 #: ||H - H^dag||_F^2 at or above this value
@@ -155,7 +155,10 @@ class RestartTrace(NamedTuple):
 class SearchReport(_Report):
     """Best candidate over all restarts plus the per-restart convergence trace.
     The wire format writes ``found`` as ``verdict``, ``traces`` as ``trace``
-    and ``best_matrix`` as a matrix file's {"n", "re", "im"} object."""
+    and ``best_matrix`` as a matrix file's {"n", "re", "im"} object.
+    ``conflict`` names the n = 6 theorem leg of ``verify_matrix`` that a
+    found matrix fails (``multiplicity_profile`` or ``hermitian_equivalence``),
+    else None."""
 
     task: SearchTask
     best_residual: float
@@ -165,6 +168,7 @@ class SearchReport(_Report):
     best_matrix: np.ndarray
     best_spectrum: Spectrum
     traces: list
+    conflict: str | None = None
 
     @property
     def verdict(self) -> str:
@@ -183,7 +187,7 @@ class SearchReport(_Report):
         """Inverse of ``to_json``.  Raises ``ValueError`` unless ``best_matrix``
         is a valid matrix file object of the task's n, ``best_phases`` holds
         the task's number of finite phases, ``best_spectrum`` has n values and
-        every ``trace`` row is 4 numbers."""
+        every ``trace`` row is 4 numbers.  A missing ``conflict`` reads as None."""
         obj = json.loads(text)
         task = SearchTask.from_json(json.dumps(obj["task"]))
         H = matrix_from_object(obj["best_matrix"])
@@ -207,6 +211,7 @@ class SearchReport(_Report):
             best_matrix=H,
             best_spectrum=_spectrum(spectrum),
             traces=[RestartTrace(*row) for row in obj["trace"]],
+            conflict=obj.get("conflict"),
         )
 
 
@@ -485,28 +490,25 @@ def _jacobian(r: np.ndarray, stage: tuple, task: SearchTask,
     return J
 
 
-def _qualifies(phases: np.ndarray, task: SearchTask, value: float) -> Spectrum | None:
-    """Soundness gate for a 'found' verdict: CHM residuals and profile match.
-    Returns the spectrum the candidate was checked with if it passes, else None."""
+def _gate(phases: np.ndarray, task: SearchTask, value: float) -> VerifyReport | None:
+    """Soundness gate for a 'found' verdict: ``verify_matrix(H, 1e-8)`` if the
+    candidate passes, else None.  The value must be at most ``tol_success``,
+    every leg but the n = 6 theorem legs must pass (those are only recorded,
+    else not-found would assume the theorem it is evidence for), the profile
+    or spectrum must match the target and, if set, the barrier must hold."""
     if value > task.tol_success:
         return None
     H = phases_to_matrix(phases, task.n)
-    if not chm_residuals(H, tol=1e-8).is_chm:
-        return None
-    try:
-        spec = eigen.eigenvalues(H)
-    except ConvergenceError:
+    report = verify_matrix(H, 1e-8)
+    if report.failed not in (None, "multiplicity_profile", "hermitian_equivalence"):
         return None
     if isinstance(task.target, Spectrum):
-        return spec if spectrum_distance(spec, task.target) <= 1e-6 else None
-    profile = tuple(multiplicity_profile(spec, cluster_tol=1e-6))
-    if profile != tuple(task.target):
+        match = spectrum_distance(report.spectrum, task.target) <= 1e-6
+    else:
+        match = tuple(report.multiplicity_profile) == task.target
+    if task.non_hermitian and float(np.sum(np.abs(H - H.conj().T) ** 2)) < HERMITIAN_BARRIER:
         return None
-    if task.non_hermitian:
-        herm = float(np.sum(np.abs(H - H.conj().T) ** 2))
-        if herm < HERMITIAN_BARRIER:
-            return None
-    return spec
+    return report if match else None
 
 
 def _descend(theta0: np.ndarray, task: SearchTask, table: _PartitionTable | None,
@@ -560,41 +562,37 @@ def minimize(task: SearchTask, trace_rows: list | None = None) -> SearchReport:
     """Run the multi-start search described by ``task``.
 
     Deterministic: restart r starts from phases drawn by a generator seeded
-    with (task.seed, r).  When ``task.stop_on_success`` is set the loop ends
-    at the first restart whose candidate passes the soundness gate.
-    ``trace_rows``, when given, collects one (restart, iteration, residual)
-    row per Levenberg-Marquardt step.
+    with (task.seed, r).  "Found" means the candidate passed ``_gate``, whose
+    report gives ``best_spectrum`` and ``conflict``; with ``stop_on_success``
+    the loop ends at the first such restart.  ``trace_rows``, when given,
+    collects one (restart, iteration, residual) row per Levenberg-Marquardt
+    step.
     """
     table = _spectral_table(task)
     best_f = math.inf
-    best_theta = best_spectrum = None
+    best_theta = best_gate = found_restart = None
     traces = []
-    found = False
-    found_restart = None
     for r in range(task.restarts):
         theta0 = np.random.default_rng([task.seed, r]).uniform(0.0, 2.0 * math.pi, task.num_phases)
         theta, f, iters = _descend(theta0, task, table, trace_rows, r)
         traces.append(RestartTrace(restart=r, seed=task.seed, final_residual=f, iterations=iters))
-        spectrum = _qualifies(theta, task, f)
-        if spectrum is not None or f < best_f:
-            best_f, best_theta, best_spectrum = f, theta, spectrum
-        if spectrum is not None:
-            found = True
+        gate = _gate(theta, task, f)
+        if gate is not None or f < best_f:
+            best_f, best_theta, best_gate = f, theta, gate
+        if gate is not None:
             found_restart = r
             if task.stop_on_success:
                 break
     H = phases_to_matrix(best_theta, task.n)
-    if best_spectrum is None:
-        # a found matrix keeps the spectrum the gate solved; a not-found
-        # best candidate's spectrum is descriptive only, so numpy solves it
-        best_spectrum = Spectrum(np.linalg.eigvals(H))
     return SearchReport(
         task=task,
         best_residual=best_f,
-        found=found,
+        found=found_restart is not None,
         found_restart=found_restart,
         best_phases=best_theta,
         best_matrix=H,
-        best_spectrum=best_spectrum,
+        # a not-found best candidate's spectrum is descriptive only, so numpy solves it
+        best_spectrum=best_gate.spectrum if best_gate else Spectrum(np.linalg.eigvals(H)),
         traces=traces,
+        conflict=best_gate.failed if best_gate else None,
     )

@@ -10,7 +10,8 @@ the small helpers with the Schur-form ``eigenpairs`` it checks.  The search
 oracles are the residual, Jacobian and descent in their first form; they
 share only ``phases_to_matrix``, the constants and the partition masks with
 the code they check.  The rank-one scan oracle is the scan without its
-2x2-minor screen: every block through one batched SVD and ``_rank``.
+2x2-minor screen: every block through one batched SVD and ``_rank``.  The
+n = 5 profiles are ground truth from the literature, not a computation.
 """
 
 from __future__ import annotations
@@ -27,6 +28,13 @@ from chmkit.eigen import (
 )
 from chmkit.gadgets import _weight_offset
 from chmkit.search import FTOL, HERMITIAN_BARRIER, _partition_table, phases_to_matrix
+
+
+#: the multiplicity profiles of the dephased 5x5 CHMs: every 5x5 CHM is
+#: equivalent to F5 (Haagerup 1996, "Orthogonal maximal abelian
+#: *-subalgebras of the n x n matrices and cyclic n-roots"), and the
+#: dephased forms in F5's orbit have exactly these two profiles
+N5_REALIZABLE_PROFILES = frozenset({(2, 1, 1, 1), (1, 1, 1, 1, 1)})
 
 
 def charpoly_coeffs(A: np.ndarray) -> np.ndarray:

@@ -281,11 +281,51 @@ class TestSchurForm:
             assert np.max(np.abs(np.tril(T, -1))) <= 1e-12 * norm_h
             assert np.max(np.abs(np.diag(T) - eigs)) <= 1e-12 * norm_h
 
+    def test_only_non_normal_input_needs_back_substitution(self, monkeypatch):
+        calls = []
+        solve = chmkit.eigen._triangular_eigenvectors
+
+        def counted(T):
+            calls.append(1)
+            return solve(T)
+
+        monkeypatch.setattr(chmkit.eigen, "_triangular_eigenvectors", counted)
+        for H in _oracle_inputs("corpus") + _oracle_inputs("unitary"):
+            eigenpairs(H)
+        assert not calls  # normal input: the Schur vectors are the eigenvectors
+        rng = np.random.default_rng(5)
+        eigenpairs(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+        assert len(calls) == 1
+
     def test_values_without_vectors_are_the_same(self):
         for H in _oracle_inputs("corpus") + _oracle_inputs("fourier"):
             values, q = _schur(H, False)
             assert q is None
             assert np.array_equal(values, _schur(H, True)[0])
+
+
+class TestExtremeScales:
+    """The solver works on H scaled by a power of two, so that no norm or
+    product under- or overflows, and scaling by a power of two is exact."""
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e160, 1e200])
+    def test_values_and_residuals(self, scale):
+        rng = np.random.default_rng(2026)
+        A = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        H = A * scale
+        ref = np.linalg.eigvals(H)
+        pairs = eigenpairs(H)
+        for values in (eigenvalues(H).values, np.array([p.value for p in pairs])):
+            assert oracles.greedy_match_distance(values, ref) <= 1e-12 * np.abs(ref).max()
+        assert max(p.residual for p in pairs) <= 1e-6 * np.linalg.norm(A) * scale
+
+    @pytest.mark.parametrize("k", [-40, -1, 3, 40])
+    def test_powers_of_two_commute_with_the_solver(self, k):
+        for H in _oracle_inputs("corpus") + _oracle_inputs("unitary"):
+            assert np.array_equal(eigenvalues(H * 2.0**k).values, eigenvalues(H).values * 2.0**k)
+            scaled, pairs = eigenpairs(H * 2.0**k), eigenpairs(H)
+            assert [p.value for p in scaled] == [p.value * 2.0**k for p in pairs]
+            assert all(np.array_equal(p.vector, q.vector) for p, q in zip(scaled, pairs))
 
 
 class TestSpectrumDistance:

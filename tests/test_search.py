@@ -30,7 +30,7 @@ from chmkit.search import (
     pattern_penalty,
     phases_to_matrix,
 )
-from chmkit.spectral import multiplicity_profile
+from chmkit.spectral import multiplicity_profile, verify_matrix
 
 SQRT6 = math.sqrt(6.0)
 
@@ -387,7 +387,7 @@ class TestMinimize:
         report = minimize(SearchTask(target="[2,2,1,1]", restarts=2, max_iters=60, seed=5))
         d = json.loads(report.to_json())
         assert list(d) == ["task", "best_residual", "verdict", "found_restart", "best_phases",
-                           "best_matrix", "best_spectrum", "trace"]
+                           "best_matrix", "best_spectrum", "trace", "conflict"]
         assert list(d["task"]) == ["target", "n", "restarts", "max_iters", "seed", "tol_success",
                                    "min_cluster_gap", "non_hermitian", "stop_on_success"]
         assert d["task"]["target"] == {"pattern": [2, 2, 1, 1]}
@@ -395,6 +395,7 @@ class TestMinimize:
                               for t in report.traces]
         assert list(d["best_matrix"]) == ["n", "re", "im"]
         assert d["best_spectrum"] == [[v.real, v.imag] for v in report.best_spectrum.values]
+        assert d["conflict"] is None
 
     @pytest.mark.parametrize(
         "edit",
@@ -453,17 +454,22 @@ class TestMinimize:
 class TestGateSpectrum:
     def test_found_report_reuses_the_gates_spectrum(self, monkeypatch):
         solved = []
+        schur = chmkit.eigen._schur
 
-        def recorded(H):
+        def recorded(H, vectors):
             solved.append(H.copy())
-            return eigenvalues(H)
+            return schur(H, vectors)
 
-        monkeypatch.setattr(chmkit.eigen, "eigenvalues", recorded)
+        monkeypatch.setattr(chmkit.eigen, "_schur", recorded)
         report = minimize(SearchTask(target="[2,2,1,1]", restarts=3, seed=2))
         assert report.found
-        # the soundness gate solved the found matrix; minimize did not solve it again
-        assert len(solved) == 1 and np.array_equal(solved[0], report.best_matrix)
-        assert np.array_equal(report.best_spectrum.values, eigenvalues(report.best_matrix).values)
+        # the soundness gate solved the found matrix once; minimize did not
+        # solve it again.  The solver sees it scaled by a power of two, and
+        # its (0, 0) entry is 1
+        assert len(solved) == 1
+        assert np.array_equal(solved[0] / solved[0][0, 0], report.best_matrix)
+        gate = verify_matrix(report.best_matrix, 1e-8)
+        assert np.array_equal(report.best_spectrum.values, gate.spectrum.values)
 
 
 class TestOneResidual:
@@ -543,7 +549,7 @@ class TestConvergenceError:
     def test_minimize_reports_instead_of_raising(self, monkeypatch):
         task = SearchTask(target="[2,2,1,1]", restarts=2, seed=5)
         assert minimize(task).found
-        monkeypatch.setattr(chmkit.eigen, "eigenvalues", self._fail)
+        monkeypatch.setattr(chmkit.eigen, "_schur", self._fail)
         report = minimize(task)
         # the soundness gate could not solve for the spectrum, so no verdict
         # of "found"; a not-found report's spectrum is numpy's in any case

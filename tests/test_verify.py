@@ -1,4 +1,5 @@
-"""The verify pipeline: ``spectral.verify_matrix`` and its agreement with search.
+"""The verify pipeline: ``spectral.verify_matrix`` and its agreement with search,
+whose "found" verdict is gated by one ``verify_matrix`` call.
 
 ``data/witness_321.json`` is the best matrix of the seed-11 ``[3,2,1]``
 search (found at restart 33, residual 1.7e-26).  Regenerate it with
@@ -15,9 +16,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chmkit import core, eigen, spectral
+import oracles
+from chmkit import cli, core, eigen, spectral
 from chmkit.families import gen_hermitian, gen_tao, standard_corpus
-from chmkit.search import SearchTask, _qualifies, matrix_to_phases, minimize, objective
+from chmkit.search import SearchReport, SearchTask, _gate, matrix_to_phases, minimize, objective
 from chmkit.spectral import verify_matrix
 
 SQRT6 = math.sqrt(6.0)
@@ -42,7 +44,9 @@ class TestWitness321:
     def test_search_gate_accepts_it(self):
         task = SearchTask(target=[3, 2, 1], seed=11)
         phases = matrix_to_phases(core.read_matrix(WITNESS_321))
-        assert _qualifies(phases, task, objective(phases, task)) is not None
+        report = _gate(phases, task, objective(phases, task))
+        assert report is not None and report.failed is None
+        assert report.multiplicity_profile == [3, 2, 1]
 
     def test_verify_accepts_it(self):
         report = verify_matrix(core.read_matrix(WITNESS_321))
@@ -57,10 +61,70 @@ class TestWitness321:
 )
 def test_every_found_matrix_is_verified(pattern):
     report = minimize(SearchTask(target=pattern, restarts=2, seed=11))
-    assert report.found
+    assert report.found and report.conflict is None
     verified = verify_matrix(report.best_matrix)
     assert verified.verified, verified.to_dict()
     assert verified.multiplicity_profile == pattern
+
+
+class TestGate:
+    """Each check of the search's soundness gate rejects a candidate by itself."""
+
+    def test_each_check_rejects(self):
+        phases = matrix_to_phases(core.read_matrix(WITNESS_321))
+        assert _gate(phases, SearchTask(target=[3, 2, 1]), 0.0) is not None
+        assert _gate(phases, SearchTask(target=[3, 2, 1]), 1e-7) is None  # value
+        assert _gate(phases + 1e-3, SearchTask(target=[3, 2, 1]), 0.0) is None  # chm
+        assert _gate(phases, SearchTask(target=[2, 2, 1, 1]), 0.0) is None  # profile
+        tao = eigen.eigenvalues(gen_tao(1))
+        assert _gate(phases, SearchTask(target=tao), 0.0) is None  # spectrum
+        herm = matrix_to_phases(core.dephase(gen_hermitian(2.0))[0])
+        assert _gate(herm, SearchTask(target=[3, 3]), 0.0) is not None
+        assert _gate(herm, SearchTask(target="[3,3]-non-hermitian"), 0.0) is None  # barrier
+
+
+class TestConflict:
+    """A found matrix that fails an n = 6 theorem leg is reported, not dropped."""
+
+    @pytest.fixture
+    def theorem_fails(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_n6_multiplicity_holds", lambda values: False)
+
+    def test_search_reports_the_conflict(self, theorem_fails):
+        report = minimize(SearchTask(target=[2, 2, 1, 1], seed=11))
+        assert report.found and report.found_restart == 1
+        assert report.conflict == "multiplicity_profile"
+        assert json.loads(report.to_json())["conflict"] == "multiplicity_profile"
+        assert SearchReport.from_json(report.to_json()).conflict == "multiplicity_profile"
+
+    def test_cli_prints_it_and_exits_zero(self, theorem_fails, capsys):
+        code = cli.main(["search", "--pattern", "2,2,1,1", "--seed", "11"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert json.loads(captured.out)["conflict"] == "multiplicity_profile"
+        assert captured.err == (
+            "conflict: the found matrix fails verify's multiplicity_profile leg\n")
+
+    def test_report_saved_without_it_loads_with_none(self):
+        report = minimize(SearchTask(target=[2, 2, 1, 1], restarts=2, seed=11))
+        d = json.loads(report.to_json())
+        del d["conflict"]
+        again = SearchReport.from_json(json.dumps(d))
+        assert again.conflict is None and again.found
+
+
+def test_n5_verdicts_match_the_ground_truth():
+    # every 5x5 CHM is equivalent to F5, so exactly F5's profiles are found;
+    # the gate applies no n = 6 theorem at n = 5 (20 restarts each, about 1 s)
+    partitions = [(5,), (4, 1), (3, 2), (3, 1, 1), (2, 2, 1), (2, 1, 1, 1), (1,) * 5]
+    for pattern in partitions:
+        report = minimize(SearchTask(target=pattern, n=5, restarts=20, seed=11))
+        assert report.found is (pattern in oracles.N5_REALIZABLE_PROFILES), pattern
+        if report.found:
+            assert report.conflict is None
+            assert verify_matrix(report.best_matrix).verified
+        else:
+            assert report.best_residual > 1e-2, pattern
 
 
 class TestVerifyReport:
