@@ -146,7 +146,8 @@ def _cmd_gadget(args) -> int:
     name = args.name
     rng = np.random.default_rng(args.seed)
     if name == "tail":
-        lam = math.sqrt(args.n) * np.exp(1j * args.lambda_arg)
+        # the gadget rejects n < 4 before it reads lam; the clamp only keeps sqrt defined
+        lam = math.sqrt(max(args.n, 0)) * np.exp(1j * args.lambda_arg)
         try:
             report = gadgets.gadget_repeated_tail(args.n, lam)
         except ValueError as exc:

@@ -183,6 +183,19 @@ def _phase(z: complex) -> complex:
     return z / a
 
 
+def _dephase_phases(H: np.ndarray):
+    """``(D, left, right)`` with ``D = diag(left) @ H @ diag(right)`` dephased;
+    ``left`` and ``right`` are the phase vectors of ``dephase``'s two factors."""
+    n = H.shape[0]
+    col_phases = np.array([_phase(H[j, 0]) for j in range(n)])
+    row_phases = np.array([_phase(H[0, k]) for k in range(n)])
+    # left kills the first-column phases, right the first-row phases; the
+    # extra phase(h_00) keeps the corner from being rotated twice.
+    left = np.conj(col_phases)
+    right = np.conj(row_phases) * col_phases[0]
+    return (left[:, None] * H) * right[None, :], left, right
+
+
 def dephase(H):
     """Normalize ``H`` so its first row and first column are all ones.
 
@@ -193,16 +206,8 @@ def dephase(H):
     Raises :class:`DegenerateInputError` if the first row or column contains
     a zero (no phase can be extracted).
     """
-    H = as_matrix(H)
-    n = H.shape[0]
-    col_phases = np.array([_phase(H[j, 0]) for j in range(n)])
-    row_phases = np.array([_phase(H[0, k]) for k in range(n)])
-    # left factor kills the first-column phases, right factor the first-row
-    # phases; the extra phase(h_00) keeps the corner from being rotated twice.
-    left = MonomialUnitary.diagonal(np.conj(col_phases))
-    right = MonomialUnitary.diagonal(np.conj(row_phases) * col_phases[0])
-    D = (np.conj(col_phases)[:, None] * H) * (np.conj(row_phases) * col_phases[0])[None, :]
-    return D, left, right
+    D, left, right = _dephase_phases(as_matrix(H))
+    return D, MonomialUnitary.diagonal(left), MonomialUnitary.diagonal(right)
 
 
 def is_dephased(H, tol: float = DEFAULT_TOL) -> bool:

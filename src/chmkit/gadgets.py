@@ -1,16 +1,20 @@
 """Executable impossibility constructions with pass/fail certificates.
 
-Each gadget builds the matrix that a forbidden eigenvalue configuration
-would force (via its spectral decomposition) and measures how the CHM
-conditions break.  A gadget "passes" when the claimed violation is observed
-with margin at least ``MARGIN`` -- i.e. the construction demonstrably fails
-to be a CHM, certifying the corresponding nonexistence statement for the
-supplied inputs.
+Each gadget measures how the CHM conditions break on the matrix that a
+forbidden eigenvalue configuration would force (via its spectral
+decomposition).  Most build that matrix; the repeated-tail gadget reads its
+residuals off the matrix's two interior entries instead, so its cost does
+not grow with n (``repeated_tail_matrix`` still builds the matrix, for tests
+and reconstruction).  A gadget "passes" when the claimed violation is
+observed with margin at least ``MARGIN`` -- i.e. the construction
+demonstrably fails to be a CHM, certifying the corresponding nonexistence
+statement for the supplied inputs.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,15 +85,20 @@ def reconstruct_from_projectors(combo: ProjectorCombo) -> np.ndarray:
 # All non-constant eigenvalues equal (any n >= 4)
 # ---------------------------------------------------------------------------
 
+def _tail_entries(n: int, lam: complex) -> tuple[complex, complex]:
+    """Interior diagonal d and off-diagonal o of the repeated-tail matrix."""
+    return (-1.0 + (n - 2) * lam) / (n - 1), (-1.0 - lam) / (n - 1)
+
+
 def repeated_tail_matrix(n: int, lam: complex) -> np.ndarray:
     """The matrix forced by the spectrum {+sqrt n, -sqrt n, lam x (n-2)}.
 
     Border of ones; interior diagonal (-1 + (n-2) lam)/(n-1) and interior
     off-diagonal (-1 - lam)/(n-1).
     """
-    lam = complex(lam)
-    H = np.full((n, n), (-1.0 - lam) / (n - 1), dtype=np.complex128)
-    np.fill_diagonal(H, (-1.0 + (n - 2) * lam) / (n - 1))
+    d, o = _tail_entries(n, complex(lam))
+    H = np.full((n, n), o, dtype=np.complex128)
+    np.fill_diagonal(H, d)
     H[0, :] = 1.0
     H[:, 0] = 1.0
     return H
@@ -100,18 +109,21 @@ def gadget_repeated_tail(n: int, lam: complex) -> GadgetReport:
 
     Residuals: the worst entry-modulus deviation and the inner product of
     rows 2 and 3 (which must vanish for a CHM).  Verdict passes when either
-    exceeds the margin for the given eigenvalue.
+    exceeds the margin for the given eigenvalue.  Both are read off the two
+    interior entries d, o of ``repeated_tail_matrix(n, lam)`` without
+    building it, so the cost does not grow with n.
     """
+    n = operator.index(n)
     if n < 4:
         raise ValueError(f"construction needs n >= 4, got {n}")
     lam = complex(lam)
     rt = math.sqrt(n)
     if abs(abs(lam) - rt) > 1e-9:
         raise ValueError(f"|lam| must equal sqrt({n}) within 1e-9, got {abs(lam)!r}")
-    H = repeated_tail_matrix(n, lam)
-    modulus_residual = float(np.max(np.abs(np.abs(H) - 1.0)))
-    row_product = complex(np.vdot(H[2], H[1]))  # <row2, row3> in math indexing
-    row_residual = abs(row_product)
+    d, o = _tail_entries(n, lam)
+    modulus_residual = max(abs(abs(d) - 1.0), abs(abs(o) - 1.0))
+    # <row2, row3> in math indexing: rows [1, d, o, o, ...] and [1, o, d, o, ...]
+    row_residual = abs(1.0 + o.conjugate() * d + d.conjugate() * o + (n - 3) * abs(o) ** 2)
     margin = max(modulus_residual, row_residual)
     return GadgetReport(
         name="repeated-tail",

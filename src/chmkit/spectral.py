@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DEFAULT_TOL, SQRT6, ChmReport, DegenerateInputError, _Report, as_matrix, chm_residuals,
-    dephase, is_dephased,
+    DEFAULT_TOL, SQRT6, ChmReport, DegenerateInputError, _dephase_phases, _Report, as_matrix,
+    chm_residuals, is_dephased,
 )
 from .eigen import (
     CLUSTER_TOL, ConvergenceError, Spectrum, cluster_indices, eigenpairs, eigenvalues,
@@ -217,7 +217,7 @@ def verify_matrix(H, tol: float = DEFAULT_TOL) -> VerifyReport:
     if not chm.is_chm:
         return VerifyReport(n=n, tol=tol, chm=chm, failed="chm")
     try:
-        D, _, _ = dephase(H)
+        D = _dephase_phases(H)[0]
     except DegenerateInputError as exc:
         return VerifyReport(n=n, tol=tol, chm=chm, dephase_error=str(exc), failed="dephase")
     base = {"n": n, "tol": tol, "chm": chm, "dephased": is_dephased(H, tol)}

@@ -242,6 +242,18 @@ class TestGadget:
         assert code == 0
         assert json.loads(out)["verdict"] == "pass"
 
+    @pytest.mark.parametrize("n", ["-3", "0", "3"])
+    def test_tail_below_four_is_usage_error(self, capsys, n):
+        code = cli.main(["gadget", "tail", "--n", n])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"construction needs n >= 4, got {n}" in err
+
+    def test_tail_at_large_n(self, capsys):
+        code, out = run(capsys, "gadget", "tail", "--n", "40000")
+        assert code == 0
+        assert json.loads(out)["verdict"] == "pass"
+
     def test_triple_seeded(self, capsys):
         code, out = run(capsys, "gadget", "triple", "--seed", "3")
         assert code == 0

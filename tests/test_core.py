@@ -98,6 +98,16 @@ class TestDephase:
         with pytest.raises(DegenerateInputError):
             dephase(H)
 
+    def test_factors_carry_the_phases_that_make_d(self):
+        # verify_matrix dephases without building the factors; D must be the
+        # same bits either way
+        rng = np.random.default_rng(7)
+        H = np.exp(1j * rng.uniform(0, 2 * np.pi, (6, 6)))
+        D, left, right = dephase(H)
+        bare, left_phases, right_phases = core._dephase_phases(H)
+        assert np.array_equal(bare, D)
+        assert left.phases == tuple(left_phases) and right.phases == tuple(right_phases)
+
 
 class TestApplyEquivalence:
     def test_identity_operators(self):

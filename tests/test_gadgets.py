@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from chmkit.core import chm_residuals, rank_one_submatrix_scan
 from chmkit.eigen import Spectrum, eigenpairs, eigenvalues, spectrum_distance
 from chmkit.families import gen_hermitian, gen_tao
 from chmkit.gadgets import (
+    MARGIN,
     ProjectorCombo,
     gadget_gram_rank,
     gadget_real_pair_rank,
@@ -55,11 +57,41 @@ class TestRepeatedTail:
         assert spectrum_distance(eigenvalues(H), target) < 1e-9
 
     def test_n4_real_hadamard_edge_is_honest_fail(self):
-        # at n = 4, lam = 2 the construction IS a real Hadamard matrix,
-        # so no contradiction exists and the gadget must say so
+        # at n = 4, lam = 2 the construction IS a real Hadamard matrix
+        # (d = 1, o = -1 exactly), so no contradiction exists and the gadget
+        # must say so
         rep = gadget_repeated_tail(4, 2.0)
         assert not rep.verdict
-        assert rep.margin < 1e-12
+        assert rep.margin == 0.0
+
+    def test_closed_form_matches_built_matrix(self):
+        for n in range(4, 41):
+            rt = math.sqrt(n)
+            lams = [rt * np.exp(2j * np.pi * k / 256) for k in range(256)]
+            for lam in lams + [rt, -rt, 1j * rt, -1j * rt]:
+                rep = gadget_repeated_tail(n, lam)
+                H = repeated_tail_matrix(n, lam)
+                modulus = float(np.max(np.abs(np.abs(H) - 1.0)))
+                row = abs(complex(np.vdot(H[2], H[1])))
+                assert rep.verdict == (max(modulus, row) >= MARGIN), (n, lam)
+                assert rep.residuals["entry_modulus_residual"] == pytest.approx(modulus, abs=4e-15)
+                assert rep.residuals["row23_inner_product"] == pytest.approx(row, abs=4e-15)
+
+    def test_huge_n_needs_no_matrix(self):
+        n = 10**6
+        tracemalloc.start()
+        try:
+            rep = gadget_repeated_tail(n, math.sqrt(n) * np.exp(0.9j))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.verdict
+        assert peak < 64 * 1024
+
+    @pytest.mark.parametrize("n", [6.0, 4.5])
+    def test_non_integer_n_rejected(self, n):
+        with pytest.raises(TypeError):
+            gadget_repeated_tail(n, math.sqrt(n))
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_offset_sweep_passes(self, n):
