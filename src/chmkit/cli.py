@@ -39,15 +39,20 @@ class _CliError(Exception):
 
 
 def _tolerance(args) -> float:
-    if getattr(args, "tol", None) is not None:
-        return args.tol
-    env = os.environ.get("CHM_TOL")
-    if env:
+    """``--tol``, else ``CHM_TOL``, else the default; NaN, infinite or
+    negative values are usage errors (an infinite tolerance passes anything)."""
+    tol, source = getattr(args, "tol", None), "--tol"
+    if tol is None:
+        env = os.environ.get("CHM_TOL")
+        if not env:
+            return DEFAULT_TOL
         try:
-            return float(env)
+            tol, source = float(env), "CHM_TOL"
         except ValueError as exc:
             raise _CliError(f"CHM_TOL is not a number: {env!r}") from exc
-    return DEFAULT_TOL
+    if not 0.0 <= tol < math.inf:
+        raise _CliError(f"{source} must be finite and nonnegative, got {tol!r}")
+    return tol
 
 
 def _emit(payload, args) -> None:
@@ -177,10 +182,11 @@ def _cmd_mub(args) -> int:
     mats = [_load_matrix(p) for p in args.matrices]
     try:
         if len(mats) == 2:
+            tol = _tolerance(args)
             d = mats[0].shape[0]
             r = mub.unbiasedness_residual(mats[0] / math.sqrt(d), mats[1] / math.sqrt(d))
             _emit({"pair_residual": r}, args)
-            return EXIT_OK if r <= _tolerance(args) else EXIT_VIOLATED
+            return EXIT_OK if r <= tol else EXIT_VIOLATED
         report = mub.trio_check(*mats)
     except (ValueError, core.DimensionError) as exc:
         raise _CliError(str(exc)) from exc

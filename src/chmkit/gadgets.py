@@ -8,7 +8,9 @@ not grow with n (``repeated_tail_matrix`` still builds the matrix, for tests
 and reconstruction).  A gadget "passes" when the claimed violation is
 observed with margin at least ``MARGIN`` -- i.e. the construction
 demonstrably fails to be a CHM, certifying the corresponding nonexistence
-statement for the supplied inputs.
+statement for the supplied inputs.  The rotation gadget builds no matrix:
+it proves its constants with exact ``fractions.Fraction`` identities that
+hold for every cos a, and passes when each identity holds exactly.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -75,7 +78,7 @@ def reconstruct_from_projectors(combo: ProjectorCombo) -> np.ndarray:
     eigenvalue circle); orthonormality is enforced by the combo itself.
     """
     mod_dev = float(np.max(np.abs(np.abs(combo.values) - SQRT6)))
-    if mod_dev > 1e-6:
+    if not mod_dev <= 1e-6:
         raise ValueError(f"eigenvalue moduli must equal sqrt(6) (deviation {mod_dev:.3e})")
     V = combo.vectors
     return (V * combo.values) @ V.conj().T
@@ -108,8 +111,10 @@ def gadget_repeated_tail(n: int, lam: complex) -> GadgetReport:
     """Certify that an (n-2)-fold repeated tail eigenvalue breaks the CHM laws.
 
     Residuals: the worst entry-modulus deviation and the inner product of
-    rows 2 and 3 (which must vanish for a CHM).  Verdict passes when either
-    exceeds the margin for the given eigenvalue.  Both are read off the two
+    rows 2 and 3.  The forced matrix is normal with every eigenvalue of
+    modulus sqrt(n), so H H^dag = n I and the inner product is zero up to
+    rounding for every lam: only the entry moduli can reach ``MARGIN``, which
+    the verdict asks of the larger residual.  Both are read off the two
     interior entries d, o of ``repeated_tail_matrix(n, lam)`` without
     building it, so the cost does not grow with n.
     """
@@ -118,7 +123,7 @@ def gadget_repeated_tail(n: int, lam: complex) -> GadgetReport:
         raise ValueError(f"construction needs n >= 4, got {n}")
     lam = complex(lam)
     rt = math.sqrt(n)
-    if abs(abs(lam) - rt) > 1e-9:
+    if not abs(abs(lam) - rt) <= 1e-9:
         raise ValueError(f"|lam| must equal sqrt({n}) within 1e-9, got {abs(lam)!r}")
     d, o = _tail_entries(n, lam)
     modulus_residual = max(abs(abs(d) - 1.0), abs(abs(o) - 1.0))
@@ -164,9 +169,9 @@ def triple_eigenvalue_matrix(lam: complex, lam6: complex, a, t) -> np.ndarray:
 
 def _validate_triple_inputs(lam, lam6, a, t):
     lam, lam6 = complex(lam), complex(lam6)
-    if abs(abs(lam) - SQRT6) > 1e-9:
+    if not abs(abs(lam) - SQRT6) <= 1e-9:
         raise ValueError(f"|lam| must equal sqrt(6) within 1e-9, got {abs(lam)!r}")
-    if abs(abs(lam6) - SQRT6) > 1e-9:
+    if not abs(abs(lam6) - SQRT6) <= 1e-9:
         raise ValueError(f"|lam6| must equal sqrt(6) within 1e-9, got {abs(lam6)!r}")
     if abs(lam - lam6) <= 1e-9:
         raise ValueError("lam and lam6 must be distinct")
@@ -174,13 +179,13 @@ def _validate_triple_inputs(lam, lam6, a, t):
     t = np.asarray(t, dtype=np.float64)
     if a.shape != (5,) or t.shape != (4,):
         raise ValueError("need 5 nonnegative amplitudes and 4 angles")
-    if np.any(a < 0):
+    if not np.all(a >= 0):
         raise ValueError(f"amplitudes must be nonnegative, got {a}")
     norm_dev = abs(float(np.sum(a**2)) - 1.0)
-    if norm_dev > 1e-8:
+    if not norm_dev <= 1e-8:
         raise ValueError(f"amplitudes must have unit norm (deviation {norm_dev:.3e})")
     ortho = abs(a[0] + np.sum(a[1:] * np.exp(1j * t)))
-    if ortho > 1e-8:
+    if not ortho <= 1e-8:
         raise ValueError(
             f"sixth eigenvector must be orthogonal to the constant ones "
             f"(sum residual {ortho:.3e})"
@@ -289,77 +294,62 @@ def gadget_gram_rank(tol: float = 1e-8) -> GadgetReport:
 # Constants forced when the two rotated eigenvalues share one angle
 # ---------------------------------------------------------------------------
 
-def _weight_offset(cos_a: np.ndarray) -> np.ndarray:
-    """sqrt(9 cos^2 a - 3 cos a - 6) / (6 (1 - cos a)) on the valid range."""
-    return np.sqrt(9.0 * cos_a**2 - 3.0 * cos_a - 6.0) / (6.0 * (1.0 - cos_a))
-
-
 def gadget_rotation_constants() -> GadgetReport:
-    """Reproduce the constants forced by a shared rotation angle.
+    """Prove, in exact rationals, the constants forced by a shared rotation angle.
 
-    With both rotated eigenvalues at the same angle ``a``, unimodularity of
-    the diagonal makes each weight r_k = g_k^2 + h_k^2 a root of a fixed
-    quadratic; the weights summing to 2 then pins cos a = -7/8 (so
-    sin a = sqrt(15)/8) and r = 1/3.  The offset term is also bounded by
-    sqrt(6)/12 over the whole valid range.
+    With both rotated eigenvalues at the same angle a (c = cos a), the
+    diagonal entry sqrt6 (1 + (e^{ia} - 1) r) is unimodular iff its weight
+    r = g_k^2 + h_k^2 solves r^2 - r + 5/(12 (1 - c)) = 0, so r = 1/2 -+
+    offset(c) with offset(c)^2 = disc(c) / (36 (1 - c)^2) and disc(c) =
+    9c^2 - 3c - 6, real for c in [-1, -2/3].  Six weights summing to 2
+    force cos a = -7/8 (so sin a = sqrt(15)/8) and r = 1/3, and offset(c)
+    <= sqrt(6)/12 on the whole range, with equality only at c = -1.
+
+    Every residual is an exact ``Fraction`` (reported as its float) and the
+    verdict is that each one is zero.  The identities in c are polynomials
+    of degree <= 2 once their denominators are cleared, so they hold for
+    every c because they hold at three distinct points.
     """
-    # cos a = -7/8 from 6 (1/2 - offset) = 2  <=>  8 c^2 - c - 7 = 0, c != 1
-    poly_roots = np.roots([8.0, -1.0, -7.0])
-    c_star = float(min(poly_roots, key=lambda r: abs(r - (-0.875))).real)
-    cos_dev = abs(c_star + 7.0 / 8.0)
-    r_star = 0.5 - float(_weight_offset(np.array([c_star]))[0])
-    r_dev = abs(r_star - 1.0 / 3.0)
-    sin_star = math.sqrt(1.0 - c_star**2)
-    sin_dev = abs(sin_star - math.sqrt(15.0) / 8.0)
+    def disc(c):
+        return 9 * c * c - 3 * c - 6
 
-    # the closed-form roots match a direct quadratic solve across the range:
-    # the roots of x^2 - x + q are the eigenvalues of its companion matrix
-    # [[1, -q], [1, 0]] (the matrix np.roots builds), all solved as one stack
-    cs = np.linspace(-1.0, -2.0 / 3.0, 101)
-    companion = np.zeros((cs.size, 2, 2))
-    companion[:, 0, 0] = 1.0
-    companion[:, 0, 1] = -5.0 / (12.0 * (1.0 - cs))
-    companion[:, 1, 0] = 1.0
-    roots = np.sort(np.linalg.eigvals(companion).real, axis=1)
-    offset = _weight_offset(cs)[:, None]
-    closed = np.hstack([0.5 - offset, 0.5 + offset])
-    formula_dev = float(np.max(np.abs(roots - closed)))
+    # 1/4 - 5/(12 (1 - c)) = offset(c)^2 and 1/24 - offset(c)^2 =
+    # 5 (c + 1) / (24 (1 - c)), times 36 (1 - c)^2 and 72 (1 - c)^2
+    samples = (-1, 0, 1)
+    formula_dev = max(abs(9 * (1 - c) ** 2 - 15 * (1 - c) - disc(c)) for c in samples)
+    bound_dev = max(abs(3 * (1 - c) ** 2 - 2 * disc(c) - 15 * (c + 1) * (1 - c)) for c in samples)
+    # on [-1, -2/3] the linear c + 1 is least at -1 and 1 - c at -2/3, so
+    # 1/24 - offset(c)^2 >= 0 there; (sqrt(6)/12)^2 = 1/24 = offset(-1)^2
+    lo, hi = Fraction(-1), Fraction(-2, 3)
+    bound_overshoot = max(bound_dev, -(lo + 1), -(1 - hi), 0)
+    bound_gap = abs(Fraction(6, 144) - disc(lo) / (36 * (1 - lo) ** 2))
 
-    # bound sweep: 0 <= offset <= sqrt(6)/12, maximum attained at cos a = -1
-    cg = np.linspace(-1.0, -2.0 / 3.0, 10_000)
-    offsets = _weight_offset(cg)
-    bound = SQRT6 / 12.0
-    max_offset = float(np.max(offsets))
-    bound_overshoot = max(0.0, max_offset - bound)
-    bound_gap = abs(max_offset - bound)
+    # 6 (1/2 - offset) = 2 means disc(c) = (1 - c)^2, i.e. 8c^2 - c - 7 =
+    # (8c + 7)(c - 1) = 0; the roots multiply to -7/8 and c = 1 is excluded
+    c = Fraction(-7, 8)
+    cos_dev = max(abs(8 * x * x - x - 7) for x in (c, 1))
+    sin_dev = abs(1 - c * c - Fraction(15, 64))
+    root = Fraction(15, 8)  # disc(-7/8) = 225/64, so offset(-7/8) is rational
+    r = Fraction(1, 2) - root / (6 * (1 - c))
+    r_dev = max(abs(disc(c) - root * root), abs(6 * r - 2))
+    # |1 + (e^{ia} - 1) r|^2 = (1 - r)^2 + r^2 + 2 r (1 - r) c
+    diag_dev = abs(6 * ((1 - r) ** 2 + r * r + 2 * r * (1 - r) * c) - 1)
 
-    # direct check: at the forced constants the diagonal really is unimodular
-    a_star = math.acos(c_star)
-    diag_dev = float(abs(SQRT6 * abs(1.0 + (np.exp(1j * a_star) - 1.0) * r_star) - 1.0))
-
-    verdict = (
-        cos_dev <= 1e-10
-        and r_dev <= 1e-10
-        and sin_dev <= 1e-10
-        and formula_dev <= 1e-10
-        and diag_dev <= 1e-10
-        and bound_overshoot <= 1e-12
-        and bound_gap <= 1e-6
-    )
+    residuals = {
+        "cos_a_deviation": cos_dev,
+        "sin_a_deviation": sin_dev,
+        "weight_deviation": r_dev,
+        "root_formula_deviation": formula_dev,
+        "diagonal_modulus_deviation": diag_dev,
+        "bound_overshoot": bound_overshoot,
+        "bound_attainment_gap": bound_gap,
+    }
     return GadgetReport(
         name="rotation-constants",
-        residuals={
-            "cos_a_deviation": cos_dev,
-            "sin_a_deviation": sin_dev,
-            "weight_deviation": r_dev,
-            "root_formula_deviation": formula_dev,
-            "diagonal_modulus_deviation": diag_dev,
-            "bound_overshoot": bound_overshoot,
-            "bound_attainment_gap": bound_gap,
-        },
-        verdict=verdict,
-        margin=1e-10 - max(cos_dev, r_dev, sin_dev),
-        details={"cos_a": c_star, "weight": r_star, "offset_bound": bound},
+        residuals={key: float(value) for key, value in residuals.items()},
+        verdict=not any(residuals.values()),
+        margin=1e-10 - float(max(cos_dev, r_dev, sin_dev)),
+        details={"cos_a": float(c), "weight": float(r), "offset_bound": SQRT6 / 12.0},
     )
 
 
@@ -391,13 +381,13 @@ def gadget_real_pair_rank(d, f, a: float | None = None, b: float | None = None) 
     f = np.asarray(f, dtype=np.float64)
     if d.shape != (6,) or f.shape != (6,):
         raise ValueError("d and f must be real 6-vectors")
-    if np.any((d <= 0.0) | (d >= 1.0)):
+    if not np.all((d > 0.0) & (d < 1.0)):
         raise ValueError("entries of d must lie strictly in (0, 1)")
-    if np.any((f == 0.0) | (np.abs(f) >= 1.0)):
+    if not np.all((f != 0.0) & (np.abs(f) < 1.0)):
         raise ValueError("entries of f must be nonzero and lie in (-1, 1)")
     for label, val in (("sum d^2", np.sum(d**2) - 1.0), ("sum f^2", np.sum(f**2) - 1.0),
                        ("sum d f", np.sum(d * f))):
-        if abs(val) > 1e-8:
+        if not abs(val) <= 1e-8:
             raise ValueError(f"precondition violated: {label} off by {val:.3e}")
 
     D = np.vstack([np.ones(6), d**2, f**2, d * f])
@@ -487,10 +477,10 @@ def projector_pair_matrix(g, s, h, t, a: float, b: float):
     v6 = h * np.exp(1j * np.concatenate([[0.0], t]))
     for label, v in (("v5", v5), ("v6", v6)):
         dev = abs(np.linalg.norm(v) - 1.0)
-        if dev > 1e-8:
+        if not dev <= 1e-8:
             raise ValueError(f"{label} must be a unit vector (deviation {dev:.3e})")
     ip = abs(np.vdot(v5, v6))
-    if ip > 1e-8:
+    if not ip <= 1e-8:
         raise ValueError(f"v5 and v6 must be orthogonal (inner product {ip:.3e})")
     P5 = np.outer(v5, v5.conj())
     P6 = np.outer(v6, v6.conj())

@@ -12,6 +12,8 @@ share only ``phases_to_matrix``, the constants and the partition masks with
 the code they check.  The rank-one scan oracle is the scan without its
 2x2-minor screen: every block through one batched SVD and ``_rank``.  The
 n = 5 profiles are ground truth from the literature, not a computation.
+The rotation gadget needs no oracle here: its residuals are exact rational
+identities, and its test cross-checks them against plain numpy floats.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from chmkit.eigen import (
     CLUSTER_TOL, ConvergenceError, EigenPair, Spectrum, _all_perms, _canonical_phase,
     _realify_basis, cluster_indices, eigenvalues,
 )
-from chmkit.gadgets import _weight_offset
 from chmkit.search import FTOL, HERMITIAN_BARRIER, _partition_table, phases_to_matrix
 
 
@@ -202,19 +203,6 @@ def rank_one_scan_unscreened(H, r: int, c: int, tol: float = 1e-8) -> list:
     sv = np.linalg.svd(blocks, compute_uv=False)  # [R, C, min(r, c)], descending
     rank_one = _rank(sv, tol) == 1
     return [(row_sets[i], col_sets[j]) for i, j in zip(*np.nonzero(rank_one))]
-
-
-def rotation_root_deviation_by_roots(cs) -> float:
-    """The rotation gadget's ``root_formula_deviation`` as first computed:
-    one ``np.roots`` of x^2 - x + 5/(12(1 - c)) per c, against the closed
-    form 1/2 -+ offset, folded by a running max."""
-    dev = 0.0
-    for c in cs:
-        roots = np.sort(np.roots([1.0, -1.0, 5.0 / (12.0 * (1.0 - c))]).real)
-        offset = float(_weight_offset(np.array([c]))[0])
-        closed = np.sort([0.5 - offset, 0.5 + offset])
-        dev = max(dev, float(np.max(np.abs(roots - closed))))
-    return dev
 
 
 def pattern_penalty_by_enumeration(eigs, pattern, n: int = 6, min_gap: float = 0.5) -> float:

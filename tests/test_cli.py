@@ -107,6 +107,29 @@ class TestVerify:
         code, _ = run(capsys, "verify", str(path))
         assert code == 0
 
+    @pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "-1"])
+    def test_non_finite_or_negative_tol_is_usage_error(self, capsys, tmp_path, tol):
+        # an infinite tolerance would certify a Gaussian random matrix
+        path = tmp_path / "random.json"
+        core.write_matrix(np.random.default_rng(0).standard_normal((6, 6)) + 0j, path)
+        code = cli.main(["verify", str(path), f"--tol={tol}"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "--tol must be finite and nonnegative" in captured.err
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1e-3"])
+    def test_non_finite_or_negative_chm_tol_is_usage_error(self, capsys, tao_file, monkeypatch, tol):
+        monkeypatch.setenv("CHM_TOL", tol)
+        code = cli.main(["verify", tao_file])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "CHM_TOL must be finite and nonnegative" in captured.err
+
+    def test_zero_tol_is_not_a_usage_error(self, capsys, tao_file):
+        code, out = run(capsys, "verify", tao_file, "--tol", "0")
+        assert code != 2
+        assert "verified" in json.loads(out)
+
     def test_convergence_error_is_a_verifier_error(self, capsys, tao_file, monkeypatch):
         def fail(*args, **kwargs):
             raise eigen.ConvergenceError("QR iteration did not converge")
@@ -235,7 +258,9 @@ class TestGadget:
     def test_rotation_reports_cos(self, capsys):
         code, out = run(capsys, "gadget", "rotation")
         assert code == 0
-        assert json.loads(out)["details"]["cos_a"] == pytest.approx(-0.875)
+        payload = json.loads(out)
+        assert payload["details"]["cos_a"] == -0.875
+        assert set(payload["residuals"].values()) == {0.0}
 
     def test_tail_at_quarter_turn(self, capsys):
         code, out = run(capsys, "gadget", "tail", "--n", "6", "--lambda-arg", "1.5708")
@@ -248,6 +273,12 @@ class TestGadget:
         err = capsys.readouterr().err
         assert code == 2
         assert f"construction needs n >= 4, got {n}" in err
+
+    def test_tail_nan_angle_is_usage_error(self, capsys):
+        code = cli.main(["gadget", "tail", "--lambda-arg", "nan"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "|lam| must equal sqrt(6)" in captured.err
 
     def test_tail_at_large_n(self, capsys):
         code, out = run(capsys, "gadget", "tail", "--n", "40000")
@@ -285,6 +316,14 @@ class TestMub:
         code, out = run(capsys, "mub", tao_file, tao_file)
         assert code == 1  # identical bases are not unbiased
         assert json.loads(out)["pair_residual"] == pytest.approx(1.0 - 1.0 / math.sqrt(6.0))
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+    def test_pair_rejects_non_finite_or_negative_tol(self, capsys, tao_file, monkeypatch, tol):
+        code = cli.main(["mub", tao_file, tao_file, f"--tol={tol}"])
+        assert code == 2 and capsys.readouterr().out == ""
+        monkeypatch.setenv("CHM_TOL", tol)
+        code = cli.main(["mub", tao_file, tao_file])
+        assert code == 2 and capsys.readouterr().out == ""
 
     def test_wrong_count_is_usage_error(self, capsys, tao_file):
         code = cli.main(["mub", tao_file])

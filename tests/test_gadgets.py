@@ -76,6 +76,8 @@ class TestRepeatedTail:
                 assert rep.verdict == (max(modulus, row) >= MARGIN), (n, lam)
                 assert rep.residuals["entry_modulus_residual"] == pytest.approx(modulus, abs=4e-15)
                 assert rep.residuals["row23_inner_product"] == pytest.approx(row, abs=4e-15)
+                # H H^dag = n I for every lam, so rows 2 and 3 are orthogonal
+                assert rep.residuals["row23_inner_product"] <= 2e-15, (n, lam)
 
     def test_huge_n_needs_no_matrix(self):
         n = 10**6
@@ -105,6 +107,11 @@ class TestRepeatedTail:
             gadget_repeated_tail(6, 1.0)
         with pytest.raises(ValueError):
             gadget_repeated_tail(3, math.sqrt(3))
+
+    @pytest.mark.parametrize("lam", [math.nan, complex(math.nan, 1.0), complex(math.inf, 0.0)])
+    def test_non_finite_eigenvalue_rejected(self, lam):
+        with pytest.raises(ValueError, match="lam"):
+            gadget_repeated_tail(6, lam)
 
 
 class TestTripleEigenvalue:
@@ -202,6 +209,18 @@ class TestTripleEigenvalue:
         with pytest.raises(ValueError, match="orthogonal"):
             gadget_triple_eigenvalue(self.LAM, self.LAM6, a, t + 0.3)
 
+    def test_nan_inputs_rejected(self):
+        rng = np.random.default_rng(2)
+        a, t = random_feasible_weights(rng)
+        with pytest.raises(ValueError, match="lam"):
+            gadget_triple_eigenvalue(math.nan, self.LAM6, a, t)
+        with pytest.raises(ValueError, match="lam6"):
+            gadget_triple_eigenvalue(self.LAM, math.nan, a, t)
+        with pytest.raises(ValueError, match="nonnegative"):
+            gadget_triple_eigenvalue(self.LAM, self.LAM6, np.where(a == a[0], math.nan, a), t)
+        with pytest.raises(ValueError, match="orthogonal"):
+            gadget_triple_eigenvalue(self.LAM, self.LAM6, a, np.where(t == t[0], math.nan, t))
+
 
 class TestGramRank:
     def test_rank_and_eigenvalues(self):
@@ -218,27 +237,41 @@ class TestGramRank:
         assert int(np.sum(sv > 1e-8 * sv[0])) == 5
 
 
+def _rotation_offset(c):
+    """The weight offset sqrt(9c^2 - 3c - 6) / (6 (1 - c)) in numpy floats."""
+    return np.sqrt(9.0 * c**2 - 3.0 * c - 6.0) / (6.0 * (1.0 - c))
+
+
 class TestRotationConstants:
     def test_constants(self):
+        # every residual is an exact rational identity, so exactly zero
         rep = gadget_rotation_constants()
         assert rep.verdict
-        assert rep.details["cos_a"] == pytest.approx(-7.0 / 8.0, abs=1e-12)
-        assert rep.details["weight"] == pytest.approx(1.0 / 3.0, abs=1e-12)
-        assert rep.residuals["sin_a_deviation"] < 1e-10
-        assert rep.residuals["diagonal_modulus_deviation"] < 1e-10
+        assert set(rep.residuals.values()) == {0.0}
+        assert rep.details["cos_a"] == -0.875
+        assert rep.details["weight"] == 1.0 / 3.0
+        assert rep.margin == 1e-10
+
+    def test_float_cross_check(self):
+        # numpy, apart from the exact path: the root of 8c^2 - c - 7 other
+        # than 1, the two weights there and the unimodular diagonal
+        rep = gadget_rotation_constants()
+        c = float(np.min(np.roots([8.0, -1.0, -7.0]).real))
+        assert c == pytest.approx(rep.details["cos_a"], abs=1e-15)
+        offset = _rotation_offset(c)
+        assert offset == pytest.approx(1.0 / 6.0, abs=1e-15)
+        assert 0.5 - offset == pytest.approx(rep.details["weight"], abs=1e-15)
+        roots = np.sort(np.roots([1.0, -1.0, 5.0 / (12.0 * (1.0 - c))]).real)
+        assert roots == pytest.approx([0.5 - offset, 0.5 + offset], abs=1e-15)
+        r = rep.details["weight"]
+        assert SQRT6 * abs(1.0 + (np.exp(1j * math.acos(c)) - 1.0) * r) == pytest.approx(1.0)
 
     def test_offset_bound(self):
         rep = gadget_rotation_constants()
-        assert rep.residuals["bound_overshoot"] == 0.0
-        assert rep.residuals["bound_attainment_gap"] < 1e-6
-        assert rep.details["offset_bound"] == pytest.approx(math.sqrt(6.0) / 12.0)
-
-
-    def test_root_formula_deviation_matches_per_c_roots(self):
-        # the stacked companion eigenvalues are np.roots' own, bit for bit
-        rep = gadget_rotation_constants()
-        cs = np.linspace(-1.0, -2.0 / 3.0, 101)
-        assert rep.residuals["root_formula_deviation"] == oracles.rotation_root_deviation_by_roots(cs)
+        assert rep.details["offset_bound"] == math.sqrt(6.0) / 12.0
+        offsets = _rotation_offset(np.linspace(-1.0, -2.0 / 3.0, 1001))
+        assert np.all(offsets <= rep.details["offset_bound"])
+        assert offsets[0] == pytest.approx(rep.details["offset_bound"], abs=1e-15)
 
     def test_repr_has_no_numpy_scalars(self):
         assert "np." not in repr(gadget_rotation_constants())
@@ -307,6 +340,14 @@ class TestRealPairRank:
             bad[0] = 1.2
             gadget_real_pair_rank(bad, f)
 
+    def test_nan_entries_rejected(self):
+        d = np.full(6, 1.0 / math.sqrt(6.0))
+        f = np.array([1.0, -1, 1, -1, 1, -1]) / math.sqrt(6.0)
+        with pytest.raises(ValueError, match="strictly"):
+            gadget_real_pair_rank(np.where(d == d[0], math.nan, d), f)
+        with pytest.raises(ValueError, match="nonzero"):
+            gadget_real_pair_rank(d, np.full(6, math.nan))
+
 
 class TestProjectorReconstruction:
     def test_round_trip_tao(self):
@@ -335,6 +376,12 @@ class TestProjectorReconstruction:
         with pytest.raises(ValueError, match="orthonormal"):
             ProjectorCombo(values=np.full(6, SQRT6), vectors=np.ones((6, 6), dtype=complex))
 
+    def test_rejects_nan_values(self):
+        with pytest.raises(ValueError, match="sqrt"):
+            reconstruct_from_projectors(
+                ProjectorCombo(values=np.full(6, math.nan), vectors=np.eye(6, dtype=complex))
+            )
+
     def test_corpus_round_trip(self, corpus):
         for name, H in corpus:
             combo = ProjectorCombo.from_pairs(eigenpairs(H))
@@ -362,6 +409,11 @@ class TestPhaseSymmetryIdentity:
     def test_rejects_non_orthogonal_pair(self):
         g = np.ones(6) / math.sqrt(6.0)
         with pytest.raises(ValueError, match="orthogonal"):
+            projector_pair_matrix(g, np.zeros(5), g, np.zeros(5), 1.0, 2.0)
+
+    def test_rejects_nan_moduli(self):
+        g = np.full(6, math.nan)
+        with pytest.raises(ValueError, match="unit vector"):
             projector_pair_matrix(g, np.zeros(5), g, np.zeros(5), 1.0, 2.0)
 
     def test_case1_zero_component_plants_3x3_block(self):
