@@ -179,10 +179,10 @@ def _cmd_gadget(args) -> int:
 
 
 def _cmd_mub(args) -> int:
+    tol = _tolerance(args)
     mats = [_load_matrix(p) for p in args.matrices]
     try:
         if len(mats) == 2:
-            tol = _tolerance(args)
             d = mats[0].shape[0]
             r = mub.unbiasedness_residual(mats[0] / math.sqrt(d), mats[1] / math.sqrt(d))
             _emit({"pair_residual": r}, args)
@@ -191,7 +191,7 @@ def _cmd_mub(args) -> int:
     except (ValueError, core.DimensionError) as exc:
         raise _CliError(str(exc)) from exc
     _emit(report, args)
-    return EXIT_OK
+    return EXIT_OK if report.max_residual <= tol else EXIT_VIOLATED
 
 
 @functools.cache

@@ -107,7 +107,8 @@ def chm_residuals(H, tol: float = DEFAULT_TOL) -> ChmReport:
     H = as_matrix(H)
     n = H.shape[0]
     unimod = float(np.max(np.abs(np.abs(H) - 1.0)))
-    gram = H @ H.conj().T - n * np.eye(n)
+    gram = H @ H.conj().T
+    gram.ravel()[:: n + 1] -= n
     unit = float(np.linalg.norm(gram))
     return ChmReport(
         n=n,
@@ -256,18 +257,17 @@ class _ScanTables(NamedTuple):
     col_sets: tuple  # the c-column subsets, lexicographic
     rows: np.ndarray  # int [R, r]
     cols: np.ndarray  # int [C, c]
-    i: np.ndarray  # int [P, 1]: first row of each row pair, lexicographic
-    j: np.ndarray  # int [P, 1]: second row
-    k: np.ndarray  # int [1, Q]: first column of each column pair
-    l: np.ndarray  # int [1, Q]: second column
+    corners: np.ndarray  # int [4, P * Q]: flat positions of h_ik, h_jl, h_il, h_jk
     minors: np.ndarray  # int [R * C, m]: block b's minors in the flat [P, Q] minor table
 
 
 @functools.lru_cache(maxsize=32)
 def _scan_tables(nr: int, nc: int, r: int, c: int) -> _ScanTables:
-    """The scan's subsets, the row and column pairs of the 2x2 minors of an
-    nr x nc matrix, and which of those minors lie in each r x c block.  The
-    arrays are shared by every caller, so they are read-only."""
+    """The scan's subsets, the corners of the 2x2 minors of an nr x nc matrix
+    as positions in the flattened (row-major) matrix, and which of those
+    minors lie in each r x c block.  Minor a * Q + b takes rows i < j of row
+    pair a and columns k < l of column pair b.  The arrays are shared by
+    every caller, so they are read-only."""
     row_sets = tuple(itertools.combinations(range(nr), r))
     col_sets = tuple(itertools.combinations(range(nc), c))
     row_pairs = list(itertools.combinations(range(nr), 2))
@@ -278,12 +278,13 @@ def _scan_tables(nr: int, nc: int, r: int, c: int) -> _ScanTables:
     inner_cols = [[col_at[p] for p in itertools.combinations(C, 2)] for C in col_sets]
     minors = np.array([[a * len(col_pairs) + b for a in ra for b in cb]  # [R * C, m]
                        for ra in inner_rows for cb in inner_cols], dtype=np.intp)
-    rp = np.array(row_pairs, dtype=np.intp).reshape(-1, 2)
+    rp = np.array(row_pairs, dtype=np.intp).reshape(-1, 2) * nc
     cp = np.array(col_pairs, dtype=np.intp).reshape(-1, 2)
+    i, j, k, l = rp[:, :1], rp[:, 1:], cp[None, :, 0], cp[None, :, 1]
+    corners = np.stack([i + k, j + l, i + l, j + k]).reshape(4, -1)
     tables = _ScanTables(
         row_sets, col_sets, np.array(row_sets, dtype=np.intp), np.array(col_sets, dtype=np.intp),
-        rp[:, :1], rp[:, 1:], cp[:, 0][None, :], cp[:, 1][None, :],
-        minors,
+        corners, minors,
     )
     for arr in tables[2:]:
         arr.flags.writeable = False
@@ -296,7 +297,7 @@ def rank_one_submatrix_scan(H, r: int, c: int, tol: float = 1e-8) -> list:
     Returns a list of ``(rows, cols)`` index tuples in lexicographic order.
     A block is a witness when ``numerical_rank``'s count (``_rank``) of its
     singular values is exactly one; the blocks that can still be witnesses
-    go through one batched SVD.
+    go through one batched SVD, and when there are none no SVD runs.
 
     The rest are ruled out by their 2x2 minors, all C(nr,2) C(nc,2) of which
     are computed once.  For a 2x2 submatrix S of a block M, |det S| =
@@ -320,11 +321,14 @@ def rank_one_submatrix_scan(H, r: int, c: int, tol: float = 1e-8) -> list:
         raise DimensionError("submatrix dimensions must be positive")
     t = _scan_tables(nr, nc, r, c)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow rules nothing out
-        det = np.abs(H[t.i, t.k] * H[t.j, t.l] - H[t.i, t.l] * H[t.j, t.k]).ravel()
+        ik, jl, il, jk = H.take(t.corners)  # positions in the flattened H
+        det = np.abs(ik * jl - il * jk)
         sq = H.real**2 + H.imag**2
-        frob = sq[:, t.cols].sum(axis=-1)[t.rows].sum(axis=1).ravel()  # [R * C]
+        frob = sq.take(t.cols, axis=1).sum(axis=-1).take(t.rows, axis=0).sum(axis=1).ravel()
         bound = _MINOR_SLACK * max(tol, _MINOR_TOL_FLOOR) * frob + _TINY
         left = np.flatnonzero(~(det[t.minors] > bound[:, None]).any(axis=1))
+    if not left.size:
+        return []
     ri, ci = np.divmod(left, len(t.col_sets))
     blocks = H[t.rows[ri][:, :, None], t.cols[ci][:, None, :]]  # [S, r, c]
     sv = np.linalg.svd(blocks, compute_uv=False)  # [S, min(r, c)], descending

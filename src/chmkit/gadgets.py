@@ -15,6 +15,7 @@ hold for every cos a, and passes when each identity holds exactly.
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 from dataclasses import dataclass, field
@@ -179,12 +180,18 @@ def _validate_triple_inputs(lam, lam6, a, t):
     t = np.asarray(t, dtype=np.float64)
     if a.shape != (5,) or t.shape != (4,):
         raise ValueError("need 5 nonnegative amplitudes and 4 angles")
-    if not np.all(a >= 0):
+    # nine scalars cost less as Python floats than in numpy calls; x >= 0 is
+    # False for NaN, so a NaN amplitude is rejected here
+    amps, angles = a.tolist(), t.tolist()
+    if not all(x >= 0 for x in amps):
         raise ValueError(f"amplitudes must be nonnegative, got {a}")
-    norm_dev = abs(float(np.sum(a**2)) - 1.0)
+    norm_dev = abs(sum(x * x for x in amps) - 1.0)
     if not norm_dev <= 1e-8:
         raise ValueError(f"amplitudes must have unit norm (deviation {norm_dev:.3e})")
-    ortho = abs(a[0] + np.sum(a[1:] * np.exp(1j * t)))
+    try:
+        ortho = abs(amps[0] + sum(x * cmath.exp(1j * y) for x, y in zip(amps[1:], angles)))
+    except ValueError:  # cmath.exp rejects an infinite angle: report a NaN residual
+        ortho = math.nan
     if not ortho <= 1e-8:
         raise ValueError(
             f"sixth eigenvector must be orthogonal to the constant ones "

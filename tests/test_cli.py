@@ -305,12 +305,39 @@ class TestMub:
         f_path = tmp_path / "f6.json"
         core.write_matrix(cli.families.gen_fourier(6), f_path)
         code, out = run(capsys, "mub", tao_file, str(f_path), str(f_path))
-        assert code == 0
+        assert code == 1  # F6 is not unbiased to itself, nor Tao to F6
         payload = json.loads(out)
         # dephased CHMs share the all-ones column, so (H1, H2) already ties
         # the identical pair (H2, H3) and wins the deterministic tie-break
         assert payload["worst_pair"] == ["H1", "H2"]
         assert payload["max_residual"] == pytest.approx(1.0 - 1.0 / math.sqrt(6.0))
+        assert run(capsys, "mub", tao_file, str(f_path), str(f_path), "--tol", "0.6")[0] == 0
+
+    @staticmethod
+    def _unbiased_trio(tmp_path):
+        # {F3, D F3, D^2 F3} with D = diag(1, w, w) is, with I, a complete
+        # set of four mutually unbiased bases in dimension 3
+        F3 = cli.families.gen_fourier(3)
+        D = np.diag([1.0, OMEGA, OMEGA])
+        paths = []
+        for k, M in enumerate((F3, D @ F3, D @ D @ F3)):
+            paths.append(str(tmp_path / f"b{k}.json"))
+            core.write_matrix(M, paths[-1])
+        return paths
+
+    def test_unbiased_trio(self, capsys, tmp_path):
+        code, out = run(capsys, "mub", *self._unbiased_trio(tmp_path))
+        assert code == 0
+        assert json.loads(out)["max_residual"] < 1e-12
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+    def test_trio_rejects_non_finite_or_negative_tol(self, capsys, tmp_path, monkeypatch, tol):
+        paths = self._unbiased_trio(tmp_path)
+        code = cli.main(["mub", *paths, f"--tol={tol}"])
+        assert code == 2 and capsys.readouterr().out == ""
+        monkeypatch.setenv("CHM_TOL", tol)
+        code = cli.main(["mub", *paths])
+        assert code == 2 and capsys.readouterr().out == ""
 
     def test_pair_residual(self, capsys, tao_file):
         code, out = run(capsys, "mub", tao_file, tao_file)

@@ -55,6 +55,19 @@ class TestChmResiduals:
         with pytest.raises(ValueError):
             chm_residuals(bad)
 
+    def test_unitarity_residual_matches_identity_subtraction(self, corpus):
+        # G - n I with the n subtracted on G's diagonal in place gives the
+        # same bits as subtracting the dense n * eye(n)
+        rng = np.random.default_rng(43)
+        mats = [H for _, H in corpus] + [gen_fourier(n) for n in range(2, 17)]
+        mats += [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                 for n in (1, 2, 3, 6, 9) for _ in range(4)]
+        for H in mats:
+            n = H.shape[0]
+            ref = float(np.linalg.norm(H @ H.conj().T - n * np.eye(n)))
+            assert np.float64(chm_residuals(H).unitarity_residual).tobytes() == \
+                np.float64(ref).tobytes()
+
 
 class TestDephase:
     def test_already_dephased_is_fixed_point(self):
@@ -336,8 +349,39 @@ class TestScreenedScanOracle:
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
         assert rank_one_submatrix_scan(H, 2, 4, 1e-8) == []
         monkeypatch.undo()
-        assert stacks == [(0, 2, 4)]
+        assert stacks == []  # no SVD of an empty stack
         assert oracles.rank_one_scan_unscreened(H, 2, 4, 1e-8) == []
+
+    @pytest.mark.parametrize("r, c", [(2, 4), (4, 2), (3, 3), (2, 3), (1, 4), (3, 1)])
+    def test_random_and_planted_blocks(self, r, c):
+        rng = np.random.default_rng(47)
+        found = 0
+        for k in range(12):
+            H = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+            if k % 2:
+                rows = rng.choice(6, r, replace=False)
+                cols = rng.choice(6, c, replace=False)
+                u = rng.standard_normal(r) + 1j * rng.standard_normal(r)
+                v = rng.standard_normal(c) + 1j * rng.standard_normal(c)
+                H[np.ix_(rows, cols)] = np.outer(u, v)
+            found += len(self.assert_same(H, r, c))
+        assert found >= 6
+
+
+@pytest.mark.parametrize("nr, nc", [(2, 4), (4, 2), (3, 3), (2, 3), (6, 6), (5, 7)])
+def test_flat_minor_table_matches_two_dimensional_indexing(nr, nc):
+    # the corner table gives h_ik h_jl - h_il h_jk bit for bit as indexing
+    # H with the row pairs (i, j) down and the column pairs (k, l) across
+    rng = np.random.default_rng(53)
+    rp = np.array(list(itertools.combinations(range(nr), 2)))
+    cp = np.array(list(itertools.combinations(range(nc), 2)))
+    i, j, k, l = rp[:, :1], rp[:, 1:], cp[None, :, 0], cp[None, :, 1]
+    for _ in range(20):
+        H = rng.standard_normal((nr, nc)) + 1j * rng.standard_normal((nr, nc))
+        ref = np.abs(H[i, k] * H[j, l] - H[i, l] * H[j, k]).ravel()
+        for r, c in ((2, 2), (min(nr, 3), 2), (2, nc)):
+            ik, jl, il, jk = H.take(core._scan_tables(nr, nc, r, c).corners)
+            assert np.array_equal(np.abs(ik * jl - il * jk), ref)
 
 
 class TestPlain:

@@ -221,6 +221,37 @@ class TestTripleEigenvalue:
         with pytest.raises(ValueError, match="orthogonal"):
             gadget_triple_eigenvalue(self.LAM, self.LAM6, a, np.where(t == t[0], math.nan, t))
 
+    def test_precondition_residuals_match_the_numpy_form(self):
+        # the checks run on Python floats; the residuals they report are
+        # numpy's sum of a**2 and of a[1:] e^{it} to the printed digits
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            a, t = random_feasible_weights(rng)
+            a = a * (1.0 + rng.uniform(1e-7, 1e-5))
+            dev = abs(float(np.sum(a**2)) - 1.0)
+            with pytest.raises(ValueError, match=f"deviation {dev:.3e}"):
+                gadget_triple_eigenvalue(self.LAM, self.LAM6, a, t)
+            a /= np.linalg.norm(a)
+            t = t + rng.uniform(1e-7, 1e-5, 4)
+            ortho = abs(a[0] + np.sum(a[1:] * np.exp(1j * t)))
+            with pytest.raises(ValueError, match=f"residual {ortho:.3e}"):
+                gadget_triple_eigenvalue(self.LAM, self.LAM6, a, t)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_in_every_position_rejected(self, bad):
+        rng = np.random.default_rng(2)
+        a, t = random_feasible_weights(rng)
+        for k in range(5):
+            worse = a.copy()
+            worse[k] = bad
+            with pytest.raises(ValueError, match="nonnegative|unit norm"):
+                gadget_triple_eigenvalue(self.LAM, self.LAM6, worse, t)
+        for k in range(4):
+            worse = t.copy()
+            worse[k] = bad
+            with pytest.raises(ValueError, match="orthogonal"):
+                gadget_triple_eigenvalue(self.LAM, self.LAM6, a, worse)
+
 
 class TestGramRank:
     def test_rank_and_eigenvalues(self):
