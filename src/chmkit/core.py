@@ -58,10 +58,16 @@ class _Report:
     ``to_dict`` only where its wire format renames or reshapes a field."""
 
     def to_dict(self) -> dict:
-        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+        return {name: _plain(getattr(self, name)) for name in _field_names(type(self))}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
+
+
+@functools.lru_cache(maxsize=None)
+def _field_names(cls) -> tuple:
+    """The names of the dataclass ``cls``'s fields, in declaration order."""
+    return tuple(f.name for f in fields(cls))
 
 
 _LEAVES = frozenset((float, int, str, bool, type(None)))
@@ -361,17 +367,26 @@ def matrix_from_json(text: str) -> np.ndarray:
     return matrix_from_object(obj)
 
 
+#: the entry types a matrix file's numbers decode to (``bool`` is not one)
+_ENTRY_TYPES = frozenset((int, float))
+
+
 def matrix_from_object(obj) -> np.ndarray:
     """The matrix of a decoded ``{"n", "re", "im"}`` object (a matrix file, or
     a search report's ``best_matrix``), rejecting malformed objects."""
     if not isinstance(obj, dict) or not {"n", "re", "im"} <= set(obj):
         raise ValueError('matrix JSON must contain "n", "re" and "im"')
     n = obj["n"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError('"n" must be a positive integer')
 
     def parse(key: str) -> np.ndarray:
         rows = obj[key]
+        if (isinstance(rows, list) and len(rows) == n
+                and all(isinstance(row, list) and len(row) == n for row in rows)
+                and _ENTRY_TYPES.issuperset(map(type, itertools.chain.from_iterable(rows)))):
+            return np.array(rows, dtype=np.float64)
+        # entry by entry, to name the first fault
         if not isinstance(rows, list) or len(rows) != n:
             raise ValueError(f'"{key}" must be a list of {n} rows')
         for row in rows:

@@ -7,9 +7,12 @@ with deflation in complex arithmetic.  The QR sweeps are Givens rotations
 on lists of lists of Python ``complex``: on matrices this small, numpy's
 cost per call on scalars and 1-row slices exceeds the arithmetic.  For
 ``eigenpairs`` the core also accumulates its reflections and rotations into
-the unitary Q of the Schur form H = Q T Q^dag; the eigenvectors of the
-triangular T come by back substitution, and Q maps them to those of H (a
-normal H has a diagonal T, and then Q's columns are the vectors).  Both
+the unitary Q of the Schur form H = Q T Q^dag, held as row lists like the
+Hessenberg matrix: each reflection updates A and Q in one (2n x n) array,
+and each Givens rotation of a sweep updates two entries of every row of Q
+in the loop that rotates A's rows.  The eigenvectors of the triangular T
+come by back substitution, and Q maps them to those of H (a normal H has a
+diagonal T, and then Q's columns are the vectors).  Both
 work on H scaled by the power of two that brings its largest entry into
 [1/2, 1), so that no norm or product underflows or overflows at extreme
 scales; the scaling is exact, so it changes no result at moderate ones.  The
@@ -82,6 +85,14 @@ class Spectrum:
             raise ValueError("spectrum contains NaN or Inf")
         object.__setattr__(self, "values", vals[_spectrum_order(vals)])
 
+    @classmethod
+    def _ordered(cls, values: np.ndarray) -> "Spectrum":
+        """The spectrum of a non-empty, finite complex array that is already
+        in Spectrum order (``eigenpairs``' values), without sorting it again."""
+        spec = object.__new__(cls)
+        object.__setattr__(spec, "values", values)
+        return spec
+
     @property
     def n(self) -> int:
         return self.values.size
@@ -124,17 +135,23 @@ def _ldexp(z: np.ndarray, e: int) -> np.ndarray:
     return np.ldexp(z.view(np.float64), e).view(np.complex128) if e else z
 
 
-def _hessenberg(H: np.ndarray, vectors: bool) -> tuple:
-    """Unitary similarity reduction of ``H`` to upper Hessenberg form
-    A = Q^dag H Q by Householder reflections.
+def _hessenberg(H: np.ndarray, vectors: bool, norm_h: float) -> tuple:
+    """Unitary similarity reduction of ``H`` (Frobenius norm ``norm_h``) to
+    upper Hessenberg form A = Q^dag H Q by Householder reflections.
 
-    Returns the rows of A and, when ``vectors`` is set, the columns of Q
-    (else None), as lists of Python ``complex`` for the QR sweeps.
+    Returns the rows of A and, when ``vectors`` is set, the rows of Q (else
+    None), as lists of Python ``complex`` for the QR sweeps.  A and Q share
+    one (2n x n) array, so that each reflection updates both from the right
+    in one pass.
     """
-    A = H.copy()
-    n = A.shape[0]
-    Q = np.eye(n, dtype=np.complex128) if vectors else None
-    skip = _EPS * max(1.0, float(np.linalg.norm(H)))
+    n = H.shape[0]
+    if vectors:
+        X = np.eye(2 * n, n, -n, dtype=np.complex128)  # [H; I] once H is copied in
+        X[:n] = H
+    else:
+        X = H.copy()
+    A = X[:n]
+    skip = _EPS * max(1.0, norm_h)
     for k in range(n - 2):
         x = A[k + 1 :, k]
         nx = math.sqrt(np.vdot(x, x).real)
@@ -147,11 +164,9 @@ def _hessenberg(H: np.ndarray, vectors: bool) -> tuple:
         v *= math.sqrt(2.0 / np.vdot(v, v).real)
         vc = v.conj()
         A[k + 1 :, k:] -= v[:, None] * (vc @ A[k + 1 :, k:])
-        A[:, k + 1 :] -= (A[:, k + 1 :] @ v)[:, None] * vc
-        if Q is not None:
-            Q[:, k + 1 :] -= (Q[:, k + 1 :] @ v)[:, None] * vc
+        X[:, k + 1 :] -= (X[:, k + 1 :] @ v)[:, None] * vc
         A[k + 2 :, k] = 0.0
-    return A.tolist(), (Q.T.tolist() if Q is not None else None)
+    return A.tolist(), (X[n:].tolist() if vectors else None)
 
 
 def _eig2(a, b, c, d):
@@ -170,19 +185,20 @@ def _negligible(a: list, k: int, floor: float) -> bool:
     return abs(a[k][k - 1]) <= _EPS * (abs(a[k - 1][k - 1]) + abs(a[k][k])) + floor
 
 
-def _rotate(cols: list, i: int, c: complex, s: complex) -> None:
-    """Columns i, i+1 of the matrix whose columns are the lists ``cols``,
-    times the rotation [[c, -conj(s)], [s, conj(c)]], in place."""
+def _rotate(rows: list, i: int, c: complex, s: complex) -> None:
+    """Columns i, i+1 of the matrix whose rows are the lists ``rows``, times
+    the rotation [[c, -conj(s)], [s, conj(c)]], in place."""
     cc, sc = c.conjugate(), s.conjugate()
-    u, v = cols[i], cols[i + 1]
-    cols[i] = [c * x + s * y for x, y in zip(u, v)]
-    cols[i + 1] = [cc * y - sc * x for x, y in zip(u, v)]
+    for row in rows:
+        u, v = row[i], row[i + 1]
+        row[i] = c * u + s * v
+        row[i + 1] = cc * v - sc * u
 
 
 def _qr_sweep(a: list, q: list | None, lo: int, hi: int, mu: complex) -> None:
     """One shifted QR sweep (Givens rotations) on the Hessenberg block
     lo..hi of the row lists ``a``, in place; each rotation also multiplies
-    the matrix whose columns are the lists ``q`` from the right, when given."""
+    the matrix whose rows are the lists ``q`` from the right, when given."""
     for i in range(lo, hi + 1):
         a[i][i] -= mu
     rots = []
@@ -198,23 +214,23 @@ def _qr_sweep(a: list, q: list | None, lo: int, hi: int, mu: complex) -> None:
             top[j] = cc * u + sc * v
             bot[j] = c * v - s * u
         rots.append((c, s))
-    # R is upper triangular, so rotation i only reaches rows lo..i+1
+    # R is upper triangular, so rotation i only reaches rows lo..i+1 of a;
+    # it reaches every row of Q.  ``_rotate``'s body, inlined: this is the
+    # solver's innermost loop
     for i, (c, s) in enumerate(rots, lo):
         cc, sc = c.conjugate(), s.conjugate()
-        for k in range(lo, i + 2):
-            row = a[k]
-            u, v = row[i], row[i + 1]
+        j = i + 1
+        for row in a[lo : j + 1] if q is None else a[lo : j + 1] + q:
+            u, v = row[i], row[j]
             row[i] = c * u + s * v
-            row[i + 1] = cc * v - sc * u
-        if q is not None:
-            _rotate(q, i, c, s)
+            row[j] = cc * v - sc * u
     for i in range(lo, hi + 1):
         a[i][i] += mu
 
 
 def _schur(H: np.ndarray, vectors: bool) -> tuple:
     """Eigenvalues of ``H`` (a complex array, in Schur-diagonal order) and,
-    when ``vectors`` is set, the columns (as lists) of a unitary Q for which
+    when ``vectors`` is set, the rows (as lists) of a unitary Q for which
     Q^dag H Q is upper triangular with those values on its diagonal (else
     None).
 
@@ -225,8 +241,9 @@ def _schur(H: np.ndarray, vectors: bool) -> tuple:
     """
     n, e = H.shape[0], _exponent(H)
     H = _ldexp(H, -e)
-    a, q = _hessenberg(H, vectors)
-    floor = _EPS * max(float(np.linalg.norm(H)), 1e-300) * 1e-2
+    norm_h = float(np.linalg.norm(H))
+    a, q = _hessenberg(H, vectors, norm_h)
+    floor = _EPS * max(norm_h, 1e-300) * 1e-2
     eigs: list = [None] * n
     hi = n - 1
     steps = 0
@@ -253,8 +270,8 @@ def _schur(H: np.ndarray, vectors: bool) -> tuple:
             near, far = _eig2(b11, b12, b21, b22)
             eigs[hi], eigs[lo] = near, far
             if q is not None:
-                # rotate an eigenvector of ``far`` into column lo, so that
-                # the block becomes triangular
+                # rotate an eigenvector of ``far`` into column lo of Q, so
+                # that the block becomes triangular
                 x, y = b12, far - b11
                 if abs(x) + abs(y) < abs(far - b22) + abs(b21):
                     x, y = far - b22, b21
@@ -390,10 +407,10 @@ def eigenpairs(H) -> list:
     H = _ldexp(H, -e)
     eigs, q = _schur(H, True)  # H's exponent is now 0, so this scales by 1
     norm_h = max(float(np.linalg.norm(H)), 1e-300)
-    Qt = np.array(q)  # Q transposed
-    T = Qt.conj() @ H @ Qt.T
+    Q = np.array(q)  # q holds Q's rows
+    T = Q.conj().T @ H @ Q
     normal = np.abs(np.triu(T, 1)).max(initial=0.0) <= 64 * _EPS * norm_h
-    W = Qt.T if normal else Qt.T @ _triangular_eigenvectors(T)
+    W = Q if normal else Q @ _triangular_eigenvectors(T)
     order = _spectrum_order(eigs)
     V = W[:, order]
     for members in cluster_indices(eigs[order]):

@@ -11,6 +11,7 @@ zero, and equivalent to the spectrum {+sqrt 6 x3, -sqrt 6 x3}.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,6 +34,15 @@ def constant_eigenvectors(n: int) -> tuple:
     v1[0] = 1.0 + rt
     v2[0] = 1.0 - rt
     return v1, v2
+
+
+@functools.lru_cache(maxsize=32)
+def _cached_constant_eigenvectors(n: int) -> tuple:
+    """``constant_eigenvectors(n)``, built once per n and shared, so read-only."""
+    vectors = constant_eigenvectors(n)
+    for v in vectors:
+        v.flags.writeable = False
+    return vectors
 
 
 @dataclass(frozen=True)
@@ -78,7 +88,7 @@ def verify_constant_eigenpairs(H, tol: float = 1e-10) -> ConstantEigenpairReport
 def _constant_leg(D: np.ndarray, pairs: list, exclude_tol: float) -> ConstantEigenpairReport:
     n = D.shape[0]
     rt = math.sqrt(n)
-    v1, v2 = constant_eigenvectors(n)
+    v1, v2 = _cached_constant_eigenvectors(n)
     first = [
         abs(p.vector[0]) for p in pairs if min(abs(p.value - rt), abs(p.value + rt)) > exclude_tol
     ]
@@ -98,11 +108,13 @@ def multiplicity_profile(spectrum, cluster_tol: float = CLUSTER_TOL) -> list:
 
 
 def _n6_multiplicity_holds(values) -> bool:
-    """At n = 6: with one copy each of +-sqrt 6 set aside, no eigenvalue occurs more than twice."""
-    rest = np.asarray(values, dtype=np.complex128)
+    """At n = 6: with one copy each of +-sqrt 6 set aside, no eigenvalue occurs
+    more than twice.  ``values`` come in Spectrum order, and the rest is
+    clustered in that order, without sorting it again."""
+    rest = np.asarray(values, dtype=np.complex128).tolist()
     for c in (SQRT6, -SQRT6):
-        rest = np.delete(rest, np.argmin(np.abs(rest - c)))
-    return multiplicity_profile(rest)[0] <= 2
+        del rest[min(range(len(rest)), key=lambda i: abs(rest[i] - c))]
+    return max(map(len, cluster_indices(rest))) <= 2
 
 
 @dataclass(frozen=True)
@@ -227,7 +239,7 @@ def verify_matrix(H, tol: float = DEFAULT_TOL) -> VerifyReport:
         return VerifyReport(**base, verifier_error=str(exc), failed="verifier_error")
 
     check_tol = _check_tol(tol)
-    spectrum = Spectrum(np.array([p.value for p in pairs]))
+    spectrum = Spectrum._ordered(np.array([p.value for p in pairs]))
     ce = _constant_leg(D, pairs, exclude_tol=check_tol)
     profile = multiplicity_profile(spectrum)
     eq = _hermitian_leg(D, spectrum, profile, 1e-8) if n == 6 else None

@@ -6,7 +6,13 @@ through numpy's companion-matrix machinery, determinants are Laplace
 expansions, and the assignment distance is a plain recursive search.
 The inverse-iteration oracle is the eigensolver's earlier one-cluster-at-a-
 time loop, with its own start blocks; it shares only ``eigenvalues`` and
-the small helpers with the Schur-form ``eigenpairs`` it checks.  The search
+the small helpers with the Schur-form ``eigenpairs`` it checks.  The
+column-list Schur oracle is the solver as it was before Q was held as rows:
+Q reduced in its own array and accumulated as column lists, a new pair of
+lists per rotation; it shares the QR driver's helpers and the eigenvector
+steps after the Schur form, and the solver must match it bit for bit.  The
+n = 6 multiplicity oracle re-sorts the remaining values as a ``Spectrum``
+before it clusters them, as ``verify_matrix`` once did.  The search
 oracles are the residual, Jacobian and descent in their first form; they
 share only ``phases_to_matrix``, the constants and the partition masks with
 the code they check.  The rank-one scan oracle is the scan without its
@@ -23,11 +29,13 @@ import math
 
 import numpy as np
 
-from chmkit.core import _rank, as_matrix
+from chmkit.core import SQRT6, _rank, as_matrix
 from chmkit.eigen import (
-    CLUSTER_TOL, ConvergenceError, EigenPair, Spectrum, _all_perms, _canonical_phase,
-    _realify_basis, cluster_indices, eigenvalues,
+    _EPS, CLUSTER_TOL, ConvergenceError, EigenPair, Spectrum, _all_perms, _canonical_phase,
+    _eig2, _exponent, _ldexp, _negligible, _realify_basis, _spectrum_order,
+    _triangular_eigenvectors, cluster_indices, eigenvalues,
 )
+from chmkit.spectral import multiplicity_profile
 from chmkit.search import FTOL, HERMITIAN_BARRIER, _partition_table, phases_to_matrix
 
 
@@ -175,6 +183,165 @@ def eigenpairs_by_cluster(H) -> list:
                 raise ConvergenceError(f"inverse iteration failed for eigenvalue {lam!r}")
             pairs.append(EigenPair(value=lam, vector=v, residual=res))
     return pairs
+
+
+def _hessenberg_by_columns(H: np.ndarray) -> tuple:
+    """Householder reduction A = Q^dag H Q with Q in its own array; returns
+    the rows of A and the columns of Q as lists of Python ``complex``."""
+    A = H.copy()
+    n = A.shape[0]
+    Q = np.eye(n, dtype=np.complex128)
+    skip = _EPS * max(1.0, float(np.linalg.norm(H)))
+    for k in range(n - 2):
+        x = A[k + 1 :, k]
+        nx = math.sqrt(np.vdot(x, x).real)
+        if nx <= skip:
+            continue
+        v = x.copy()
+        pivot = complex(v[0])
+        v[0] += (pivot / abs(pivot) if pivot != 0 else 1.0) * nx
+        v *= math.sqrt(2.0 / np.vdot(v, v).real)
+        vc = v.conj()
+        A[k + 1 :, k:] -= v[:, None] * (vc @ A[k + 1 :, k:])
+        A[:, k + 1 :] -= (A[:, k + 1 :] @ v)[:, None] * vc
+        Q[:, k + 1 :] -= (Q[:, k + 1 :] @ v)[:, None] * vc
+        A[k + 2 :, k] = 0.0
+    return A.tolist(), Q.T.tolist()
+
+
+def _rotate_columns(cols: list, i: int, c: complex, s: complex) -> None:
+    """Columns i, i+1 (the lists ``cols[i]``, ``cols[i + 1]``) times the
+    rotation [[c, -conj(s)], [s, conj(c)]], as two new lists."""
+    cc, sc = c.conjugate(), s.conjugate()
+    u, v = cols[i], cols[i + 1]
+    cols[i] = [c * x + s * y for x, y in zip(u, v)]
+    cols[i + 1] = [cc * y - sc * x for x, y in zip(u, v)]
+
+
+def _qr_sweep_by_columns(a: list, q: list, lo: int, hi: int, mu: complex) -> None:
+    for i in range(lo, hi + 1):
+        a[i][i] -= mu
+    rots = []
+    for i in range(lo, hi):
+        top, bot = a[i], a[i + 1]
+        x, y = top[i], bot[i]
+        r = math.hypot(abs(x), abs(y))
+        c, s = (x / r, y / r) if r else (1.0 + 0j, 0j)
+        cc, sc = c.conjugate(), s.conjugate()
+        top[i], bot[i] = complex(r), 0j
+        for j in range(i + 1, hi + 1):
+            u, v = top[j], bot[j]
+            top[j] = cc * u + sc * v
+            bot[j] = c * v - s * u
+        rots.append((c, s))
+    for i, (c, s) in enumerate(rots, lo):
+        cc, sc = c.conjugate(), s.conjugate()
+        for k in range(lo, i + 2):
+            row = a[k]
+            u, v = row[i], row[i + 1]
+            row[i] = c * u + s * v
+            row[i + 1] = cc * v - sc * u
+        _rotate_columns(q, i, c, s)
+    for i in range(lo, hi + 1):
+        a[i][i] += mu
+
+
+def schur_by_columns(H) -> tuple:
+    """The eigenvalues (in Schur-diagonal order) and the columns of Q of
+    ``chmkit.eigen._schur(H, True)``, computed with Q as column lists."""
+    H = np.asarray(H, dtype=np.complex128)
+    n, e = H.shape[0], _exponent(H)
+    H = _ldexp(H, -e)
+    a, q = _hessenberg_by_columns(H)
+    floor = _EPS * max(float(np.linalg.norm(H)), 1e-300) * 1e-2
+    eigs: list = [None] * n
+    hi, steps, stuck = n - 1, 0, 0
+    while hi >= 0:
+        if hi == 0:
+            eigs[0] = a[0][0]
+            break
+        if _negligible(a, hi, floor):
+            a[hi][hi - 1] = 0j
+            eigs[hi] = a[hi][hi]
+            hi -= 1
+            stuck = 0
+            continue
+        lo = hi - 1
+        while lo > 0 and not _negligible(a, lo, floor):
+            lo -= 1
+        if lo > 0:
+            a[lo][lo - 1] = 0j
+        if hi - lo == 1:
+            b11, b12, b21, b22 = a[lo][lo], a[lo][hi], a[hi][lo], a[hi][hi]
+            near, far = _eig2(b11, b12, b21, b22)
+            eigs[hi], eigs[lo] = near, far
+            x, y = b12, far - b11
+            if abs(x) + abs(y) < abs(far - b22) + abs(b21):
+                x, y = far - b22, b21
+            r = math.hypot(abs(x), abs(y))
+            if r:
+                _rotate_columns(q, lo, x / r, y / r)
+            hi -= 2
+            stuck = 0
+            continue
+        if steps >= 100 * n:
+            raise ConvergenceError(f"QR failed to converge within {100 * n} iterations")
+        if stuck and stuck % 12 == 0:
+            mu = a[hi][hi] + abs(a[hi][hi - 1]) * (0.75 + 0.4330127018922193j)
+        else:
+            mu, _ = _eig2(a[hi - 1][hi - 1], a[hi - 1][hi], a[hi][hi - 1], a[hi][hi])
+        _qr_sweep_by_columns(a, q, lo, hi, mu)
+        steps += 1
+        stuck += 1
+    return _ldexp(np.array(eigs, dtype=np.complex128), e), q
+
+
+def eigenpairs_by_columns(H) -> list:
+    """``chmkit.eigen.eigenpairs`` with its Schur form from
+    ``schur_by_columns`` and Q^T formed from those columns."""
+    H = as_matrix(H)
+    e = _exponent(H)
+    H = _ldexp(H, -e)
+    eigs, q = schur_by_columns(H)
+    norm_h = max(float(np.linalg.norm(H)), 1e-300)
+    Qt = np.array(q)  # Q transposed
+    T = Qt.conj() @ H @ Qt.T
+    normal = np.abs(np.triu(T, 1)).max(initial=0.0) <= 64 * _EPS * norm_h
+    W = Qt.T if normal else Qt.T @ _triangular_eigenvectors(T)
+    order = _spectrum_order(eigs)
+    V = W[:, order]
+    for members in cluster_indices(eigs[order]):
+        if len(members) == 1:
+            continue
+        X = V[:, members]
+        basis = X if normal else np.linalg.qr(X)[0]
+        real = _realify_basis(basis)
+        if real is not None:
+            basis = real
+        B = basis.conj().T @ H @ basis
+        if np.linalg.norm(B - np.diag(np.diag(B))) <= 1e-8 * norm_h:
+            V[:, members] = basis
+        elif np.linalg.norm(X.conj().T @ X - np.eye(len(members))) > 1e-6:
+            raise ConvergenceError("eigenvalue cluster with non-scalar action")
+    V = _canonical_phase(V)
+    HV = H @ V
+    lam = (V.conj() * HV).sum(axis=0)
+    res = np.linalg.norm(HV - lam * V, axis=0)
+    if not np.all(res <= 1e-6 * norm_h):
+        raise ConvergenceError("no eigenvector found")
+    lam, res = _ldexp(lam, e), np.ldexp(res, e)
+    pairs = [EigenPair(value=v, vector=x, residual=r)
+             for v, x, r in zip(lam.tolist(), V.T.copy(), res.tolist())]
+    return [pairs[j] for j in _spectrum_order(lam)]
+
+
+def n6_multiplicity_holds_by_spectrum(values) -> bool:
+    """At n = 6, with one copy each of +-sqrt 6 set aside, no eigenvalue
+    occurs more than twice; the rest is sorted again as a ``Spectrum``."""
+    rest = np.asarray(values, dtype=np.complex128)
+    for c in (SQRT6, -SQRT6):
+        rest = np.delete(rest, np.argmin(np.abs(rest - c)))
+    return multiplicity_profile(Spectrum(rest))[0] <= 2
 
 
 def is_rank_one_by_minors(M: np.ndarray, tol: float = 1e-8) -> bool:

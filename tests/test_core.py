@@ -432,6 +432,29 @@ class TestMatrixJson:
         with pytest.raises(ValueError):
             matrix_from_json('{"n": 1, "re": [["x"]], "im": [[0]]}')
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"n": true, "re": [[1]], "im": [[0]]}', '"n" must be a positive integer'),
+        ('{"n": 2, "re": [[1, 2], [3]], "im": [[0, 0], [0, 0]]}',
+         '"re" has a ragged or wrongly sized row'),
+        ('{"n": 2, "re": [[1, 2]], "im": [[0, 0], [0, 0]]}', '"re" must be a list of 2 rows'),
+        ('{"n": 2, "re": [[1, 2], [3, 4]], "im": [[0, 0], [0, true]]}',
+         '"im" contains a non-numeric entry'),
+        ('{"n": 2, "re": [[1, 2], [3, 4]], "im": [[0, 0], [0, null]]}',
+         '"im" contains a non-numeric entry'),
+        ('{"n": 2, "re": [[1, 2], [3, 4]], "im": [[0, 0], [0, "0"]]}',
+         '"im" contains a non-numeric entry'),
+        ('{"n": 2, "re": [[1, 2], [3, 4]], "im": [[0, 0], [0, [0]]]}',
+         '"im" contains a non-numeric entry'),
+    ], ids=["bool-n", "ragged", "short", "bool", "null", "string", "nested"])
+    def test_exact_messages(self, text, message):
+        with pytest.raises(ValueError) as exc:
+            matrix_from_json(text)
+        assert str(exc.value) == message
+
+    def test_ints_and_floats_mix(self):
+        H = matrix_from_json('{"n": 2, "re": [[1, 0.5], [-2, 3]], "im": [[0, 1e-3], [0.0, -1]]}')
+        assert np.array_equal(H, np.array([[1, 0.5 + 1e-3j], [-2, 3 - 1j]]))
+
     def test_file_round_trip(self, tmp_path):
         H = gen_tao(2)
         path = tmp_path / "tao.json"

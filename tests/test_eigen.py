@@ -275,7 +275,7 @@ class TestSchurForm:
         for H in _oracle_inputs(kind):
             n, norm_h = H.shape[0], np.linalg.norm(H)
             eigs, q = _schur(H, True)
-            Q = np.array(q).T  # q holds the columns of Q
+            Q = np.array(q)  # q holds the rows of Q
             T = Q.conj().T @ H @ Q
             assert np.linalg.norm(Q.conj().T @ Q - np.eye(n)) <= 1e-13
             assert np.max(np.abs(np.tril(T, -1))) <= 1e-12 * norm_h
@@ -302,6 +302,54 @@ class TestSchurForm:
             values, q = _schur(H, False)
             assert q is None
             assert np.array_equal(values, _schur(H, True)[0])
+
+
+def _block_branch_input() -> np.ndarray:
+    """A non-normal complex Gaussian: the QR iteration ends on a 2x2 block,
+    whose eigenvector ``_schur`` rotates into Q, and its eigenvectors need
+    the back substitution."""
+    rng = np.random.default_rng(5)
+    return rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+
+
+class TestRowSchurVectors:
+    """Q held as rows and reduced together with A gives, bit for bit, what
+    the column-list accumulation gave."""
+
+    KINDS = ["corpus", "scrambled", "fourier", "unitary", "block"]
+
+    @staticmethod
+    def _inputs(kind: str) -> list:
+        return [_block_branch_input()] if kind == "block" else _oracle_inputs(kind)
+
+    def test_block_input_takes_the_block_branch(self, monkeypatch):
+        calls = []
+        rotate = chmkit.eigen._rotate
+
+        def counted(*args):
+            calls.append(1)
+            return rotate(*args)
+
+        monkeypatch.setattr(chmkit.eigen, "_rotate", counted)
+        _schur(_block_branch_input(), True)
+        assert calls
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_schur_matches_column_lists(self, kind):
+        for H in self._inputs(kind):
+            values, q = _schur(H, True)
+            ref_values, cols = oracles.schur_by_columns(H)
+            assert np.array_equal(values, ref_values)
+            assert np.array_equal(np.array(q), np.array(cols).T)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_eigenpairs_match_column_lists(self, kind):
+        for H in self._inputs(kind):
+            ours, ref = eigenpairs(H), oracles.eigenpairs_by_columns(H)
+            assert [p.value for p in ours] == [p.value for p in ref]
+            assert [p.residual for p in ours] == [p.residual for p in ref]
+            assert np.array_equal(np.array([p.vector for p in ours]),
+                                  np.array([p.vector for p in ref]))
 
 
 class TestExtremeScales:

@@ -21,6 +21,7 @@ from chmkit import cli, core, eigen, spectral
 from chmkit.families import gen_hermitian, gen_tao, standard_corpus
 from chmkit.search import SearchReport, SearchTask, _gate, matrix_to_phases, minimize, objective
 from chmkit.spectral import verify_matrix
+from test_eigen import _oracle_inputs
 
 SQRT6 = math.sqrt(6.0)
 WITNESS_321 = Path(__file__).parent / "data" / "witness_321.json"
@@ -38,6 +39,19 @@ WITNESS_321 = Path(__file__).parent / "data" / "witness_321.json"
 )
 def test_n6_multiplicity_rule(values, holds):
     assert spectral._n6_multiplicity_holds(np.array(values)) is holds
+
+
+@pytest.mark.parametrize("kind", ["corpus", "scrambled", "fourier", "witness-321"])
+def test_reported_spectrum_is_already_ordered(kind):
+    # verify_matrix reports eigenpairs' values as they come, without sorting
+    # them again, and clusters the n = 6 rest without a second Spectrum
+    inputs = [core.read_matrix(WITNESS_321)] if kind == "witness-321" else _oracle_inputs(kind)
+    for H in inputs:
+        values = verify_matrix(H).spectrum.values
+        assert np.array_equal(values, eigen.Spectrum(values).values)
+        if H.shape[0] == 6:
+            assert (spectral._n6_multiplicity_holds(values)
+                    is oracles.n6_multiplicity_holds_by_spectrum(values))
 
 
 class TestWitness321:
