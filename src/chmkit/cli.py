@@ -6,6 +6,12 @@ machine readable (JSON by default, CSV where it makes sense); exit codes are
 2 = usage or input error.  The environment variable ``CHM_TOL`` overrides
 the default validation tolerance; it is read on every call.
 
+``main`` is the one place where errors become exit codes: argparse's own
+usage errors, and any ``ValueError`` or ``OSError`` a command raises (a bad
+file, option value or tolerance, an unwritable output path), which it
+reports as one ``error:`` line on stderr with exit 2.  The commands convert
+nothing.
+
 ``build_parser`` builds the argparse parser on the first ``main`` call and
 every later call in the process reuses it, so in-process callers (tests,
 scripted loops over files) do not rebuild the seven subparsers each time.
@@ -32,12 +38,6 @@ EXIT_VIOLATED = 1
 EXIT_USAGE = 2
 
 
-class _CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
-
-
 def _tolerance(args) -> float:
     """``--tol``, else ``CHM_TOL``, else the default; NaN, infinite or
     negative values are usage errors (an infinite tolerance passes anything)."""
@@ -49,9 +49,9 @@ def _tolerance(args) -> float:
         try:
             tol, source = float(env), "CHM_TOL"
         except ValueError as exc:
-            raise _CliError(f"CHM_TOL is not a number: {env!r}") from exc
+            raise ValueError(f"CHM_TOL is not a number: {env!r}") from exc
     if not 0.0 <= tol < math.inf:
-        raise _CliError(f"{source} must be finite and nonnegative, got {tol!r}")
+        raise ValueError(f"{source} must be finite and nonnegative, got {tol!r}")
     return tol
 
 
@@ -69,27 +69,22 @@ def _emit(payload, args) -> None:
 
 
 def _load_matrix(path: str) -> np.ndarray:
+    """``core.read_matrix`` with the path in its error message."""
     try:
         return core.read_matrix(path)
     except OSError as exc:
-        raise _CliError(f"cannot read {path}: {exc}") from exc
+        raise OSError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
-        raise _CliError(f"bad matrix file {path}: {exc}") from exc
-
-
-def _family_spec(args) -> families.FamilySpec:
-    """``--family``'s spec, from the option its generator reads (Haagerup: ``--q-arg``)."""
-    name = families.FAMILIES[args.family][1]
-    value = np.exp(1j * args.q_arg) if name == "q" else getattr(args, name)
-    try:
-        return families.FamilySpec(kind=args.family, **{name: value})
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+        raise ValueError(f"bad matrix file {path}: {exc}") from exc
 
 
 def _cmd_gen(args) -> int:
-    # the spec was validated by building its member, so this build cannot fail
-    _emit(core.matrix_to_json(_family_spec(args).build()), args)
+    # ``--family``'s spec, from the option its generator reads (Haagerup:
+    # ``--q-arg``); building the spec validates it, so its build cannot fail
+    name = families.FAMILIES[args.family][1]
+    value = np.exp(1j * args.q_arg) if name == "q" else getattr(args, name)
+    spec = families.FamilySpec(kind=args.family, **{name: value})
+    _emit(core.matrix_to_json(spec.build()), args)
     return EXIT_OK
 
 
@@ -101,11 +96,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_eigen(args) -> int:
-    H = _load_matrix(args.matrix)
-    try:
-        spec = eigenvalues(core.as_matrix(H))
-    except core.DimensionError as exc:
-        raise _CliError(str(exc)) from exc
+    spec = eigenvalues(_load_matrix(args.matrix))
     if args.format == "csv":
         _emit(spec.to_csv().rstrip("\n"), args)
     else:
@@ -114,26 +105,19 @@ def _cmd_eigen(args) -> int:
 
 
 def _cmd_dephase(args) -> int:
-    H = _load_matrix(args.matrix)
-    try:
-        D, _, _ = core.dephase(core.as_matrix(H))
-    except (core.DegenerateInputError, core.DimensionError) as exc:
-        raise _CliError(str(exc)) from exc
+    D, _, _ = core.dephase(_load_matrix(args.matrix))
     _emit(core.matrix_to_json(D), args)
     return EXIT_OK
 
 
 def _cmd_search(args) -> int:
-    try:
-        task = search.SearchTask(
-            target=args.pattern,
-            restarts=args.restarts,
-            max_iters=args.max_iters,
-            seed=args.seed,
-            tol_success=args.tol_success,
-        )
-    except (ValueError, TypeError) as exc:
-        raise _CliError(str(exc)) from exc
+    task = search.SearchTask(
+        target=args.pattern,
+        restarts=args.restarts,
+        max_iters=args.max_iters,
+        seed=args.seed,
+        tol_success=args.tol_success,
+    )
     trace_rows = [] if args.trace else None
     report = search.minimize(task, trace_rows=trace_rows)
     if args.trace:
@@ -149,47 +133,37 @@ def _cmd_search(args) -> int:
 
 def _cmd_gadget(args) -> int:
     name = args.name
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(args.seed)  # first, so every gadget rejects a bad --seed
     if name == "tail":
         # the gadget rejects n < 4 before it reads lam; the clamp only keeps sqrt defined
         lam = math.sqrt(max(args.n, 0)) * np.exp(1j * args.lambda_arg)
-        try:
-            report = gadgets.gadget_repeated_tail(args.n, lam)
-        except ValueError as exc:
-            raise _CliError(str(exc)) from exc
+        report = gadgets.gadget_repeated_tail(args.n, lam)
     elif name == "triple":
         lam = SQRT6 * np.exp(1j * args.lambda_arg)
         lam6 = SQRT6 * np.exp(1j * args.lambda6_arg)
         a, t = gadgets.random_feasible_weights(rng)
-        try:
-            _, report = gadgets.gadget_triple_eigenvalue(lam, lam6, a, t)
-        except ValueError as exc:
-            raise _CliError(str(exc)) from exc
+        _, report = gadgets.gadget_triple_eigenvalue(lam, lam6, a, t)
     elif name == "gram":
         report = gadgets.gadget_gram_rank()
     elif name == "rotation":
         report = gadgets.gadget_rotation_constants()
-    elif name == "realpair":
-        d, f = gadgets.sample_real_pair(rng)
-        report = gadgets.gadget_real_pair_rank(d, f, a=args.a, b=args.b)
-    else:  # pragma: no cover - argparse choices guard this
-        raise _CliError(f"unknown gadget {name!r}")
+    else:  # realpair, the last of argparse's choices
+        report = gadgets.gadget_real_pair_rank(*gadgets.sample_real_pair(rng))
     _emit(report, args)
     return EXIT_OK if report.verdict else EXIT_VIOLATED
 
 
 def _cmd_mub(args) -> int:
+    if len(args.matrices) not in (2, 3):
+        raise ValueError("mub needs two or three matrix files")
     tol = _tolerance(args)
     mats = [_load_matrix(p) for p in args.matrices]
-    try:
-        if len(mats) == 2:
-            d = mats[0].shape[0]
-            r = mub.unbiasedness_residual(mats[0] / math.sqrt(d), mats[1] / math.sqrt(d))
-            _emit({"pair_residual": r}, args)
-            return EXIT_OK if r <= tol else EXIT_VIOLATED
-        report = mub.trio_check(*mats)
-    except (ValueError, core.DimensionError) as exc:
-        raise _CliError(str(exc)) from exc
+    if len(mats) == 2:
+        d = mats[0].shape[0]
+        r = mub.unbiasedness_residual(mats[0] / math.sqrt(d), mats[1] / math.sqrt(d))
+        _emit({"pair_residual": r}, args)
+        return EXIT_OK if r <= tol else EXIT_VIOLATED
+    report = mub.trio_check(*mats)
     _emit(report, args)
     return EXIT_OK if report.max_residual <= tol else EXIT_VIOLATED
 
@@ -203,35 +177,34 @@ def build_parser() -> argparse.ArgumentParser:
         description="Complex Hadamard matrix toolkit: generate, verify, search.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)  # the option every subcommand shares
+    out.add_argument("--out", help="output path (default: stdout)")
 
-    p = sub.add_parser("gen", help="generate a family member and write matrix JSON")
+    def command(name, func, summary):
+        p = sub.add_parser(name, parents=[out], help=summary)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("gen", _cmd_gen, "generate a family member and write matrix JSON")
     p.add_argument("--family", required=True, choices=tuple(families.FAMILIES))
     p.add_argument("--n", type=int, default=6, help="dimension (fourier only)")
     p.add_argument("--omega-branch", type=int, default=1, choices=(1, 2), dest="omega_branch")
     p.add_argument("--q-arg", type=float, default=math.pi / 5, dest="q_arg",
                    help="argument of the unimodular q in radians (haagerup)")
     p.add_argument("--theta", type=float, default=math.pi, help="angle in radians (hermitian)")
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("verify", help="run the full verifier battery on a matrix file")
+    p = command("verify", _cmd_verify, "run the full verifier battery on a matrix file")
     p.add_argument("matrix")
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("eigen", help="dump the spectrum of a matrix file")
+    p = command("eigen", _cmd_eigen, "dump the spectrum of a matrix file")
     p.add_argument("matrix")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.set_defaults(func=_cmd_eigen)
 
-    p = sub.add_parser("dephase", help="write the dephased form of a matrix file")
+    p = command("dephase", _cmd_dephase, "write the dephased form of a matrix file")
     p.add_argument("matrix")
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.set_defaults(func=_cmd_dephase)
 
-    p = sub.add_parser("search", help="multi-start search for a target spectrum pattern")
+    p = command("search", _cmd_search, "multi-start search for a target spectrum pattern")
     p.add_argument("--pattern", required=True,
                    help='multiplicity pattern, e.g. "2,2,1,1" or "[4,1,1]"')
     p.add_argument("--restarts", type=int, default=50)
@@ -241,46 +214,33 @@ def build_parser() -> argparse.ArgumentParser:
                    help="PRNG seed; mandatory so runs are reproducible")
     p.add_argument("--tol-success", type=float, default=1e-8, dest="tol_success")
     p.add_argument("--trace", help="write a CSV row per Levenberg-Marquardt step to this path")
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.set_defaults(func=_cmd_search)
 
-    p = sub.add_parser("gadget", help="run one of the impossibility-construction gadgets")
+    p = command("gadget", _cmd_gadget, "run one of the impossibility-construction gadgets")
     p.add_argument("name", choices=("tail", "triple", "gram", "rotation", "realpair"))
     p.add_argument("--n", type=int, default=6, help="dimension (tail gadget)")
     p.add_argument("--lambda-arg", type=float, default=math.pi / 2, dest="lambda_arg",
                    help="argument of the repeated eigenvalue in radians")
     p.add_argument("--lambda6-arg", type=float, default=0.5, dest="lambda6_arg",
                    help="argument of the distinct sixth eigenvalue (triple gadget)")
-    p.add_argument("--a", type=float, default=1.0, help="first rotation angle (realpair)")
-    p.add_argument("--b", type=float, default=2.0, help="second rotation angle (realpair)")
     p.add_argument("--seed", type=int, default=0, help="seed for sampled gadget inputs")
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.set_defaults(func=_cmd_gadget)
 
-    p = sub.add_parser("mub", help="unbiasedness residuals for two or three CHM files")
+    p = command("mub", _cmd_mub, "unbiasedness residuals for two or three CHM files")
     p.add_argument("matrices", nargs="+", help="two or three matrix files")
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.set_defaults(func=_cmd_mub)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         # argparse exits with 2 on usage errors, which matches our contract
         return int(exc.code) if exc.code else EXIT_OK
-    if getattr(args, "command", None) == "mub" and len(args.matrices) not in (2, 3):
-        sys.stderr.write("mub needs two or three matrix files\n")
-        return EXIT_USAGE
-    try:
-        return args.func(args)
-    except _CliError as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return exc.code
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -149,8 +149,8 @@ class MonomialUnitary:
             raise ValueError(f"perm {perm} is not a permutation of 0..{self.n - 1}")
         if len(phases) != self.n:
             raise DimensionError("phases length must equal n")
-        worst = max(abs(abs(p) - 1.0) for p in phases)
-        if worst > 1e-12:
+        worst = float(np.max(np.abs(np.abs(phases) - 1.0)))  # NaN if any phase is NaN
+        if not worst <= 1e-12:
             raise ValueError(f"phases must be unimodular within 1e-12 (off by {worst:.3e})")
 
     @classmethod

@@ -228,7 +228,7 @@ def _qr_sweep(a: list, q: list | None, lo: int, hi: int, mu: complex) -> None:
         a[i][i] += mu
 
 
-def _schur(H: np.ndarray, vectors: bool) -> tuple:
+def _schur(H: np.ndarray, vectors: bool, norm_h: float | None = None) -> tuple:
     """Eigenvalues of ``H`` (a complex array, in Schur-diagonal order) and,
     when ``vectors`` is set, the rows (as lists) of a unitary Q for which
     Q^dag H Q is upper triangular with those values on its diagonal (else
@@ -237,11 +237,15 @@ def _schur(H: np.ndarray, vectors: bool) -> tuple:
     Hessenberg reduction followed by Wilkinson-shifted QR with deflation,
     both on H / 2**e with e = ``_exponent(H)``, whose values are scaled back;
     raises :class:`ConvergenceError` (carrying a complex array of the values
-    found so far) if more than 100 n QR steps are needed.
+    found so far) if more than 100 n QR steps are needed.  A caller that has
+    already scaled H passes its Frobenius norm ``norm_h``, and H is used as
+    it is (e = 0).
     """
-    n, e = H.shape[0], _exponent(H)
-    H = _ldexp(H, -e)
-    norm_h = float(np.linalg.norm(H))
+    n, e = H.shape[0], 0
+    if norm_h is None:
+        e = _exponent(H)
+        H = _ldexp(H, -e)
+        norm_h = float(np.linalg.norm(H))
     a, q = _hessenberg(H, vectors, norm_h)
     floor = _EPS * max(norm_h, 1e-300) * 1e-2
     eigs: list = [None] * n
@@ -405,8 +409,9 @@ def eigenpairs(H) -> list:
     H = as_matrix(H)
     e = _exponent(H)
     H = _ldexp(H, -e)
-    eigs, q = _schur(H, True)  # H's exponent is now 0, so this scales by 1
-    norm_h = max(float(np.linalg.norm(H)), 1e-300)
+    norm_h = float(np.linalg.norm(H))
+    eigs, q = _schur(H, True, norm_h)  # the values of H / 2**e
+    norm_h = max(norm_h, 1e-300)
     Q = np.array(q)  # q holds Q's rows
     T = Q.conj().T @ H @ Q
     normal = np.abs(np.triu(T, 1)).max(initial=0.0) <= 64 * _EPS * norm_h

@@ -66,7 +66,7 @@ def gen_tao(omega_branch: int = 1) -> np.ndarray:
 def gen_haagerup(q: complex) -> np.ndarray:
     """The one-parameter Haagerup matrix H6(q), |q| = 1."""
     q = complex(q)
-    if abs(abs(q) - 1.0) > 1e-12:
+    if not abs(abs(q) - 1.0) <= 1e-12:
         raise ValueError(f"q must be unimodular within 1e-12, got |q| = {abs(q)!r}")
     i = 1j
     p = 1.0 / q

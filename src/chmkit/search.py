@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import _Report, matrix_from_object
+from .core import DimensionError, _Report, matrix_from_object
 from .eigen import Spectrum, _all_perms, spectrum_distance
 from .spectral import VerifyReport, verify_matrix
 
@@ -95,6 +95,14 @@ class SearchTask(_Report):
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be >= 0, got {self.max_iters!r}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        for name in ("tol_success", "min_cluster_gap"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
         target = self.target
         if isinstance(target, str):
             pattern, non_herm = parse_pattern(target)
@@ -113,6 +121,8 @@ class SearchTask(_Report):
         elif isinstance(target, Spectrum):
             if target.n != self.n:
                 raise ValueError("target spectrum size must equal n")
+            if self.n > 8:  # each residual pairs the spectra over all n! permutations
+                raise DimensionError("brute-force assignment is limited to n <= 8")
         else:
             raise TypeError("target must be a Spectrum, a pattern tuple, or a string")
 
@@ -314,30 +324,25 @@ def _partition_table(pattern: tuple, n: int) -> _PartitionTable:
     """Masks, block counts and block-pair differences for every set partition of
     range(n) into blocks of the given sizes.  The arrays are shared by every
     caller, so they are read-only."""
-    partitions = []
-
-    def rec(remaining, sizes, acc):
-        if not sizes:
-            partitions.append(tuple(acc))
-            return
-        size = sizes[0]
-        for block in itertools.combinations(remaining, size):
-            left = tuple(x for x in remaining if x not in block)
-            rec(left, sizes[1:], acc + [block])
-
-    rec(tuple(range(n)), tuple(pattern), [])
-    # deduplicate permutations of equal-size blocks
-    seen = set()
     masks = []
-    for part in partitions:
-        canon = tuple(sorted(part))
-        if canon in seen:
-            continue
-        seen.add(canon)
-        m = np.zeros((len(pattern), n), dtype=bool)
-        for ci, block in enumerate(part):
-            m[ci, list(block)] = True
-        masks.append(m)
+
+    def rec(remaining, blocks, least):  # least: block size -> least element of its last block
+        k = len(blocks)
+        if k == len(pattern):
+            m = np.zeros((k, n), dtype=bool)
+            for ci, block in enumerate(blocks):
+                m[ci, list(block)] = True
+            masks.append(m)
+            return
+        size = pattern[k]
+        for block in itertools.combinations(remaining, size):
+            # of two blocks of one size, the one with the smaller least
+            # element comes first, so each partition is listed once
+            if block[0] > least.get(size, -1):
+                left = tuple(x for x in remaining if x not in block)
+                rec(left, blocks + [block], {**least, size: block[0]})
+
+    rec(tuple(range(n)), [], {})
     masks = np.array(masks)
     iu, ju = np.triu_indices(len(pattern), 1)
     eye = np.eye(len(pattern), dtype=np.complex128)

@@ -15,7 +15,9 @@ n = 6 multiplicity oracle re-sorts the remaining values as a ``Spectrum``
 before it clusters them, as ``verify_matrix`` once did.  The search
 oracles are the residual, Jacobian and descent in their first form; they
 share only ``phases_to_matrix``, the constants and the partition masks with
-the code they check.  The rank-one scan oracle is the scan without its
+the code they check.  The partition-mask oracle is the search's first
+enumeration: every ordering of equal-size blocks, with the repeats dropped
+after the fact.  The rank-one scan oracle is the scan without its
 2x2-minor screen: every block through one batched SVD and ``_rank``.  The
 n = 5 profiles are ground truth from the literature, not a computation.
 The rotation gadget needs no oracle here: its residuals are exact rational
@@ -370,6 +372,35 @@ def rank_one_scan_unscreened(H, r: int, c: int, tol: float = 1e-8) -> list:
     sv = np.linalg.svd(blocks, compute_uv=False)  # [R, C, min(r, c)], descending
     rank_one = _rank(sv, tol) == 1
     return [(row_sets[i], col_sets[j]) for i, j in zip(*np.nonzero(rank_one))]
+
+
+def partition_masks_by_dedup(pattern, n: int) -> np.ndarray:
+    """``search._partition_table(pattern, n).masks`` as first built: deal
+    range(n) into blocks of the sizes in ``pattern`` in every way, then keep
+    the first ordering of each set of blocks."""
+    partitions = []
+
+    def rec(remaining, sizes, acc):
+        if not sizes:
+            partitions.append(tuple(acc))
+            return
+        for block in itertools.combinations(remaining, sizes[0]):
+            left = tuple(x for x in remaining if x not in block)
+            rec(left, sizes[1:], acc + [block])
+
+    rec(tuple(range(n)), tuple(pattern), [])
+    seen = set()
+    masks = []
+    for part in partitions:
+        canon = tuple(sorted(part))
+        if canon in seen:
+            continue
+        seen.add(canon)
+        m = np.zeros((len(pattern), n), dtype=bool)
+        for ci, block in enumerate(part):
+            m[ci, list(block)] = True
+        masks.append(m)
+    return np.array(masks)
 
 
 def pattern_penalty_by_enumeration(eigs, pattern, n: int = 6, min_gap: float = 0.5) -> float:

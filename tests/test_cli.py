@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -397,3 +398,50 @@ def test_python_dash_m_exit_codes(tao_file, tmp_path):
         for path in (tao_file, eye, tmp_path / "missing.json")
     ]
     assert codes == [0, 1, 2]
+
+
+#: argv templates that each fail on a usage, input or output fault; {tao} is
+#: a valid matrix file and {missing} a path under a directory that does not
+#: exist
+FAULTS = {
+    "search-negative-seed": ["search", "--pattern", "2,2,1,1", "--seed", "-1"],
+    **{f"gadget-{name}-negative-seed": ["gadget", name, "--seed", "-1"]
+       for name in ("gram", "tail", "triple", "rotation", "realpair")},
+    "gen-out": ["gen", "--family", "tao", "--out", "{missing}"],
+    "verify-out": ["verify", "{tao}", "--out", "{missing}"],
+    "eigen-out": ["eigen", "{tao}", "--out", "{missing}"],
+    "dephase-out": ["dephase", "{tao}", "--out", "{missing}"],
+    "search-out": ["search", "--pattern", "4,1,1", "--restarts", "1", "--max-iters", "5",
+                   "--seed", "1", "--out", "{missing}"],
+    "gadget-out": ["gadget", "gram", "--out", "{missing}"],
+    "mub-out": ["mub", "{tao}", "{tao}", "--out", "{missing}"],
+    "search-trace": ["search", "--pattern", "4,1,1", "--restarts", "1", "--max-iters", "5",
+                     "--seed", "1", "--trace", "{missing}"],
+    "gen-haagerup-nan": ["gen", "--family", "haagerup", "--q-arg", "nan"],
+    "search-nan-tol-success": ["search", "--pattern", "2,2,1,1", "--seed", "1",
+                               "--tol-success", "nan"],
+}
+
+
+@pytest.mark.parametrize("argv", FAULTS.values(), ids=FAULTS)
+def test_fault_is_one_error_line_and_exit_two(capsys, tao_file, tmp_path, argv):
+    paths = {"tao": tao_file, "missing": str(tmp_path / "missing" / "out")}
+    code = cli.main([arg.format(**paths) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
+def test_out_is_declared_once_for_every_subcommand():
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    outs = [sub._option_string_actions["--out"] for sub in subparsers.choices.values()]
+    # the seven subcommands share one --out action from a parent parser
+    assert len(outs) == 7 and all(out is outs[0] for out in outs)
+
+
+def test_gadget_angles_are_gone(capsys):
+    assert cli.main(["gadget", "realpair", "--a", "0.3"]) == cli.EXIT_USAGE
+    assert cli.main(["gadget", "realpair", "--b", "-2.5"]) == cli.EXIT_USAGE

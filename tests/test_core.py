@@ -162,6 +162,16 @@ class TestApplyEquivalence:
         with pytest.raises(ValueError):
             MonomialUnitary(n=2, perm=(0, 1), phases=(2.0, 1.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, math.nan), complex(math.inf, 0)])
+    @pytest.mark.parametrize("where", [0, 1])
+    def test_monomial_rejects_non_finite_phases(self, bad, where):
+        # a NaN deviation must not slip past the range check, whichever
+        # phase carries it
+        phases = [1.0, 1.0]
+        phases[where] = bad
+        with pytest.raises(ValueError, match="phases must be unimodular"):
+            MonomialUnitary(n=2, perm=(0, 1), phases=tuple(phases))
+
 
 class TestNumericalRank:
     def test_equiangular_gram_rank_five(self):

@@ -351,6 +351,19 @@ class TestRowSchurVectors:
             assert np.array_equal(np.array([p.vector for p in ours]),
                                   np.array([p.vector for p in ref]))
 
+    def test_eigenpairs_scales_once(self, monkeypatch):
+        # the scaled H, its exponent and its norm are computed once per call
+        calls = []
+        exponent = chmkit.eigen._exponent
+
+        def counted(H):
+            calls.append(1)
+            return exponent(H)
+
+        monkeypatch.setattr(chmkit.eigen, "_exponent", counted)
+        eigenpairs(gen_tao(1) * 3.0)
+        assert len(calls) == 1
+
 
 class TestExtremeScales:
     """The solver works on H scaled by a power of two, so that no norm or

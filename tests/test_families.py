@@ -80,6 +80,14 @@ class TestHaagerup:
         with pytest.raises(ValueError):
             gen_haagerup(1.5)
 
+    @pytest.mark.parametrize("q", [complex(math.nan, math.nan), complex(1, math.nan),
+                                   complex(math.inf, 0), complex(math.inf, math.nan)])
+    def test_non_finite_q_rejected(self, q):
+        with pytest.raises(ValueError, match="q must be unimodular"):
+            gen_haagerup(q)
+        with pytest.raises(ValueError, match="q must be unimodular"):
+            FamilySpec(kind="haagerup", q=q)
+
 
 class TestHermitian:
     @pytest.mark.parametrize("theta", THETA_VALUES, ids=[f"t{k}" for k in range(8)])

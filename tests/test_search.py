@@ -112,6 +112,29 @@ class TestPartitionTable:
         assert _partition_table((4, 1, 1), 6) is a
         assert not a.masks.flags.writeable
 
+    @staticmethod
+    def _compositions(n):
+        """Every ordered tuple of positive sizes summing to n."""
+        if n == 0:
+            yield ()
+        for k in range(1, n + 1):
+            for rest in TestPartitionTable._compositions(n - k):
+                yield (k,) + rest
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_masks_match_dedup_enumeration(self, n):
+        # every pattern, sorted or not (``pattern_penalty`` passes its
+        # pattern as given): the same masks in the same order
+        for pattern in self._compositions(n):
+            expected = oracles.partition_masks_by_dedup(pattern, n)
+            got = _partition_table(pattern, n).masks
+            assert got.shape == expected.shape and np.array_equal(got, expected), pattern
+
+    def test_lists_each_partition_once(self):
+        # 12 singletons: one partition, without the 12! orderings
+        assert _partition_table((1,) * 12, 12).masks.shape == (1, 12, 12)
+        assert _partition_table((2, 2, 2), 6).masks.shape == (15, 3, 6)
+
     def test_cache_clear_leaves_reports_unchanged(self):
         task = SearchTask(target="[4,1,1]", restarts=1, max_iters=60, seed=2)
         before = minimize(task).to_json()
@@ -456,9 +479,9 @@ class TestGateSpectrum:
         solved = []
         schur = chmkit.eigen._schur
 
-        def recorded(H, vectors):
+        def recorded(H, vectors, *norm_h):
             solved.append(H.copy())
-            return schur(H, vectors)
+            return schur(H, vectors, *norm_h)
 
         monkeypatch.setattr(chmkit.eigen, "_schur", recorded)
         report = minimize(SearchTask(target="[2,2,1,1]", restarts=3, seed=2))
@@ -589,3 +612,25 @@ class TestTaskValidation:
     def test_rejects_zero_restarts(self):
         with pytest.raises(ValueError):
             SearchTask(target="[2,2,1,1]", seed=0, restarts=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -1), ("seed", 1.5), ("seed", "1"),
+        ("max_iters", -1),
+        ("tol_success", math.nan), ("tol_success", math.inf), ("tol_success", -1e-8),
+        ("min_cluster_gap", math.nan), ("min_cluster_gap", math.inf), ("min_cluster_gap", -0.5),
+    ])
+    def test_rejects_what_minimize_cannot_run(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SearchTask(target="[2,2,1,1]", **{field: value})
+
+    def test_accepts_the_edges(self):
+        task = SearchTask(target="[2,2,1,1]", seed=np.int64(0), max_iters=0,
+                          tol_success=0.0, min_cluster_gap=0.0)
+        assert task.max_iters == 0 and task.seed == 0
+
+    def test_rejects_a_spectrum_target_above_eight(self):
+        # each residual would pair the spectra over all n! permutations
+        spec = eigenvalues(gen_fourier(9))
+        with pytest.raises(core.DimensionError, match="n <= 8"):
+            SearchTask(target=spec, n=9)
+        SearchTask(target=eigenvalues(gen_fourier(8)), n=8)
