@@ -48,7 +48,7 @@ from .gadgets import (
     reconstruct_from_projectors,
 )
 from .mub import BasisSet, TrioReport, trio_check, unbiasedness_residual
-from .search import SearchReport, SearchTask, gradient_check, minimize, objective
+from .search import SearchReport, SearchTask, gradient_check, minimize
 from .spectral import (
     ConstantEigenpairReport,
     HermitianEquivalenceReport,

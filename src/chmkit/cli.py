@@ -68,6 +68,14 @@ def _emit(payload, args) -> None:
         sys.stdout.write("\n")
 
 
+def _unit(angle: float, option: str) -> complex:
+    """e^(i angle) of an angle option, which must be finite (numpy would warn
+    on an infinite one before anything rejected the NaN it gives)."""
+    if not math.isfinite(angle):
+        raise ValueError(f"{option} must be finite, got {angle!r}")
+    return np.exp(1j * angle)
+
+
 def _load_matrix(path: str) -> np.ndarray:
     """``core.read_matrix`` with the path in its error message."""
     try:
@@ -82,7 +90,7 @@ def _cmd_gen(args) -> int:
     # ``--family``'s spec, from the option its generator reads (Haagerup:
     # ``--q-arg``); building the spec validates it, so its build cannot fail
     name = families.FAMILIES[args.family][1]
-    value = np.exp(1j * args.q_arg) if name == "q" else getattr(args, name)
+    value = _unit(args.q_arg, "--q-arg") if name == "q" else getattr(args, name)
     spec = families.FamilySpec(kind=args.family, **{name: value})
     _emit(core.matrix_to_json(spec.build()), args)
     return EXIT_OK
@@ -136,11 +144,11 @@ def _cmd_gadget(args) -> int:
     rng = np.random.default_rng(args.seed)  # first, so every gadget rejects a bad --seed
     if name == "tail":
         # the gadget rejects n < 4 before it reads lam; the clamp only keeps sqrt defined
-        lam = math.sqrt(max(args.n, 0)) * np.exp(1j * args.lambda_arg)
+        lam = math.sqrt(max(args.n, 0)) * _unit(args.lambda_arg, "--lambda-arg")
         report = gadgets.gadget_repeated_tail(args.n, lam)
     elif name == "triple":
-        lam = SQRT6 * np.exp(1j * args.lambda_arg)
-        lam6 = SQRT6 * np.exp(1j * args.lambda6_arg)
+        lam = SQRT6 * _unit(args.lambda_arg, "--lambda-arg")
+        lam6 = SQRT6 * _unit(args.lambda6_arg, "--lambda6-arg")
         a, t = gadgets.random_feasible_weights(rng)
         _, report = gadgets.gadget_triple_eigenvalue(lam, lam6, a, t)
     elif name == "gram":

@@ -110,7 +110,11 @@ class ChmReport(_Report):
 
 def chm_residuals(H, tol: float = DEFAULT_TOL) -> ChmReport:
     """Measure how far ``H`` is from being a complex Hadamard matrix."""
-    H = as_matrix(H)
+    return _chm_residuals(as_matrix(H), tol)
+
+
+def _chm_residuals(H: np.ndarray, tol: float) -> ChmReport:
+    """``chm_residuals`` of a finite complex square array, neither copied nor checked."""
     n = H.shape[0]
     unimod = float(np.max(np.abs(np.abs(H) - 1.0)))
     gram = H @ H.conj().T
@@ -320,12 +324,17 @@ def rank_one_submatrix_scan(H, r: int, c: int, tol: float = 1e-8) -> list:
     min(r, c) = 1 (it has no minors), go to the SVD.
     """
     H = as_matrix(H, square=False)
-    nr, nc = H.shape
-    if r > nr or c > nc:
+    if r > H.shape[0] or c > H.shape[1]:
         raise DimensionError(f"submatrix shape ({r}, {c}) exceeds matrix shape {H.shape}")
     if r < 1 or c < 1:
         raise DimensionError("submatrix dimensions must be positive")
-    t = _scan_tables(nr, nc, r, c)
+    return _rank_one_scan(H, r, c, tol)
+
+
+def _rank_one_scan(H: np.ndarray, r: int, c: int, tol: float) -> list:
+    """``rank_one_submatrix_scan`` of a finite complex array with 1 <= r <= rows
+    and 1 <= c <= columns, neither copied nor checked."""
+    t = _scan_tables(*H.shape, r, c)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow rules nothing out
         ik, jl, il, jk = H.take(t.corners)  # positions in the flattened H
         det = np.abs(ik * jl - il * jk)

@@ -23,7 +23,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import SQRT6, _Report, as_matrix, chm_residuals, numerical_rank, rank_one_submatrix_scan
+from .core import (
+    DEFAULT_TOL, SQRT6, _chm_residuals, _rank_one_scan, _Report, as_matrix, chm_residuals,
+    numerical_rank, rank_one_submatrix_scan,
+)
 from .eigen import eigenvalues
 
 #: minimum observed violation for a gadget verdict to count as a pass
@@ -208,8 +211,10 @@ def gadget_triple_eigenvalue(lam: complex, lam6: complex, a, t):
     """
     lam, lam6, a, t = _validate_triple_inputs(lam, lam6, a, t)
     H = triple_eigenvalue_matrix(lam, lam6, a, t)
-    rep = chm_residuals(H)
-    witnesses = rank_one_submatrix_scan(H, 2, 4, tol=1e-8)
+    # H is built here from validated inputs, so the checks and copy of
+    # as_matrix would only repeat themselves
+    rep = _chm_residuals(H, DEFAULT_TOL)
+    witnesses = _rank_one_scan(H, 2, 4, 1e-8)
     margin = max(rep.unimodularity_residual, rep.unitarity_residual)
     report = GadgetReport(
         name="triple-eigenvalue",

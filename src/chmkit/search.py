@@ -1,29 +1,31 @@
-"""Multi-start phase search for dephased CHMs with a prescribed spectrum.
+"""Multi-start search for dephased CHMs with a prescribed spectrum, in the
+paper's spectral coordinates (README §Search has the details).
 
-The search space is the 25 free phases of a dephased unimodular 6x6 matrix
-(first row and column pinned to ones, which removes the diagonal-equivalence
-orbit directions).  ``_residual`` defines what the search minimizes: a
-residual vector r whose squared norm is the objective.  It stacks the
-unitarity defect H H^dag - n I with a spectral block: either the eigenvalues
-minus an explicit target spectrum under the best pairing, or, for a
-multiplicity pattern whose cluster centers float on the circle of radius
-sqrt(6), the rows of ``_best_partition``: each eigenvalue's deviation from
-its block mean, each mean's modulus defect and, for every block pair, a
-hinge that is zero unless the means are closer than ``min_cluster_gap``.
-The partitions' masks, block sizes and block pairs depend only on
-(pattern, n), so ``_partition_table`` builds them once per process and each
-evaluation is a few array products.
+Every dephased n x n CHM is H = sqrt(n) (P+ - P-) + Y Lam Y^dag: P+- project
+on the constant eigenvectors v+-, the columns of Y are an orthonormal basis
+of W = {x : x_0 = 0, sum x = 0}, and Lam is diagonal with |lam_k| = sqrt(n).
+Every such H has a first row and column of ones and H H^dag = n I, so the
+residual r needs no eigensolve: the rows |h_ij|^2 - 1 for i, j >= 1, then
+``min_cluster_gap`` hinges and, for a non-Hermitian task, a barrier row.
+A step moves Y to Y exp(iS), S Hermitian (from a small ``eigh``), without
+the gauge entries S_kl of equal lam_k = lam_l, and moves the free angles.
 
-Every restart runs Levenberg-Marquardt (damped Gauss-Newton) on r from a
-random start, with one residual evaluation per trial step and a Jacobian
-only for a taken step that does not end the restart.
-The Jacobian is exact: first-order eigenvalue perturbation turns one
-eigendecomposition into every eigenvalue derivative.  Its blocks are
-written into one array, the unitarity block by scattering to positions
-that ``_unitarity_scatter`` caches per n.  Restarts provide
-globalization and every draw is keyed by (seed, restart index), so reports
-are reproducible bit for bit.  "Found" means passing ``_gate``, one
-``verify_matrix`` call whose n = 6 theorem legs are reported, never applied.
+A pattern fixes Lam by a *placement*: +sqrt(n) and -sqrt(n) fill two
+distinct blocks and every other block is one free value sqrt(n) e^(i phi).
+Placements are listed once per (size of the +sqrt(n) block, size of the
+-sqrt(n) block), both descending, and restart r uses placement r mod k;
+[n] gets one free block of size n - 2 and is never found.  Hinges keep free
+values ``min_cluster_gap`` from each other and from +-sqrt(n), so a pattern
+verdict is about CHMs whose clusters are at least that far apart.  A
+``Spectrum`` target fixes Lam to its values less the ones nearest +-sqrt(n).
+
+Every restart runs Levenberg-Marquardt on r from a start keyed by (seed,
+restart index), so reports are reproducible bit for bit.  "Found" means
+passing ``_gate``, one ``verify_matrix`` call on the unimodular matrix of
+the candidate's interior angles, whose n = 6 theorem legs are reported,
+never applied.  The phase-space ``objective`` and ``pattern_penalty`` are
+gone; ``chm_gradient`` and ``gradient_check`` keep the unitarity rows of the
+phase parametrization for acceptance criterion 7.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import DimensionError, _Report, matrix_from_object
-from .eigen import Spectrum, _all_perms, spectrum_distance
+from .eigen import CLUSTER_TOL, Spectrum, cluster_indices, spectrum_distance
 from .spectral import VerifyReport, verify_matrix
 
 #: margin used by the non-Hermitian barrier: candidates must keep
@@ -95,6 +97,8 @@ class SearchTask(_Report):
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if not isinstance(self.n, (int, np.integer)) or self.n < 2:
+            raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters!r}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
@@ -121,7 +125,7 @@ class SearchTask(_Report):
         elif isinstance(target, Spectrum):
             if target.n != self.n:
                 raise ValueError("target spectrum size must equal n")
-            if self.n > 8:  # each residual pairs the spectra over all n! permutations
+            if self.n > 8:  # the gate's spectrum_distance pairs over all n! permutations
                 raise DimensionError("brute-force assignment is limited to n <= 8")
         else:
             raise TypeError("target must be a Spectrum, a pattern tuple, or a string")
@@ -232,7 +236,7 @@ def _numbers(value, size: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# objective pieces
+# the phase parametrization
 # ---------------------------------------------------------------------------
 
 def phases_to_matrix(phases: np.ndarray, n: int = 6) -> np.ndarray:
@@ -258,43 +262,17 @@ def _unitarity_rows(H: np.ndarray, n: int) -> list:
     return [parts[:, 0], parts[:, 1]]
 
 
-@functools.lru_cache(maxsize=None)
-def _unitarity_scatter(n: int):
-    """Where the entries of the unitarity Jacobian J_u come from, built once per n.
-
-    Phase theta_jk moves H by dH = i h_jk e_j e_k^T, so G = H H^dag moves by
-    dG = dH H^dag + (dH H^dag)^dag with (dH H^dag)_ab = delta_aj p_jbk, where
-    p_jbk = i h_jk conj(h_bk).  So in column theta_jk, p_jbk lands at (j, b),
-    its conjugate at (b, j), and 2 Re p_jjk on the diagonal; every other
-    entry is zero.  Returns (take, scale, put): with p as a [j, b, k] array,
-    ``J_u.flat[put] = p.view(float).flat[take] * scale``.  The arrays are
-    shared by every caller, so they are read-only.
-    """
-    m, take, scale, put = n - 1, [], [], []
-    for j, b, k in itertools.product(range(m), range(n), range(m)):
-        re, col, a = 2 * ((j * n + b) * m + k), j * m + k, j + 1  # a: j's row of H
-        if b == a:
-            entries = [(re, 2.0, a * n + a)]
-        else:
-            entries = [(re, 1.0, a * n + b), (re + 1, 1.0, n * n + a * n + b),
-                       (re, 1.0, b * n + a), (re + 1, -1.0, n * n + b * n + a)]
-        for at, s, row in entries:
-            take.append(at)
-            scale.append(s)
-            put.append(row * m * m + col)
-    arrays = np.array(take), np.array(scale), np.array(put)
-    for arr in arrays:
-        arr.flags.writeable = False
-    return arrays
-
-
 def _unitarity_jacobian(H: np.ndarray, ih: np.ndarray, out: np.ndarray) -> None:
     """Write the exact Jacobian J_u of the unitarity rows in the free phases
-    into the first 2 n^2 rows of ``out``, which must be zero there; ``ih`` is
-    i H[1:, 1:]."""
-    take, scale, put = _unitarity_scatter(H.shape[0])
-    p = ih[:, None, :] * np.conj(H[None, :, 1:])  # [j, b, k]
-    out.ravel()[put] = p.view(np.float64).ravel()[take] * scale
+    into the first 2 n^2 rows of ``out``; ``ih`` is i H[1:, 1:].  Phase
+    theta_jk moves H by dH = i h_jk e_j e_k^T, so G = H H^dag moves by
+    dG = A + A^dag with A = dH H^dag, whose row j is i h_jk conj(H[:, k])."""
+    n = H.shape[0]
+    A = np.zeros((n, n, n - 1, n - 1), dtype=np.complex128)  # [a, b, j, k]
+    j = np.arange(n - 1)
+    A[j + 1, :, j, :] = ih[:, None, :] * np.conj(H[None, :, 1:])
+    dG = (A + np.conj(A.transpose(1, 0, 2, 3))).reshape(n * n, -1)
+    out[: n * n], out[n * n: 2 * n * n] = dG.real, dG.imag
 
 
 def chm_gradient(phases: np.ndarray, n: int = 6) -> np.ndarray:
@@ -303,98 +281,6 @@ def chm_gradient(phases: np.ndarray, n: int = 6) -> np.ndarray:
     J = np.zeros((2 * n * n, (n - 1) ** 2))
     _unitarity_jacobian(H, 1j * H[1:, 1:], J)
     return 2.0 * J.T @ np.concatenate(_unitarity_rows(H, n))
-
-
-class _PartitionTable(NamedTuple):
-    """Everything about a pattern's set partitions that does not depend on
-    the eigenvalues, built once per (pattern, n) by ``_partition_table``."""
-
-    masks: np.ndarray  # bool [P, K, n]: block k of partition p holds index i
-    masks_c: np.ndarray  # complex [P * K, n]: the masks' rows, for ``masks_c @ eigs``
-    counts: np.ndarray  # float [P, K] block sizes
-    owner: np.ndarray  # int [P, n]: the block of partition p that holds index i
-    gather: np.ndarray  # int [P, n]: p K + owner, where mu.ravel() holds index i's block mean
-    first: np.ndarray  # int [P, pairs]: p K + a over block pairs a < b, into mu.ravel()
-    second: np.ndarray  # int [P, pairs]: p K + b
-    pairs: np.ndarray  # complex [pairs, K]: pairs @ mu = mu_a - mu_b over block pairs a < b
-
-
-@functools.lru_cache(maxsize=None)
-def _partition_table(pattern: tuple, n: int) -> _PartitionTable:
-    """Masks, block counts and block-pair differences for every set partition of
-    range(n) into blocks of the given sizes.  The arrays are shared by every
-    caller, so they are read-only."""
-    masks = []
-
-    def rec(remaining, blocks, least):  # least: block size -> least element of its last block
-        k = len(blocks)
-        if k == len(pattern):
-            m = np.zeros((k, n), dtype=bool)
-            for ci, block in enumerate(blocks):
-                m[ci, list(block)] = True
-            masks.append(m)
-            return
-        size = pattern[k]
-        for block in itertools.combinations(remaining, size):
-            # of two blocks of one size, the one with the smaller least
-            # element comes first, so each partition is listed once
-            if block[0] > least.get(size, -1):
-                left = tuple(x for x in remaining if x not in block)
-                rec(left, blocks + [block], {**least, size: block[0]})
-
-    rec(tuple(range(n)), [], {})
-    masks = np.array(masks)
-    iu, ju = np.triu_indices(len(pattern), 1)
-    eye = np.eye(len(pattern), dtype=np.complex128)
-    base = np.arange(len(masks))[:, None] * len(pattern)
-    owner = masks.argmax(axis=1)
-    table = _PartitionTable(
-        masks, masks.reshape(-1, n).astype(np.complex128), masks.sum(axis=2).astype(np.float64),
-        owner, base + owner, base + iu, base + ju, eye[iu] - eye[ju],
-    )
-    for arr in table:
-        arr.flags.writeable = False
-    return table
-
-
-def _best_partition(eigs: np.ndarray, t: _PartitionTable, n: int, min_gap: float):
-    """The spectral rows of every partition of ``eigs`` in the table ``t``:
-    each eigenvalue's deviation from its block mean (real and imaginary
-    parts), each block mean's modulus defect |mu| - sqrt(n), and for every
-    block pair the hinge max(min_gap - |mu_a - mu_b|, 0).  Returns the rows
-    of the partition p whose rows have the least squared norm, and (p, its
-    block means).
-    """
-    mu = (t.masks_c @ eigs).reshape(t.counts.shape) / t.counts  # [P, K]
-    flat = mu.ravel()
-    dev = eigs - flat[t.gather]  # [P, n]
-    hinge = np.maximum(min_gap - np.abs(flat[t.first] - flat[t.second]), 0.0)  # [P, pairs]
-    rows = np.concatenate([dev.real, dev.imag, np.abs(mu) - math.sqrt(n), hinge], axis=1)
-    p = int(np.einsum("pr,pr->p", rows, rows).argmin())
-    return rows[p], (p, mu[p])
-
-
-def pattern_penalty(eigs: np.ndarray, pattern: tuple, n: int = 6, min_gap: float = 0.5) -> float:
-    """Clustering penalty: spread, center-modulus defect, and separation.
-
-    The squared norm of ``_best_partition``'s rows, minimized exactly over all
-    assignments of the n eigenvalues into blocks of the given sizes.  The
-    hinges charge block centers closer than ``min_gap``, so the pattern means
-    an exact multiplicity profile rather than any refinement of one.  Cluster
-    centers are block means, so they float freely on the circle.
-    """
-    rows, _ = _best_partition(eigs, _partition_table(tuple(pattern), n), n, min_gap)
-    return float(rows @ rows)
-
-
-def objective(phases, task: SearchTask) -> float:
-    """The search objective ||r||^2 for the residual r of ``_residual``:
-    ||H H^dag - n I||_F^2 + spectral penalty (+ non-Hermitian barrier)."""
-    phases = np.asarray(phases, dtype=np.float64).ravel()
-    if phases.size != task.num_phases:
-        raise ValueError(f"expected {task.num_phases} phases, got {phases.size}")
-    r, _ = _residual(phases, task, _spectral_table(task))
-    return float(r @ r)
 
 
 def gradient_check(phases, h: float = 1e-6, n: int = 6) -> float:
@@ -417,83 +303,158 @@ def gradient_check(phases, h: float = 1e-6, n: int = 6) -> float:
 
 
 # ---------------------------------------------------------------------------
-# local descent: Levenberg-Marquardt on the residual vector
+# spectral coordinates: placements, residual, Jacobian and step
 # ---------------------------------------------------------------------------
 
-def _spectral_table(task: SearchTask) -> _PartitionTable | None:
-    """The partition table of a pattern task; None for a ``Spectrum`` target."""
-    if isinstance(task.target, Spectrum):
-        return None
-    return _partition_table(task.target, task.n)
+class _Placement(NamedTuple):
+    """Where the m = n - 2 values of Lam come from, for one placement."""
+
+    fixed: np.ndarray  # complex [m]: Lam's fixed entries, 0 where a free value sits
+    free: np.ndarray  # float [m, F]: 1 where entry k holds free value b
+    k: np.ndarray  # int [P]: the non-gauge pairs k < l, entries of different values
+    l: np.ndarray  # int [P]
+    kl: np.ndarray  # int [P]: k m + l, a flat position in an m x m array
+    lk: np.ndarray  # int [P]: l m + k
+    hinge: np.ndarray  # float [H, F + 2]: e_a - e_b over (free values, +sqrt n, -sqrt n)
 
 
-def _residual(theta: np.ndarray, task: SearchTask, table: _PartitionTable | None):
-    """Residual stage: r stacks the unitarity rows, the spectral block and,
-    for a non-Hermitian task, the barrier row; its length depends only on
-    the task.  ``table`` is ``_spectral_table(task)``.  Returns r and what
-    ``_jacobian`` reuses: H, its eigenvectors X, and the pairing with the
-    target spectrum or (partition, block means)."""
+def _placement(fixed: list, free_sizes: list, n: int) -> _Placement:
+    """The placement whose Lam holds the values ``fixed`` (equal values are
+    one group, so their pairs are gauge) and then one free block of each
+    size in ``free_sizes``.  The arrays are shared, so they are read-only."""
+    m, nf = n - 2, len(free_sizes)
+    owner = [b for b, size in enumerate(free_sizes) for _ in range(size)]
+    labels = [fixed.index(v) for v in fixed] + [-1 - b for b in owner]
+    free = np.zeros((m, nf))
+    free[np.arange(len(fixed), m), owner] = 1.0
+    k, l = np.array([kl for kl in itertools.combinations(range(m), 2)
+                     if labels[kl[0]] != labels[kl[1]]], dtype=np.intp).reshape(-1, 2).T
+    eye = np.eye(nf + 2)
+    hinge = [eye[a] - eye[b] for a, b in itertools.combinations(range(nf), 2)]
+    hinge += [eye[b] - eye[nf + s] for b in range(nf) for s in (0, 1)]
+    placement = _Placement(
+        np.array(fixed + [0.0] * len(owner), dtype=np.complex128), free, k, l,
+        k * m + l, l * m + k, np.array(hinge).reshape(-1, nf + 2),
+    )
+    for arr in placement:
+        arr.flags.writeable = False
+    return placement
+
+
+@functools.lru_cache(maxsize=None)
+def _pattern_placements(pattern: tuple, n: int) -> tuple:
+    """A pattern's placements, once per (size of the +sqrt(n) block, size of
+    the -sqrt(n) block), the first size descending and then the second; for
+    [n], the one placement with a free block of size n - 2."""
+    rt = math.sqrt(n)
+    sizes = sorted(set(pattern), reverse=True)
+    placements = []
+    for a, b in itertools.product(sizes, sizes):
+        rest = list(pattern)
+        rest.remove(a)
+        if b in rest:
+            rest.remove(b)
+            placements.append(_placement([rt] * (a - 1) + [-rt] * (b - 1), rest, n))
+    return tuple(placements) or (_placement([], [n - 2], n),)
+
+
+def _placements(task: SearchTask) -> tuple:
+    """The task's placements; a ``Spectrum`` target has one, with no free
+    value: its values once the ones nearest +sqrt(n) and then -sqrt(n) are
+    set aside, each cluster (``cluster_indices``) made one value on the
+    circle of radius sqrt(n)."""
     n = task.n
-    H = phases_to_matrix(theta, n)
-    res = _unitarity_rows(H, n)
-    w, X = np.linalg.eig(H)
-    if table is None:
-        # the least-squares pairing of w with the target, over all n! orders
-        ref, perms = task.target.values, _all_perms(n)
-        pick = perms[int((np.abs(ref - w[perms]) ** 2).sum(axis=1).argmin())]
-        diff = w[pick] - ref
-        res += [diff.real, diff.imag]
-    else:
-        rows, pick = _best_partition(w, table, n, task.min_cluster_gap)
-        res.append(rows)
-    if task.non_hermitian:
-        K = H - H.conj().T
-        res.append([max(HERMITIAN_BARRIER - float(np.sum(np.abs(K) ** 2)), 0.0)])
-    return np.concatenate(res), (H, X, pick)
+    if not isinstance(task.target, Spectrum):
+        return _pattern_placements(task.target, n)
+    rt = math.sqrt(n)
+    rest = task.target.values
+    for c in (rt, -rt):
+        rest = np.delete(rest, np.argmin(np.abs(rest - c)))
+    values = [0j] * rest.size
+    for group in cluster_indices(rest, CLUSTER_TOL):
+        value = complex(rt * np.exp(1j * np.angle(rest[group].mean())))
+        for i in group:
+            values[i] = value
+    return (_placement(values, [], n),)
 
 
-def _jacobian(r: np.ndarray, stage: tuple, task: SearchTask,
-              table: _PartitionTable | None) -> np.ndarray:
-    """Jacobian stage: the exact Jacobian of ``_residual``'s r in the free
-    phases, every block written into one array in the rows of r.  Phase
-    theta_jk moves H by the rank-one dH = i h_jk e_j e_k^T, so by
-    first-order perturbation theory of H = X diag(w) X^-1,
-    d w_i = (X^-1 dH X)_ii = i h_jk (X^-1)_ij X_ki."""
-    n, (H, X, pick) = task.n, stage
-    J = np.zeros((r.size, (n - 1) ** 2))
-    ih = 1j * H[1:, 1:]
-    _unitarity_jacobian(H, ih, J)
-    Xinv = np.linalg.inv(X)
-    dw = (ih[None] * Xinv[:, 1:, None] * X.T[:, None, 1:]).reshape(n, -1)
-    s = 2 * n * n  # the first spectral row
-    if table is None:
-        ddiff = dw[pick]
-        J[s:s + n], J[s + n:s + 2 * n] = ddiff.real, ddiff.imag
-    else:
-        p, mu = pick
-        nb = len(mu)
-        h = s + 2 * n + nb  # the first hinge row
-        dmu = table.masks_c[p * nb:(p + 1) * nb] @ dw / table.counts[p, :, None]
-        ddev = dw - dmu[table.owner[p]]
-        J[s:s + n], J[s + n:s + 2 * n] = ddev.real, ddev.imag
-        J[s + 2 * n:h] = np.real(np.conj(mu)[:, None] * dmu) / np.abs(mu)[:, None]
-        # pairs at least min_cluster_gap apart keep a zero row, with no
-        # division by their gap.  A pair's hinge row in r is positive exactly
-        # when gaps < min_cluster_gap below, since pairs @ mu (entries 0 and
-        # +-1) rounds each mu_a - mu_b as _best_partition's subtraction does
-        dhinge = J[h:h + len(table.pairs)]
-        if r[h:h + len(table.pairs)].any():
-            sep = table.pairs @ mu
-            gaps = np.abs(sep)[:, None]
-            dgap = np.real(np.conj(sep)[:, None] * (table.pairs @ dmu))  # |sep| d|sep|
-            np.divide(dgap, gaps, out=dhinge, where=gaps < task.min_cluster_gap)
-            np.negative(dhinge, out=dhinge)
+def _start(task: SearchTask, placement: _Placement, restart: int):
+    """A restart's start point (Y, phi), drawn from (task.seed, restart): Y is
+    the QR frame of a complex Gaussian projected into W, which is V U for a
+    Haar-random U in U(n - 2), and phi is uniform on [0, 2 pi)."""
+    n = task.n
+    rng = np.random.default_rng([task.seed, restart])
+    Z = rng.standard_normal((n - 1, n - 2)) + 1j * rng.standard_normal((n - 1, n - 2))
+    Q, R = np.linalg.qr(Z - Z.mean(axis=0))
+    d = np.diagonal(R)
+    return Q * (d / np.abs(d)), rng.uniform(0.0, 2.0 * math.pi, placement.free.shape[1])
+
+
+def _residual(Y: np.ndarray, phi: np.ndarray, placement: _Placement, task: SearchTask):
+    """r at (Y, phi): the rows |h_ij|^2 - 1 of H's interior h, the hinge rows
+    and, for a non-Hermitian task, the barrier row.  Returns r and what
+    ``_jacobian`` reuses: h, Lam, the free values and the hinge separations."""
+    n = task.n
+    rt = math.sqrt(n)
+    mu = rt * np.exp(1j * phi)
+    lam = placement.fixed + placement.free @ mu
+    h = (Y * lam) @ Y.conj().T
+    h -= 1.0 / (n - 1)  # the interior of sqrt(n) (P+ - P-)
+    sep = placement.hinge @ np.concatenate([mu, (rt, -rt)])
+    res = [(h.real ** 2 + h.imag ** 2).ravel() - 1.0,
+           np.maximum(task.min_cluster_gap - np.abs(sep), 0.0)]
     if task.non_hermitian:
-        # ||K||^2 with K = H - H^dag moves by -4 Im(h_jk conj(K_jk)) per phase
-        K = H - H.conj().T
-        J[-1] = 4.0 * (r[-1] > 0.0) * np.imag(H[1:, 1:] * np.conj(K[1:, 1:])).ravel()
+        res.append([max(HERMITIAN_BARRIER - 4.0 * float(lam.imag @ lam.imag), 0.0)])
+    return np.concatenate(res), (h, lam, mu, sep)
+
+
+def _jacobian(r: np.ndarray, Y: np.ndarray, stage: tuple, placement: _Placement,
+              task: SearchTask) -> np.ndarray:
+    """The exact Jacobian of ``_residual``'s r in the step's parameters.
+
+    With T_kl[i, j] = conj(h_ij) y_ik conj(y_jl), moving S_kl = a + ib
+    (S Hermitian) moves h by i d (a (y_k y_l^dag - y_l y_k^dag) + i b (y_k
+    y_l^dag + y_l y_k^dag)) with d = lam_l - lam_k, and the angle of free
+    value b moves h by the sum over its entries of i lam_k y_k y_k^dag; each
+    row |h_ij|^2 - 1 moves by 2 Re(conj(h_ij) dh_ij)."""
+    h, lam, mu, sep = stage
+    t, p, nh = h.size, placement.k.size, sep.size
+    J = np.zeros((r.size, 2 * p + mu.size))
+    T = (h.conj()[:, :, None, None] * Y[:, None, :, None]
+         * Y.conj()[None, :, None, :]).reshape(t, -1)
+    A, B = T[:, placement.kl], T[:, placement.lk]
+    d = lam[placement.l] - lam[placement.k]
+    J[:t, :p] = -2.0 * (d * (A - B)).imag
+    J[:t, p:2 * p] = -2.0 * (d * (A + B)).real
+    J[:t, 2 * p:] = -2.0 * (T[:, :: lam.size + 1] * lam).imag @ placement.free
+    hinge = r[t:t + nh]
+    if hinge.any():
+        # a hinge is positive exactly where |sep| < min_cluster_gap, and its
+        # row is -d|sep| = -Re(conj(sep) dsep) / |sep|, with dsep = i mu_b dphi_b
+        gaps = np.abs(sep)[:, None]
+        dgap = (np.conj(sep)[:, None] * placement.hinge[:, :mu.size] * (1j * mu)).real
+        np.divide(-dgap, gaps, out=J[t:t + nh, 2 * p:],
+                  where=(hinge[:, None] > 0.0) & (gaps > 0.0))
+    if task.non_hermitian and r[-1] > 0.0:
+        J[-1, 2 * p:] = -8.0 * (lam.imag * lam.real) @ placement.free
     return J
 
+
+def _step(Y: np.ndarray, phi: np.ndarray, delta: np.ndarray, placement: _Placement):
+    """The point delta away from (Y, phi): Y exp(iS), where the Hermitian S
+    holds delta's pair parameters and exp(iS) comes from ``eigh``, and phi
+    plus delta's angles."""
+    p, m = placement.k.size, Y.shape[1]
+    S = np.zeros((m, m), dtype=np.complex128)
+    S.ravel()[placement.kl] = delta[:p] + 1j * delta[p:2 * p]
+    S.ravel()[placement.lk] = delta[:p] - 1j * delta[p:2 * p]
+    w, Q = np.linalg.eigh(S)
+    return Y @ ((Q * np.exp(1j * w)) @ Q.conj().T), phi + delta[2 * p:]
+
+
+# ---------------------------------------------------------------------------
+# local descent: Levenberg-Marquardt on the residual vector
+# ---------------------------------------------------------------------------
 
 def _gate(phases: np.ndarray, task: SearchTask, value: float) -> VerifyReport | None:
     """Soundness gate for a 'found' verdict: ``verify_matrix(H, 1e-8)`` if the
@@ -516,88 +477,96 @@ def _gate(phases: np.ndarray, task: SearchTask, value: float) -> VerifyReport | 
     return report if match else None
 
 
-def _descend(theta0: np.ndarray, task: SearchTask, table: _PartitionTable | None,
+def _descend(Y: np.ndarray, phi: np.ndarray, task: SearchTask, placement: _Placement,
              trace_rows: list | None, restart: int):
-    """One restart: Levenberg-Marquardt from ``theta0``; returns (phases, value, steps).
+    """One restart: Levenberg-Marquardt from (Y, phi); returns (h, Lam, value,
+    steps) at the last point, h being H's interior.
 
     A step solves (J^T J + lam I) delta = -J^T r and is taken only when it
     lowers the objective r @ r; each rejection multiplies lam by 10, at most 8
-    times per step.  A trial costs one ``_residual``; a trial that lowers the
-    objective runs ``_jacobian`` on that trial's stage, unless the step ends
-    the restart, and the next step reuses its (r, J).  A trial whose solve,
-    eigendecomposition or inverse raises ``LinAlgError`` counts as rejected.
-    The restart stops when no damped step improves, when the objective is
-    below 1e-24, when a step lowers it by no more than ``FTOL`` of its value,
-    or after ``task.max_iters`` steps.
+    times per step.  A trial costs one ``_step`` and one ``_residual``; a
+    trial that lowers the objective runs ``_jacobian`` on that trial's stage,
+    unless the step ends the restart, and the next step reuses its (r, J).  A
+    trial whose solve or ``eigh`` raises ``LinAlgError`` counts as rejected.
+    The restart stops when no damped step improves (at once, for a placement
+    with no parameter), when the objective is below 1e-24, when a step lowers
+    it by no more than ``FTOL`` of its value, or after ``task.max_iters`` steps.
     """
-    theta = theta0.copy()
-    r, stage = _residual(theta, task, table)
-    J = _jacobian(r, stage, task, table)
+    r, stage = _residual(Y, phi, placement, task)
+    J = _jacobian(r, Y, stage, placement, task)
     f = float(r @ r)
     lam = 1e-3
     steps = 0
-    done = task.max_iters <= 0 or f < 1e-24
+    done = task.max_iters <= 0 or f < 1e-24 or J.shape[1] == 0
     while not done:
         JtJ, rhs = J.T @ J, -(J.T @ r)
         for _ in range(8):
             try:
                 A = JtJ.copy()
                 A.ravel()[:: A.shape[0] + 1] += lam
-                cand = theta + np.linalg.solve(A, rhs)
-                rc, stage = _residual(cand, task, table)
+                Yc, phic = _step(Y, phi, np.linalg.solve(A, rhs), placement)
+                rc, stage_c = _residual(Yc, phic, placement, task)
                 fc = float(rc @ rc)
                 if fc < f:
                     done = steps + 1 >= task.max_iters or fc < 1e-24 or f - fc <= FTOL * fc
-                    Jc = None if done else _jacobian(rc, stage, task, table)
+                    Jc = None if done else _jacobian(rc, Yc, stage_c, placement, task)
                     break
             except np.linalg.LinAlgError:
                 pass
             lam *= 10.0
         else:
             break
-        theta, f, r, J = cand, fc, rc, Jc
+        Y, phi, f, r, J, stage = Yc, phic, fc, rc, Jc, stage_c
         lam = max(lam / 3.0, 1e-12)
         if trace_rows is not None:
             trace_rows.append((restart, steps, f))
         steps += 1
-    return theta, f, steps
+    return stage[0], stage[1], f, steps
 
 
 def minimize(task: SearchTask, trace_rows: list | None = None) -> SearchReport:
     """Run the multi-start search described by ``task``.
 
-    Deterministic: restart r starts from phases drawn by a generator seeded
-    with (task.seed, r).  "Found" means the candidate passed ``_gate``, whose
-    report gives ``best_spectrum`` and ``conflict``; with ``stop_on_success``
-    the loop ends at the first such restart.  ``trace_rows``, when given,
-    collects one (restart, iteration, residual) row per Levenberg-Marquardt
-    step.
+    Deterministic: restart r uses placement r mod k and starts from a point
+    drawn by a generator seeded with (task.seed, r).  "Found" means the
+    unimodular matrix of the candidate's interior angles passed ``_gate``,
+    whose report gives ``best_spectrum`` and ``conflict``; with
+    ``stop_on_success`` the loop ends at the first such restart.  A not-found
+    report's ``best_matrix`` is the best candidate itself, and its
+    ``best_spectrum`` is the candidate's spectrum by construction.
+    ``trace_rows``, when given, collects one (restart, iteration, residual)
+    row per Levenberg-Marquardt step.
     """
-    table = _spectral_table(task)
-    best_f = math.inf
-    best_theta = best_gate = found_restart = None
+    n, placements = task.n, _placements(task)
+    best = best_gate = found_restart = None
     traces = []
     for r in range(task.restarts):
-        theta0 = np.random.default_rng([task.seed, r]).uniform(0.0, 2.0 * math.pi, task.num_phases)
-        theta, f, iters = _descend(theta0, task, table, trace_rows, r)
+        placement = placements[r % len(placements)]
+        h, lam, f, iters = _descend(*_start(task, placement, r), task, placement, trace_rows, r)
         traces.append(RestartTrace(restart=r, seed=task.seed, final_residual=f, iterations=iters))
-        gate = _gate(theta, task, f)
-        if gate is not None or f < best_f:
-            best_f, best_theta, best_gate = f, theta, gate
+        phases = np.angle(h).ravel()
+        gate = _gate(phases, task, f)
+        if best is None or gate is not None or f < best[0]:
+            best, best_gate = (f, phases, h, lam), gate
         if gate is not None:
             found_restart = r
             if task.stop_on_success:
                 break
-    H = phases_to_matrix(best_theta, task.n)
+    f, phases, h, lam = best
+    if best_gate:
+        H, spectrum = phases_to_matrix(phases, n), best_gate.spectrum
+    else:
+        H = np.ones((n, n), dtype=np.complex128)
+        H[1:, 1:] = h
+        spectrum = Spectrum(np.concatenate([(math.sqrt(n), -math.sqrt(n)), lam]))
     return SearchReport(
         task=task,
-        best_residual=best_f,
+        best_residual=f,
         found=found_restart is not None,
         found_restart=found_restart,
-        best_phases=best_theta,
+        best_phases=phases,
         best_matrix=H,
-        # a not-found best candidate's spectrum is descriptive only, so numpy solves it
-        best_spectrum=best_gate.spectrum if best_gate else Spectrum(np.linalg.eigvals(H)),
+        best_spectrum=spectrum,
         traces=traces,
         conflict=best_gate.failed if best_gate else None,
     )

@@ -12,13 +12,11 @@ Q reduced in its own array and accumulated as column lists, a new pair of
 lists per rotation; it shares the QR driver's helpers and the eigenvector
 steps after the Schur form, and the solver must match it bit for bit.  The
 n = 6 multiplicity oracle re-sorts the remaining values as a ``Spectrum``
-before it clusters them, as ``verify_matrix`` once did.  The search
-oracles are the residual, Jacobian and descent in their first form; they
-share only ``phases_to_matrix``, the constants and the partition masks with
-the code they check.  The partition-mask oracle is the search's first
-enumeration: every ordering of equal-size blocks, with the repeats dropped
-after the fact.  The rank-one scan oracle is the scan without its
-2x2-minor screen: every block through one batched SVD and ``_rank``.  The
+before it clusters them, as ``verify_matrix`` once did.  The search's
+construction oracle builds a matrix from the paper's projectors and an SVD
+basis of their complement, none of which the search uses.  The rank-one
+scan oracle is the scan without its 2x2-minor screen: every block through
+one batched SVD and ``_rank``.  The
 n = 5 profiles are ground truth from the literature, not a computation.
 The rotation gadget needs no oracle here: its residuals are exact rational
 identities, and its test cross-checks them against plain numpy floats.
@@ -33,12 +31,11 @@ import numpy as np
 
 from chmkit.core import SQRT6, _rank, as_matrix
 from chmkit.eigen import (
-    _EPS, CLUSTER_TOL, ConvergenceError, EigenPair, Spectrum, _all_perms, _canonical_phase,
+    _EPS, CLUSTER_TOL, ConvergenceError, EigenPair, Spectrum, _canonical_phase,
     _eig2, _exponent, _ldexp, _negligible, _realify_basis, _spectrum_order,
     _triangular_eigenvectors, cluster_indices, eigenvalues,
 )
 from chmkit.spectral import multiplicity_profile
-from chmkit.search import FTOL, HERMITIAN_BARRIER, _partition_table, phases_to_matrix
 
 
 #: the multiplicity profiles of the dephased 5x5 CHMs: every 5x5 CHM is
@@ -374,71 +371,6 @@ def rank_one_scan_unscreened(H, r: int, c: int, tol: float = 1e-8) -> list:
     return [(row_sets[i], col_sets[j]) for i, j in zip(*np.nonzero(rank_one))]
 
 
-def partition_masks_by_dedup(pattern, n: int) -> np.ndarray:
-    """``search._partition_table(pattern, n).masks`` as first built: deal
-    range(n) into blocks of the sizes in ``pattern`` in every way, then keep
-    the first ordering of each set of blocks."""
-    partitions = []
-
-    def rec(remaining, sizes, acc):
-        if not sizes:
-            partitions.append(tuple(acc))
-            return
-        for block in itertools.combinations(remaining, sizes[0]):
-            left = tuple(x for x in remaining if x not in block)
-            rec(left, sizes[1:], acc + [block])
-
-    rec(tuple(range(n)), tuple(pattern), [])
-    seen = set()
-    masks = []
-    for part in partitions:
-        canon = tuple(sorted(part))
-        if canon in seen:
-            continue
-        seen.add(canon)
-        m = np.zeros((len(pattern), n), dtype=bool)
-        for ci, block in enumerate(part):
-            m[ci, list(block)] = True
-        masks.append(m)
-    return np.array(masks)
-
-
-def pattern_penalty_by_enumeration(eigs, pattern, n: int = 6, min_gap: float = 0.5) -> float:
-    """The clustering penalty of ``search.pattern_penalty``, minimized by a
-    plain recursion that deals each eigenvalue into a block with room left.
-
-    Per block: sum |e - mean|^2 plus (|mean| - sqrt(n))^2; per block pair:
-    max(min_gap - |mean_a - mean_b|, 0)^2.  Blocks of equal size are dealt
-    in every order, which repeats partitions but not their minimum.
-    """
-    eigs = [complex(e) for e in eigs]
-    blocks = [[] for _ in pattern]
-    best = [np.inf]
-
-    def cost() -> float:
-        means = [sum(b) / len(b) for b in blocks]
-        total = 0.0
-        for b, mu in zip(blocks, means):
-            total += sum(abs(e - mu) ** 2 for e in b)
-            total += (abs(mu) - np.sqrt(n)) ** 2
-        for a, b in itertools.combinations(means, 2):
-            total += max(min_gap - abs(a - b), 0.0) ** 2
-        return total
-
-    def rec(i: int) -> None:
-        if i == len(eigs):
-            best[0] = min(best[0], cost())
-            return
-        for k, size in enumerate(pattern):
-            if len(blocks[k]) < size:
-                blocks[k].append(eigs[i])
-                rec(i + 1)
-                blocks[k].pop()
-
-    rec(0)
-    return float(best[0])
-
-
 def cluster_profile(values, tol: float) -> list:
     """Descending sizes of the connected components of values that lie
     within ``tol`` of each other (single linkage)."""
@@ -451,100 +383,15 @@ def cluster_profile(values, tol: float) -> list:
     return sorted((label.count(x) for x in set(label)), reverse=True)
 
 
-def residual_and_jacobian_stacked(theta, task):
-    """The search's residual r and exact Jacobian J in their first form.
-
-    The unitarity Jacobian comes from a 4-D array A[a, b, j, k] of the
-    entries of dH H^dag as A + conj(A^T), the spectral rows from the
-    partition masks alone (block counts, owners and block pairs derived
-    here, every partition's means and pair differences as array products),
-    and the blocks of J are stacked with ``np.vstack``.  ``search._residual``
-    and ``search._jacobian`` must give the same r and J bit for bit.
-    """
-    n = task.n
-    H = phases_to_matrix(theta, n)
-    G = H @ H.conj().T
-    G.flat[:: n + 1] -= n
-    res = [np.concatenate([G.real.ravel(), G.imag.ravel()])]
-    w, X = np.linalg.eig(H)
-    if isinstance(task.target, Spectrum):
-        ref, perms = task.target.values, _all_perms(n)
-        pick = perms[int((np.abs(ref - w[perms]) ** 2).sum(axis=1).argmin())]
-        diff = w[pick] - ref
-        res += [diff.real, diff.imag]
-    else:
-        masks = _partition_table(task.target, n).masks
-        masks_c, counts, owner = masks.astype(np.complex128), masks.sum(axis=2), masks.argmax(axis=1)
-        iu, ju = np.triu_indices(len(task.target), 1)
-        eye = np.eye(len(task.target), dtype=np.complex128)
-        pairs = eye[iu] - eye[ju]
-        mu = (masks_c @ w) / counts
-        dev = w - mu[np.arange(len(mu))[:, None], owner]
-        hinge = np.maximum(task.min_cluster_gap - np.abs(mu @ pairs.T), 0.0)
-        rows = np.concatenate([dev.real, dev.imag, np.abs(mu) - math.sqrt(n), hinge], axis=1)
-        p = int(np.einsum("pr,pr->p", rows, rows).argmin())
-        res.append(rows[p])
-    if task.non_hermitian:
-        K = H - H.conj().T
-        res.append([max(HERMITIAN_BARRIER - float(np.sum(np.abs(K) ** 2)), 0.0)])
-    r = np.concatenate(res)
-
-    free = H[1:, 1:]
-    rows_u = 1j * H[1:, 1:, None] * np.conj(H[:, 1:].T)[None]  # [j, k, b]
-    A = np.zeros((n, n, n - 1, n - 1), dtype=np.complex128)  # [a, b, j, k]
-    j = np.arange(n - 1)
-    A[j + 1, :, j, :] = rows_u.transpose(0, 2, 1)
-    dG = (A + np.conj(A.transpose(1, 0, 2, 3))).reshape(n * n, -1)
-    jac = [np.vstack([dG.real, dG.imag])]
-    Xinv = np.linalg.inv(X)
-    dw = (1j * free[None] * Xinv[:, 1:, None] * X.T[:, None, 1:]).reshape(n, -1)
-    if isinstance(task.target, Spectrum):
-        ddiff = dw[pick]
-        jac += [ddiff.real, ddiff.imag]
-    else:
-        dmu = masks_c[p] @ dw / counts[p][:, None]
-        ddev = dw - dmu[owner[p]]
-        dabs = np.real(np.conj(mu[p])[:, None] * dmu) / np.abs(mu[p])[:, None]
-        sep = pairs @ mu[p]
-        gaps = np.abs(sep)[:, None]
-        dgap = np.real(np.conj(sep)[:, None] * (pairs @ dmu))
-        near = gaps < task.min_cluster_gap
-        dhinge = -np.divide(dgap, gaps, out=np.zeros_like(dgap), where=near)
-        jac += [ddev.real, ddev.imag, dabs, dhinge]
-    if task.non_hermitian:
-        jac.append(4.0 * (r[-1] > 0.0) * np.imag(free * np.conj(K[1:, 1:])).reshape(1, -1))
-    return r, np.vstack(jac)
-
-
-def descend_every_jacobian(theta0, task):
-    """One Levenberg-Marquardt restart as first written: the residual and
-    Jacobian of ``residual_and_jacobian_stacked`` at every trial point, the
-    restart's last step included, and the damped matrix built as
-    J^T J + lam I.  Returns (phases, value, trace rows (step, value))."""
-    theta = theta0.copy()
-    r, J = residual_and_jacobian_stacked(theta, task)
-    f = float(r @ r)
-    lam = 1e-3
-    eye = np.eye(theta.size)
-    steps, rows = 0, []
-    while steps < task.max_iters and f >= 1e-24:
-        JtJ, g = J.T @ J, J.T @ r
-        for _ in range(8):
-            try:
-                cand = theta + np.linalg.solve(JtJ + lam * eye, -g)
-                rc, Jc = residual_and_jacobian_stacked(cand, task)
-                fc = float(rc @ rc)
-                if fc < f:
-                    break
-            except np.linalg.LinAlgError:
-                pass
-            lam *= 10.0
-        else:
-            break
-        f_prev, theta, f, r, J = f, cand, fc, rc, Jc
-        lam = max(lam / 3.0, 1e-12)
-        rows.append((steps, f))
-        steps += 1
-        if f_prev - f <= FTOL * f:
-            break
-    return theta, f, rows
+def spectral_construction(U, values, n: int) -> tuple:
+    """The paper's form of a dephased CHM with the spectrum {+-sqrt(n)} and
+    ``values``: sqrt(n) (P+ - P-) + V U diag(values) U^dag V^dag, with P+- the
+    orthogonal projectors on v+- = (1 +- sqrt(n), 1, ..., 1) and V the basis of
+    their orthogonal complement that an SVD of (v+, v-) gives.  Returns (H, V)."""
+    rt = math.sqrt(n)
+    v = np.ones((2, n))
+    v[:, 0] = 1.0 + rt, 1.0 - rt
+    projectors = [np.outer(w, w) / (w @ w) for w in v]
+    V = np.linalg.svd(v)[2][2:].T.astype(np.complex128)  # [n, n - 2]
+    Y = V @ U
+    return rt * (projectors[0] - projectors[1]) + (Y * values) @ Y.conj().T, V

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -279,7 +280,7 @@ class TestGadget:
         code = cli.main(["gadget", "tail", "--lambda-arg", "nan"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert "|lam| must equal sqrt(6)" in captured.err
+        assert captured.err == "error: --lambda-arg must be finite, got nan\n"
 
     def test_tail_at_large_n(self, capsys):
         code, out = run(capsys, "gadget", "tail", "--n", "40000")
@@ -418,6 +419,9 @@ FAULTS = {
     "search-trace": ["search", "--pattern", "4,1,1", "--restarts", "1", "--max-iters", "5",
                      "--seed", "1", "--trace", "{missing}"],
     "gen-haagerup-nan": ["gen", "--family", "haagerup", "--q-arg", "nan"],
+    "gen-haagerup-inf": ["gen", "--family", "haagerup", "--q-arg", "inf"],
+    "gadget-tail-inf": ["gadget", "tail", "--lambda-arg", "inf"],
+    "gadget-triple-inf": ["gadget", "triple", "--lambda6-arg", "inf"],
     "search-nan-tol-success": ["search", "--pattern", "2,2,1,1", "--seed", "1",
                                "--tol-success", "nan"],
 }
@@ -432,6 +436,18 @@ def test_fault_is_one_error_line_and_exit_two(capsys, tao_file, tmp_path, argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
+@pytest.mark.parametrize("fault", ["gen-haagerup-inf", "gadget-tail-inf", "gadget-triple-inf"])
+def test_infinite_angle_is_rejected_before_numpy_warns(capsys, fault):
+    # as under python -W error::RuntimeWarning: a warning would raise here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(FAULTS[fault])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert captured.err.splitlines() == [captured.err.strip()]
+    assert "must be finite" in captured.err
 
 
 def test_out_is_declared_once_for_every_subcommand():

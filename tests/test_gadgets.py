@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from chmkit import core
 from chmkit.core import chm_residuals, rank_one_submatrix_scan
 from chmkit.eigen import Spectrum, eigenpairs, eigenvalues, spectrum_distance
 from chmkit.families import gen_hermitian, gen_tao
@@ -167,6 +168,35 @@ class TestTripleEigenvalue:
         assert list(wire) == ["name", "residuals", "verdict", "margin", "witnesses", "details"]
         assert wire["verdict"] == "pass"
         assert wire["witnesses"] == [[list(r), list(c)] for r, c in rep.witnesses]
+
+    def test_checks_its_own_matrix_once(self, monkeypatch):
+        # the planted block of the test above, and random feasible inputs: the
+        # report is what the public functions give on H, without as_matrix
+        rng = np.random.default_rng(23)
+        inputs = [random_feasible_weights(rng) for _ in range(5)]
+        z = np.array([0.5, 0.45 * np.exp(0.7j), 0.45 * np.exp(0.7j), 0.4 * np.exp(2.4j),
+                      0.3 * np.exp(-1.9j)])
+        z -= z.mean()
+        z /= np.linalg.norm(z)
+        z *= z[0].conjugate() / abs(z[0])
+        inputs.append((np.abs(z), np.angle(z[1:])))
+        calls = []
+        as_matrix = core.as_matrix
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return as_matrix(*args, **kwargs)
+
+        for a, t in inputs:
+            monkeypatch.setattr(core, "as_matrix", counted)
+            H, rep = gadget_triple_eigenvalue(self.LAM, self.LAM6, a, t)
+            monkeypatch.undo()
+            assert not calls
+            chm = chm_residuals(H)
+            assert rep.residuals == {"entry_modulus_residual": chm.unimodularity_residual,
+                                     "unitarity_residual": chm.unitarity_residual}
+            assert rep.witnesses == rank_one_submatrix_scan(H, 2, 4, tol=1e-8)
+        assert rep.witnesses
 
     def test_diagonal_root_count_never_exceeds_two(self):
         rng = np.random.default_rng(17)

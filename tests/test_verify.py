@@ -2,7 +2,9 @@
 whose "found" verdict is gated by one ``verify_matrix`` call.
 
 ``data/witness_321.json`` is the best matrix of the seed-11 ``[3,2,1]``
-search (found at restart 33, residual 1.7e-26).  Regenerate it with
+search (the phase-space search, found at restart 33, residual 1.7e-26).  The
+spectral-coordinate search finds another [3,2,1] matrix there, at restart 0;
+the same command writes that one:
 
     chmkit search --pattern 3,2,1 --restarts 50 --seed 11 \\
       | python -c "import json, sys; json.dump(json.load(sys.stdin)['best_matrix'], sys.stdout)" \\
@@ -19,7 +21,7 @@ import pytest
 import oracles
 from chmkit import cli, core, eigen, spectral
 from chmkit.families import gen_hermitian, gen_tao, standard_corpus
-from chmkit.search import SearchReport, SearchTask, _gate, matrix_to_phases, minimize, objective
+from chmkit.search import SearchReport, SearchTask, _gate, matrix_to_phases, minimize
 from chmkit.spectral import verify_matrix
 from test_eigen import _oracle_inputs
 
@@ -57,8 +59,9 @@ def test_reported_spectrum_is_already_ordered(kind):
 class TestWitness321:
     def test_search_gate_accepts_it(self):
         task = SearchTask(target=[3, 2, 1], seed=11)
-        phases = matrix_to_phases(core.read_matrix(WITNESS_321))
-        report = _gate(phases, task, objective(phases, task))
+        H = core.read_matrix(WITNESS_321)
+        # the witness's own defect ||H H^dag - 6 I||_F^2, as the gate's value
+        report = _gate(matrix_to_phases(H), task, core.chm_residuals(H).unitarity_residual ** 2)
         assert report is not None and report.failed is None
         assert report.multiplicity_profile == [3, 2, 1]
 
@@ -106,7 +109,7 @@ class TestConflict:
 
     def test_search_reports_the_conflict(self, theorem_fails):
         report = minimize(SearchTask(target=[2, 2, 1, 1], seed=11))
-        assert report.found and report.found_restart == 1
+        assert report.found and report.found_restart == 0
         assert report.conflict == "multiplicity_profile"
         assert json.loads(report.to_json())["conflict"] == "multiplicity_profile"
         assert SearchReport.from_json(report.to_json()).conflict == "multiplicity_profile"
