@@ -14,7 +14,14 @@ steps after the Schur form, and the solver must match it bit for bit.  The
 n = 6 multiplicity oracle re-sorts the remaining values as a ``Spectrum``
 before it clusters them, as ``verify_matrix`` once did.  The search's
 construction oracle builds a matrix from the paper's projectors and an SVD
-basis of their complement, none of which the search uses.  The rank-one
+basis of their complement, none of which the search uses.  The search's
+residual and Jacobian oracle is their first form: Lam entry by entry, the
+interior as a sum of outer products and each column of J from the change
+of the interior that one parameter makes; the descent oracle is the
+Levenberg-Marquardt loop as first written, with a Jacobian at every trial.
+The placement oracle deals +-sqrt(n) into every ordered pair of blocks and
+drops the repeats after the fact, and the hinge oracle reads the clusters
+off the values alone.  The rank-one
 scan oracle is the scan without its 2x2-minor screen: every block through
 one batched SVD and ``_rank``.  The
 n = 5 profiles are ground truth from the literature, not a computation.
@@ -35,6 +42,7 @@ from chmkit.eigen import (
     _eig2, _exponent, _ldexp, _negligible, _realify_basis, _spectrum_order,
     _triangular_eigenvectors, cluster_indices, eigenvalues,
 )
+from chmkit.search import FTOL, HERMITIAN_BARRIER, _jacobian, _residual, _step
 from chmkit.spectral import multiplicity_profile
 
 
@@ -395,3 +403,148 @@ def spectral_construction(U, values, n: int) -> tuple:
     V = np.linalg.svd(v)[2][2:].T.astype(np.complex128)  # [n, n - 2]
     Y = V @ U
     return rt * (projectors[0] - projectors[1]) + (Y * values) @ Y.conj().T, V
+
+
+def placements_by_dedup(pattern, n: int) -> list:
+    """``search._pattern_placements(pattern, n)`` as first enumerated: +sqrt(n)
+    and -sqrt(n) dealt into every ordered pair of distinct blocks of the
+    (descending) pattern, a repeated pair of block sizes dropped after the
+    fact, and the tail placement (one free block of size n - 2) when no pair
+    is left.  Each placement is (fixed, free, pairs, hinge) in the layout of
+    ``search._Placement``, built entry by entry."""
+    rt, m = math.sqrt(n), n - 2
+    chosen, seen = [], set()
+    for i, j in itertools.permutations(range(len(pattern)), 2):
+        if (pattern[i], pattern[j]) not in seen:
+            seen.add((pattern[i], pattern[j]))
+            rest = [size for k, size in enumerate(pattern) if k not in (i, j)]
+            chosen.append(([rt] * (pattern[i] - 1) + [-rt] * (pattern[j] - 1), rest))
+    out = []
+    for fixed, sizes in chosen or [([], [m])]:
+        group = [("fixed", v) for v in fixed]
+        group += [("free", b) for b, size in enumerate(sizes) for _ in range(size)]
+        free = np.zeros((m, len(sizes)))
+        for k, (kind, b) in enumerate(group):
+            if kind == "free":
+                free[k, b] = 1.0
+        pairs = [(k, l) for k in range(m) for l in range(k + 1, m) if group[k] != group[l]]
+        # every pair of free values, then each against +sqrt(n) and -sqrt(n),
+        # over the columns (free values, +sqrt(n), -sqrt(n))
+        nf = len(sizes)
+        hinge = list(itertools.combinations(range(nf), 2))
+        hinge += [(b, nf + s) for b in range(nf) for s in (0, 1)]
+        rows = np.zeros((len(hinge), nf + 2))
+        for i, (a, b) in enumerate(hinge):
+            rows[i, a], rows[i, b] = 1.0, -1.0
+        out.append((np.array(fixed + [0.0] * (m - len(fixed)), dtype=np.complex128),
+                    free, pairs, rows))
+    return out
+
+
+def hinge_penalty_by_enumeration(values, n: int, min_gap: float) -> float:
+    """The hinge part of the search's r @ r read off a placement's Lam alone:
+    the clusters are the distinct values among ``values`` and +-sqrt(n), and
+    every pair of clusters but (+sqrt(n), -sqrt(n)), which no parameter
+    moves, adds max(min_gap - |a - b|, 0)^2."""
+    rt = math.sqrt(n)
+    clusters = [complex(rt), complex(-rt)]
+    for v in map(complex, values):
+        if v not in clusters:
+            clusters.append(v)
+    total = 0.0
+    for i, j in itertools.combinations(range(len(clusters)), 2):
+        if (i, j) != (0, 1):
+            total += max(min_gap - abs(clusters[i] - clusters[j]), 0.0) ** 2
+    return total
+
+
+def spectral_residual_and_jacobian(Y, phi, placement, task) -> tuple:
+    """The search's residual r and exact Jacobian J in the spectral
+    coordinates, in their first form.
+
+    Lam is built entry by entry, the interior h = Y Lam Y^dag - 1/(n - 1) as
+    a sum of outer products, the gauge pairs from the placement's groups, the
+    hinge pairs as every pair of free values and each free value against
+    +-sqrt(n), and the barrier from ||h - h^dag||_F^2.  Each column of J is
+    the change dh that one parameter makes, S_kl's real part i d (y_k y_l^dag
+    - y_l y_k^dag) and its imaginary part -d (y_k y_l^dag + y_l y_k^dag) with
+    d = lam_l - lam_k, a free angle i lam_k y_k y_k^dag summed over its
+    block; its rows are 2 Re(conj(h) dh), then the hinges' and the barrier's
+    derivatives.  ``search._residual`` and ``search._jacobian`` must agree
+    with it to rounding."""
+    n, m = task.n, Y.shape[1]
+    rt = math.sqrt(n)
+    mu = [rt * np.exp(1j * angle) for angle in phi]
+    owner = [int(np.argmax(row)) if row.any() else None for row in placement.free]
+    lam = [placement.fixed[k] if b is None else mu[b] for k, b in enumerate(owner)]
+    group = [("fixed", placement.fixed[k]) if b is None else ("free", b)
+             for k, b in enumerate(owner)]
+    outer = [[np.outer(Y[:, k], Y[:, l].conj()) for l in range(m)] for k in range(m)]
+    h = np.full((n - 1, n - 1), -1.0 / (n - 1), dtype=np.complex128)
+    for k in range(m):
+        h = h + lam[k] * outer[k][k]
+    K = h - h.conj().T
+    values = mu + [rt, -rt]
+    hinge_pairs = list(itertools.combinations(range(len(mu)), 2))
+    hinge_pairs += [(b, len(mu) + s) for b in range(len(mu)) for s in (0, 1)]
+    sep = [values[a] - values[b] for a, b in hinge_pairs]
+    hinge = [max(task.min_cluster_gap - abs(s), 0.0) for s in sep]
+    rows = [(np.abs(h) ** 2 - 1.0).ravel(), np.array(hinge, dtype=np.float64)]
+    if task.non_hermitian:
+        rows.append(np.array([max(HERMITIAN_BARRIER - float(np.sum(np.abs(K) ** 2)), 0.0)]))
+    r = np.concatenate(rows)
+
+    pairs = [(k, l) for k in range(m) for l in range(k + 1, m) if group[k] != group[l]]
+    changes = [1j * (lam[l] - lam[k]) * (outer[k][l] - outer[l][k]) for k, l in pairs]
+    changes += [-(lam[l] - lam[k]) * (outer[k][l] + outer[l][k]) for k, l in pairs]
+    changes += [sum(1j * lam[k] * outer[k][k] for k in range(m) if owner[k] == b)
+                for b in range(len(mu))]
+    columns = []
+    for c, dh in enumerate(changes):
+        angle = c - 2 * len(pairs)  # the free angle this column moves, if any
+        dsep = [(1j * values[a] if a == angle else 0.0) - (1j * values[b] if b == angle else 0.0)
+                for a, b in hinge_pairs]
+        dhinge = [-(np.conj(s) * ds).real / abs(s) if g > 0.0 and abs(s) > 0.0 else 0.0
+                  for s, ds, g in zip(sep, dsep, hinge)]
+        column = [2.0 * (np.conj(h) * dh).real.ravel(), np.array(dhinge, dtype=np.float64)]
+        if task.non_hermitian:
+            dK = dh - dh.conj().T
+            column.append([-2.0 * float(np.sum(np.conj(K) * dK).real) if r[-1] > 0.0 else 0.0])
+        columns.append(np.concatenate(column))
+    J = np.column_stack(columns) if columns else np.zeros((r.size, 0))
+    return r, J
+
+
+def descend_every_jacobian(Y, phi, placement, task) -> tuple:
+    """One Levenberg-Marquardt restart as first written: ``search._residual``
+    and ``search._jacobian`` at every trial point, the restart's last step
+    included, the damped matrix built as J^T J + lam I and the stop rules
+    checked after each step.  Returns (h, Lam, value, trace rows (step, value))."""
+    r, stage = _residual(Y, phi, placement, task)
+    J = _jacobian(r, Y, stage, placement, task)
+    f = float(r @ r)
+    lam = 1e-3
+    eye = np.eye(J.shape[1])
+    steps, rows = 0, []
+    while steps < task.max_iters and f >= 1e-24 and J.shape[1] > 0:
+        JtJ, g = J.T @ J, J.T @ r
+        for _ in range(8):
+            try:
+                Yc, phic = _step(Y, phi, np.linalg.solve(JtJ + lam * eye, -g), placement)
+                rc, stage_c = _residual(Yc, phic, placement, task)
+                Jc = _jacobian(rc, Yc, stage_c, placement, task)
+                fc = float(rc @ rc)
+                if fc < f:
+                    break
+            except np.linalg.LinAlgError:
+                pass
+            lam *= 10.0
+        else:
+            break
+        f_prev, Y, phi, f, r, J, stage = f, Yc, phic, fc, rc, Jc, stage_c
+        lam = max(lam / 3.0, 1e-12)
+        rows.append((steps, f))
+        steps += 1
+        if f_prev - f <= FTOL * f:
+            break
+    return stage[0], stage[1], f, rows

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from pathlib import Path
@@ -18,6 +19,7 @@ from chmkit.search import (
     SearchTask,
     _descend,
     _jacobian,
+    _pattern_placements,
     _placements,
     _residual,
     _start,
@@ -46,6 +48,30 @@ def _task(target: str, **fields) -> SearchTask:
     return SearchTask(target=target, min_cluster_gap=float(gap or 0.5), **fields)
 
 
+def _coordinates(H: np.ndarray, lam: list) -> np.ndarray:
+    """Y with Y diag(lam) Y^dag = H[1:, 1:] + 1/(n - 1), for a dephased CHM H
+    whose spectrum is +-sqrt(n) and ``lam``: for each distinct value c of
+    lam, an orthonormal basis (from an SVD) of the null space of that matrix
+    minus c I, in lam's positions of c."""
+    n = H.shape[0]
+    M = H[1:, 1:] + 1.0 / (n - 1)
+    Y = np.zeros((n - 1, len(lam)), dtype=np.complex128)
+    for c in dict.fromkeys(lam):
+        at = [k for k, v in enumerate(lam) if v == c]
+        Y[:, at] = np.linalg.svd(M - c * np.eye(n - 1))[2][-len(at):].conj().T
+    return Y
+
+
+def _tao_coordinates():
+    """The placement (1, 1, (2, 2)) of [2,2,1,1], the free angles of Tao's two
+    double eigenvalues, Lam and Tao's Y in that placement."""
+    placement = _placements(SearchTask(target="[2,2,1,1]"))[-1]
+    values = eigenvalues(gen_tao(1)).values
+    phi = np.angle([values[values.imag > 1.0].mean(), values[values.imag < -1.0].mean()])
+    lam = (placement.free @ (SQRT6 * np.exp(1j * phi))).tolist()
+    return placement, phi, lam, _coordinates(gen_tao(1), lam)
+
+
 def _haar(rng, m: int) -> np.ndarray:
     """A Haar-random m x m unitary."""
     Q, R = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
@@ -70,6 +96,114 @@ class TestPatternParsing:
             SearchTask(target="7", seed=0)
         with pytest.raises(ValueError, match="sums to"):
             SearchTask(target="[2,2,1]", seed=0)
+
+
+class TestObjective:
+    """r @ r, the objective the descent lowers, at the spectral coordinates
+    of known CHMs and of matrices that are none."""
+
+    def test_fourier_phases_with_fourier_target(self):
+        F = gen_fourier(6)
+        task = SearchTask(target=Spectrum(np.linalg.eigvals(F)), seed=0)
+        (placement,) = _placements(task)
+        Y = _coordinates(F, placement.fixed.tolist())
+        r, (h, _, _, _) = _residual(Y, np.zeros(0), placement, task)
+        assert float(r @ r) < 1e-12
+        assert np.max(np.abs(h - F[1:, 1:])) < 1e-12
+
+    def test_tao_phases_on_matching_pattern(self):
+        task = SearchTask(target="[2,2,1,1]", seed=0)
+        placement, phi, _, Y = _tao_coordinates()
+        r, (h, _, _, _) = _residual(Y, phi, placement, task)
+        assert float(r @ r) < 1e-12
+        assert np.max(np.abs(h - gen_tao(1)[1:, 1:])) < 1e-12
+
+    def test_tao_phases_on_wrong_pattern(self):
+        # Tao's eigenvectors with a spectrum of any placement of [4,1,1], at
+        # any angle of its free value, make no CHM
+        task = SearchTask(target="[4,1,1]", seed=0)
+        _, _, _, Y = _tao_coordinates()
+        for placement in _placements(task):
+            for angle in np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False):
+                r, _ = _residual(Y, np.array([angle]), placement, task)
+                assert float(r @ r) > 0.1
+
+    def test_phase_count_validated(self):
+        with pytest.raises(ValueError, match="phases"):
+            gradient_check(np.zeros(24))
+
+    def test_round_trip_phases(self):
+        S = gen_tao(1)
+        assert np.max(np.abs(phases_to_matrix(matrix_to_phases(S)) - S)) < 1e-14
+
+    @pytest.mark.parametrize("min_gap", [0.0, 0.5, 5.0])
+    @pytest.mark.parametrize(
+        "pattern", [(4, 1, 1), (4, 2), (3, 3), (2, 2, 1, 1), (1,) * 6, (6,)]
+    )
+    def test_pattern_penalty_matches_enumeration(self, pattern, min_gap):
+        # the hinge rows are what is left of the pattern penalty: Lam has the
+        # pattern's multiplicities by construction, and only the clusters'
+        # separation is penalized
+        rng = np.random.default_rng(31)
+        task = SearchTask(target=pattern, min_cluster_gap=min_gap)
+        for restart, placement in enumerate(_placements(task)):
+            Y, _ = _start(task, placement, restart)
+            for _ in range(3):
+                phi = rng.uniform(0, 2 * np.pi, placement.free.shape[1])
+                r, (_, lam, _, _) = _residual(Y, phi, placement, task)
+                hinge = r[25:]
+                assert hinge.size == placement.hinge.shape[0]
+                expected = oracles.hinge_penalty_by_enumeration(lam, 6, min_gap)
+                assert float(hinge @ hinge) == pytest.approx(expected, rel=1e-12)
+
+
+class TestPartitionTable:
+    """A pattern's placements, the table that replaced its partitions."""
+
+    def test_keyed_on_pattern_and_size(self):
+        a = _pattern_placements((4, 1, 1), 6)
+        b = _pattern_placements((4, 1), 5)
+        assert len(a) == 3 and a[0].free.shape == (4, 1)  # (4, 1), (1, 4), (1, 1)
+        assert len(b) == 2 and b[0].free.shape == (3, 0)  # (4, 1), (1, 4)
+        assert _pattern_placements((4, 1, 1), 6) is a
+        assert not a[0].free.flags.writeable
+
+    @staticmethod
+    def _partitions(n, largest=None):
+        """Every descending tuple of positive sizes summing to n."""
+        if n == 0:
+            yield ()
+        for k in range(min(n, largest or n), 0, -1):
+            for rest in TestPartitionTable._partitions(n - k, k):
+                yield (k,) + rest
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_masks_match_dedup_enumeration(self, n):
+        # every pattern of n: the same placements in the same order
+        if n == 1:  # there is no 1 x 1 task to place
+            with pytest.raises(ValueError, match="n must be"):
+                SearchTask(target=(1,), n=1)
+            return
+        for pattern in self._partitions(n):
+            expected = oracles.placements_by_dedup(pattern, n)
+            got = _pattern_placements(pattern, n)
+            assert len(got) == len(expected), pattern
+            for p, (fixed, free, pairs, hinge) in zip(got, expected):
+                assert np.array_equal(p.fixed, fixed) and np.array_equal(p.free, free), pattern
+                assert list(zip(p.k.tolist(), p.l.tolist())) == pairs, pattern
+                assert np.array_equal(p.hinge, hinge), pattern
+
+    def test_lists_each_partition_once(self):
+        # 12 singletons: one placement, without the 12 x 11 orderings
+        assert len(_pattern_placements((1,) * 12, 12)) == 1
+        assert len(_pattern_placements((2, 2, 2), 6)) == 1
+        assert len(_pattern_placements((3, 2, 1), 6)) == 6
+
+    def test_cache_clear_leaves_reports_unchanged(self):
+        task = SearchTask(target="[4,1,1]", restarts=3, max_iters=60, seed=2)
+        before = minimize(task).to_json()
+        _pattern_placements.cache_clear()
+        assert minimize(task).to_json() == before
 
 
 class TestPlacements:
@@ -175,10 +309,6 @@ class TestConstruction:
             assert np.max(np.abs(Y.sum(axis=0))) < 1e-14
             assert phi.shape == (placement.free.shape[1],)
 
-    def test_round_trip_phases(self):
-        S = gen_tao(1)
-        assert np.max(np.abs(phases_to_matrix(matrix_to_phases(S)) - S)) < 1e-14
-
 
 class TestPolishJacobian:
     """The descent's exact Jacobian in the spectral coordinates."""
@@ -223,6 +353,43 @@ class TestPolishJacobian:
         assert active >= ({"hinge"} if "gap5" in target else set()) | (
             {"hinge", "barrier"} if task.non_hermitian else set())
 
+    @staticmethod
+    def _objective_by_parts(Y, phi, placement, task):
+        """The sum of the unimodularity rows' squares, the hinges' (for a
+        pattern) and the barrier's, from the paper's form of the point
+        (``oracles.spectral_construction``) without the search's code."""
+        mu = [SQRT6 * np.exp(1j * angle) for angle in phi]
+        lam = [mu[int(np.argmax(row))] if row.any() else fixed
+               for row, fixed in zip(placement.free, placement.fixed)]
+        _, V = oracles.spectral_construction(np.eye(4), lam, 6)
+        H, _ = oracles.spectral_construction(V[1:].conj().T @ Y, lam, 6)
+        total = float(np.sum((np.abs(H[1:, 1:]) ** 2 - 1.0) ** 2))
+        if not isinstance(task.target, Spectrum):
+            total += oracles.hinge_penalty_by_enumeration(lam, 6, task.min_cluster_gap)
+        if task.non_hermitian:
+            total += max(0.1 - float(np.sum(np.abs(H - H.conj().T) ** 2)), 0.0) ** 2
+        return total
+
+    @pytest.mark.parametrize(
+        "target",
+        ["[4,1,1]", "[4,1,1]-gap0", "[4,1,1]-gap5", "[2,2,1,1]", "[3,2,1]", "spectrum",
+         "[3,1,1,1]-non-hermitian"],
+    )
+    def test_squared_norm_is_the_objective(self, target):
+        task = _task(target)
+        placements = _placements(task)
+        barrier = False
+        for restart in range(len(placements) + 2):
+            placement = placements[restart % len(placements)]
+            Y, phi = _start(task, placement, restart)
+            if task.non_hermitian:
+                phi = np.round(phi / math.pi) * math.pi + 0.01 * np.arange(1, phi.size + 1)
+            r, _ = _residual(Y, phi, placement, task)
+            expected = self._objective_by_parts(Y, phi, placement, task)
+            assert float(r @ r) == pytest.approx(expected, rel=1e-12)
+            barrier |= task.non_hermitian and r[-1] > 0.0
+        assert barrier == task.non_hermitian  # the barrier row was active
+
     def test_residual_length_depends_only_on_the_task(self):
         # every placement of [4,1,1] has one free value, so two hinge rows
         # (against +-sqrt 6) after the 25 unimodularity rows
@@ -234,6 +401,106 @@ class TestPolishJacobian:
                 Y, phi = _start(task, placement, restart)
                 r, _ = _residual(Y, phi, placement, task)
                 assert r.size == 27
+
+
+class TestFirstFormOracle:
+    """The residual and Jacobian are built from the placement's index arrays
+    and one 4-D product; they must equal their first form in ``oracles``
+    (Lam entry by entry, one column per parameter's change of the interior)
+    to rounding, and the descent, which skips the Jacobian of a restart's
+    last step and damps J^T J in place, must equal the loop as first written
+    bit for bit."""
+
+    PATTERNS = [(6,), (5, 1), (4, 2), (4, 1, 1), (3, 3), (3, 2, 1), (3, 1, 1, 1), (2, 2, 2),
+                (2, 2, 1, 1), (2, 1, 1, 1, 1), (1,) * 6]
+
+    @staticmethod
+    def _points(task, near_real=False):
+        """Four start points in each of the task's placements; with
+        ``near_real``, free values near the real axis (H near Hermitian)."""
+        for restart, placement in enumerate(_placements(task) * 4):
+            Y, phi = _start(task, placement, restart)
+            if near_real:
+                phi = np.round(phi / math.pi) * math.pi + 0.01 * np.arange(1, phi.size + 1)
+            yield Y, phi, placement
+
+    @staticmethod
+    def _assert_first_form(Y, phi, placement, task):
+        r, stage = _residual(Y, phi, placement, task)
+        J = _jacobian(r, Y, stage, placement, task)
+        r_o, J_o = oracles.spectral_residual_and_jacobian(Y, phi, placement, task)
+        assert r.shape == r_o.shape and np.max(np.abs(r - r_o), initial=0.0) <= 1e-12
+        assert J.shape == J_o.shape
+        scale = max(1.0, np.max(np.abs(J), initial=0.0))
+        assert np.max(np.abs(J - J_o), initial=0.0) <= 1e-12 * scale
+        return r
+
+    @pytest.mark.parametrize("gap", [0.0, 0.5, 1.5, 5.0])
+    @pytest.mark.parametrize("pattern", PATTERNS)
+    def test_pattern_rows(self, pattern, gap):
+        task = SearchTask(target=pattern, seed=61, min_cluster_gap=gap)
+        for Y, phi, placement in self._points(task):
+            self._assert_first_form(Y, phi, placement, task)
+
+    def test_hinge_rows_are_none_some_and_all_active(self):
+        # the hinge rows' Jacobian is built only when some pair is nearer than
+        # the gap; test_pattern_rows meets no such pair, some and every one
+        seen = set()
+        for gap, pattern in itertools.product((0.5, 1.5, 5.0), self.PATTERNS):
+            task = SearchTask(target=pattern, seed=61, min_cluster_gap=gap)
+            for Y, phi, placement in self._points(task):
+                pairs = placement.hinge.shape[0]
+                if pairs:
+                    r, _ = _residual(Y, phi, placement, task)
+                    active = np.count_nonzero(r[25:25 + pairs])
+                    seen.add("none" if active == 0 else "all" if active == pairs else "some")
+        assert seen == {"none", "some", "all"}
+
+    def test_spectrum_target(self):
+        # Tao's spectrum (two double values, so gauge pairs) and a random one
+        rng = np.random.default_rng(62)
+        random = Spectrum(np.linalg.eigvals(phases_to_matrix(rng.uniform(0, 2 * np.pi, 25))))
+        for target in (eigenvalues(gen_tao(1)), random):
+            task = SearchTask(target=target, seed=62)
+            for Y, phi, placement in self._points(task):
+                self._assert_first_form(Y, phi, placement, task)
+
+    def test_non_hermitian_near_the_hermitian_family(self):
+        task = SearchTask(target="[3,1,1,1]-non-hermitian", seed=63)
+        for Y, phi, placement in self._points(task, near_real=True):
+            r = self._assert_first_form(Y, phi, placement, task)
+            assert r[-1] > 0.0  # barrier row active
+
+    @pytest.mark.parametrize(
+        "target, seed, max_iters, stop, restart",
+        [pytest.param("[4,1,1]", 0, 10, "max_iters", 0, id="[4,1,1]-0-10-max_iters"),
+         pytest.param("[4,1,1]", 0, 5000, "ftol", 0, id="[4,1,1]-0-5000-ftol"),
+         pytest.param("[2,2,1,1]", 2, 5000, "converged", 0, id="[2,2,1,1]-2-5000-converged"),
+         # restart 1, free values near the real axis: the barrier row is
+         # active at the start and the restart runs its 20 steps
+         pytest.param("[3,1,1,1]-non-hermitian", 3, 20, "max_iters", 1,
+                      id="[3,1,1,1]-non-hermitian-3-20-max_iters")],
+    )
+    def test_descent(self, target, seed, max_iters, stop, restart):
+        task = SearchTask(target=target, seed=seed, max_iters=max_iters)
+        placements = _placements(task)
+        placement = placements[restart % len(placements)]
+        Y0, phi0 = _start(task, placement, restart)
+        if task.non_hermitian:
+            phi0 = np.round(phi0 / math.pi) * math.pi + 0.01 * np.arange(1, phi0.size + 1)
+            assert _residual(Y0, phi0, placement, task)[0][-1] > 0.0
+        rows = []
+        h, lam, f, steps = _descend(Y0, phi0, task, placement, rows, restart)
+        h_o, lam_o, f_o, rows_o = oracles.descend_every_jacobian(Y0, phi0, placement, task)
+        assert np.array_equal(h, h_o) and np.array_equal(lam, lam_o) and f == f_o
+        assert [(step, value) for _, step, value in rows] == rows_o
+        assert steps == len(rows_o)
+        if stop == "max_iters":
+            assert steps == max_iters
+        elif stop == "ftol":
+            assert steps < max_iters and rows_o[-2][1] - f <= FTOL * f
+        else:
+            assert f < 1e-24
 
 
 class TestGradient:
