@@ -19,8 +19,6 @@ import numpy as np
 
 #: default tolerance for "is this a CHM?" style validation
 DEFAULT_TOL = 1e-10
-#: default tolerance for "are these the same matrix?" style identity checks
-IDENTITY_TOL = 1e-12
 #: sqrt(6): the modulus of every eigenvalue of a 6x6 CHM
 SQRT6 = math.sqrt(6.0)
 

@@ -99,7 +99,7 @@ def hermitian_parameters(theta: float):
         x = (1 + 2 * y + y**2 - branch) / (1 + 2 * y - y**2)
         t = (1 + 2 * y + y**2 - branch) / (-1 + 2 * y + y**2)
         worst = max(abs(abs(x) - 1.0), abs(abs(t) - 1.0))
-        moduli.append((abs(x), abs(t)))
+        moduli.append((float(abs(x)), float(abs(t))))
         if worst <= 1e-9:
             if abs(abs(z) - 1.0) > 1e-9:
                 raise ValueError(f"z is not unimodular at theta={theta}: |z| = {abs(z)}")

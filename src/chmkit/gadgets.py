@@ -78,13 +78,15 @@ class ProjectorCombo:
 def reconstruct_from_projectors(combo: ProjectorCombo) -> np.ndarray:
     """Assemble H = sum_k lambda_k |u_k><u_k| from an eigenvalue frame.
 
-    Eigenvalue moduli must sit on the circle of radius sqrt(6) (the CHM
-    eigenvalue circle); orthonormality is enforced by the combo itself.
+    Eigenvalue moduli must sit on the circle of radius sqrt(n), n the frame's
+    size (the CHM eigenvalue circle); orthonormality is enforced by the
+    combo itself.
     """
-    mod_dev = float(np.max(np.abs(np.abs(combo.values) - SQRT6)))
-    if not mod_dev <= 1e-6:
-        raise ValueError(f"eigenvalue moduli must equal sqrt(6) (deviation {mod_dev:.3e})")
     V = combo.vectors
+    n = V.shape[0]
+    mod_dev = float(np.max(np.abs(np.abs(combo.values) - math.sqrt(n))))
+    if not mod_dev <= 1e-6:
+        raise ValueError(f"eigenvalue moduli must equal sqrt({n}) (deviation {mod_dev:.3e})")
     return (V * combo.values) @ V.conj().T
 
 

@@ -23,9 +23,8 @@ Every restart runs Levenberg-Marquardt on r from a start keyed by (seed,
 restart index), so reports are reproducible bit for bit.  "Found" means
 passing ``_gate``, one ``verify_matrix`` call on the unimodular matrix of
 the candidate's interior angles, whose n = 6 theorem legs are reported,
-never applied.  The phase-space ``objective`` and ``pattern_penalty`` are
-gone; ``chm_gradient`` and ``gradient_check`` keep the unitarity rows of the
-phase parametrization for acceptance criterion 7.
+never applied.  ``chm_gradient`` and ``gradient_check`` keep the unitarity
+rows of the phase parametrization for acceptance criterion 7.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -78,6 +77,8 @@ def parse_pattern(text: str):
 class SearchTask(_Report):
     """Target description plus restart/iteration/seed policy.
 
+    ``n`` is not an argument: it is the target's size, the sum of a pattern
+    or the number of a ``Spectrum``'s values, and must be at least 2.
     ``min_cluster_gap`` is the separation below which two cluster centers of
     a multiplicity pattern count as coinciding; without it a pattern like
     [3,1,1,1] could be satisfied for free by splitting one cluster of a
@@ -85,7 +86,7 @@ class SearchTask(_Report):
     """
 
     target: object  # Spectrum or multiplicity pattern tuple
-    n: int = 6
+    n: int = field(init=False)
     restarts: int = 50
     max_iters: int = 5000
     seed: int = 0
@@ -97,8 +98,6 @@ class SearchTask(_Report):
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if not isinstance(self.n, (int, np.integer)) or self.n < 2:
-            raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters!r}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
@@ -118,17 +117,16 @@ class SearchTask(_Report):
             object.__setattr__(self, "target", tuple(sorted(map(int, target), reverse=True)))
             target = self.target
         if isinstance(target, tuple):
-            if sum(target) != self.n:
-                raise ValueError(
-                    f"pattern {target} sums to {sum(target)}, expected n = {self.n}"
-                )
+            n = sum(target)
         elif isinstance(target, Spectrum):
-            if target.n != self.n:
-                raise ValueError("target spectrum size must equal n")
-            if self.n > 8:  # the gate's spectrum_distance pairs over all n! permutations
+            n = target.n
+            if n > 8:  # the gate's spectrum_distance pairs over all n! permutations
                 raise DimensionError("brute-force assignment is limited to n <= 8")
         else:
             raise TypeError("target must be a Spectrum, a pattern tuple, or a string")
+        if n < 2:
+            raise ValueError(f"n must be >= 2, got a target of size {n}")
+        object.__setattr__(self, "n", n)
 
     @property
     def num_phases(self) -> int:
@@ -141,13 +139,13 @@ class SearchTask(_Report):
 
     @classmethod
     def from_json(cls, text: str) -> "SearchTask":
-        """Inverse of ``to_json``.  Keys that are not fields are ignored, so
-        tasks saved with the weight keys of earlier versions (``w_chm``,
-        ``w_spec``) still load."""
+        """Inverse of ``to_json``.  Keys that are not arguments are ignored:
+        ``n``, which the target gives, and the weight keys of earlier
+        versions (``w_chm``, ``w_spec``)."""
         obj = json.loads(text)
         raw = obj.pop("target")
         target = _spectrum(raw["spectrum"]) if "spectrum" in raw else tuple(raw["pattern"])
-        names = {f.name for f in fields(cls)}
+        names = {f.name for f in fields(cls) if f.init}
         return cls(target=target, **{k: v for k, v in obj.items() if k in names})
 
 

@@ -240,8 +240,14 @@ class TestSearch:
         assert code == 1
         assert json.loads(out)["verdict"] == "not-found"
 
-    def test_oversized_pattern_is_usage_error(self, capsys):
-        code, _ = run(capsys, "search", "--pattern", "7", "--restarts", "2", "--seed", "1")
+    def test_pattern_sum_is_the_search_size(self, capsys):
+        # [7] has no placement of +-sqrt(7) into two blocks, so it is never found
+        code, out = run(capsys, "search", "--pattern", "7", "--restarts", "2", "--seed", "1")
+        assert code == 1
+        assert json.loads(out)["task"]["n"] == 7
+
+    def test_pattern_below_two_is_usage_error(self, capsys):
+        code, _ = run(capsys, "search", "--pattern", "1", "--seed", "1")
         assert code == 2
 
     def test_seed_is_mandatory(self, capsys):

@@ -8,6 +8,7 @@ from chmkit.families import (
     HERMITIAN_THETA_MIN,
     Q_VALUES,
     THETA_VALUES,
+    BranchFailureError,
     FamilySpec,
     gen_fourier,
     gen_haagerup,
@@ -117,6 +118,17 @@ class TestHermitian:
         for theta in (0.0, 0.5, -1.0, 9.0):
             with pytest.raises(ValueError):
                 gen_hermitian(theta)
+
+    def test_branch_failure_carries_both_moduli(self):
+        # below HERMITIAN_THETA_MIN neither square-root branch is unimodular
+        with pytest.raises(BranchFailureError) as info:
+            hermitian_parameters(0.5)
+        err = info.value
+        assert err.name == "x, t"
+        assert [type(m) for pair in err.moduli for m in pair] == [float] * 4
+        assert err.moduli == (pytest.approx((0.3269, 0.3269), abs=1e-4),
+                              pytest.approx((3.0592, 3.0592), abs=1e-4))
+        assert "np.float64" not in str(err) and "0.3268" in str(err)
 
 
 class TestSweepInvariant:

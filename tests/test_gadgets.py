@@ -8,7 +8,7 @@ import pytest
 from chmkit import core
 from chmkit.core import chm_residuals, rank_one_submatrix_scan
 from chmkit.eigen import Spectrum, eigenpairs, eigenvalues, spectrum_distance
-from chmkit.families import gen_hermitian, gen_tao
+from chmkit.families import gen_fourier, gen_hermitian, gen_tao
 from chmkit.gadgets import (
     MARGIN,
     ProjectorCombo,
@@ -442,6 +442,13 @@ class TestProjectorReconstruction:
             reconstruct_from_projectors(
                 ProjectorCombo(values=np.full(6, math.nan), vectors=np.eye(6, dtype=complex))
             )
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_fourier_round_trip(self, n):
+        # the circle is sqrt(n) at every n, not sqrt(6)
+        F = gen_fourier(n)
+        combo = ProjectorCombo.from_pairs(eigenpairs(F))
+        assert np.max(np.abs(reconstruct_from_projectors(combo) - F)) < 1e-8
 
     def test_corpus_round_trip(self, corpus):
         for name, H in corpus:

@@ -91,11 +91,19 @@ class TestPatternParsing:
         with pytest.raises(ValueError):
             parse_pattern("banana")
 
-    def test_task_rejects_wrong_sum(self):
-        with pytest.raises(ValueError, match="sums to"):
-            SearchTask(target="7", seed=0)
-        with pytest.raises(ValueError, match="sums to"):
-            SearchTask(target="[2,2,1]", seed=0)
+    def test_task_size_is_the_targets(self):
+        assert SearchTask(target="[3,1]").n == 4
+        assert SearchTask(target="7", seed=0).n == 7
+        spec = eigenvalues(gen_fourier(5))
+        assert SearchTask(target=spec).n == spec.n == 5
+
+    def test_task_takes_no_n(self):
+        with pytest.raises(TypeError):
+            SearchTask(target="[2,2,1,1]", n=6)
+
+    def test_task_rejects_a_target_below_two(self):
+        with pytest.raises(ValueError, match="n must be"):
+            SearchTask(target="[1]")
 
 
 class TestObjective:
@@ -182,7 +190,7 @@ class TestPartitionTable:
         # every pattern of n: the same placements in the same order
         if n == 1:  # there is no 1 x 1 task to place
             with pytest.raises(ValueError, match="n must be"):
-                SearchTask(target=(1,), n=1)
+                SearchTask(target=(1,))
             return
         for pattern in self._partitions(n):
             expected = oracles.placements_by_dedup(pattern, n)
@@ -283,7 +291,7 @@ class TestConstruction:
         rng = np.random.default_rng(70 + n)
         rt = math.sqrt(n)
         for pattern in self.PATTERNS[n]:
-            task = SearchTask(target=pattern, n=n)
+            task = SearchTask(target=pattern)
             for placement in _placements(task):
                 U = _haar(rng, n - 2)
                 phi = rng.uniform(0.0, 2.0 * math.pi, placement.free.shape[1])
@@ -827,7 +835,6 @@ class TestTaskValidation:
         ("max_iters", -1),
         ("tol_success", math.nan), ("tol_success", math.inf), ("tol_success", -1e-8),
         ("min_cluster_gap", math.nan), ("min_cluster_gap", math.inf), ("min_cluster_gap", -0.5),
-        ("n", 1), ("n", 2.0),
     ])
     def test_rejects_what_minimize_cannot_run(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -842,5 +849,5 @@ class TestTaskValidation:
         # the gate's spectrum_distance pairs the spectra over all n! permutations
         spec = eigenvalues(gen_fourier(9))
         with pytest.raises(core.DimensionError, match="n <= 8"):
-            SearchTask(target=spec, n=9)
-        SearchTask(target=eigenvalues(gen_fourier(8)), n=8)
+            SearchTask(target=spec)
+        SearchTask(target=eigenvalues(gen_fourier(8)))

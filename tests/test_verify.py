@@ -135,7 +135,7 @@ def test_n5_verdicts_match_the_ground_truth():
     # the gate applies no n = 6 theorem at n = 5 (20 restarts each, about 1 s)
     partitions = [(5,), (4, 1), (3, 2), (3, 1, 1), (2, 2, 1), (2, 1, 1, 1), (1,) * 5]
     for pattern in partitions:
-        report = minimize(SearchTask(target=pattern, n=5, restarts=20, seed=11))
+        report = minimize(SearchTask(target=pattern, restarts=20, seed=11))
         assert report.found is (pattern in oracles.N5_REALIZABLE_PROFILES), pattern
         if report.found:
             assert report.conflict is None
