@@ -221,7 +221,11 @@ def dephase(H):
 
 def is_dephased(H, tol: float = DEFAULT_TOL) -> bool:
     """True when the first row and column of ``H`` are all ones within ``tol``."""
-    H = as_matrix(H)
+    return _is_dephased(as_matrix(H), tol)
+
+
+def _is_dephased(H: np.ndarray, tol: float) -> bool:
+    """``is_dephased`` of a finite complex square array, neither copied nor checked."""
     return bool(
         np.max(np.abs(H[0, :] - 1.0)) <= tol and np.max(np.abs(H[:, 0] - 1.0)) <= tol
     )

@@ -385,13 +385,31 @@ def _canonical_phase(V: np.ndarray) -> np.ndarray:
     return V * np.divide(piv.conj(), mag, out=np.ones_like(piv), where=mag > 0)
 
 
+@functools.lru_cache(maxsize=32)
+def _strict_upper(n: int) -> np.ndarray:
+    """Flat positions of the entries above the diagonal of an n x n array;
+    built once per n and shared, so the array is read-only."""
+    rows, cols = np.triu_indices(n, 1)
+    flat = rows * n + cols
+    flat.flags.writeable = False
+    return flat
+
+
+def _acts_as_scalar(H: np.ndarray, basis: np.ndarray, norm_h: float) -> bool:
+    """True when basis^dag H basis is diagonal to 1e-8 ``norm_h``: H maps the
+    span of ``basis``, a cluster's, to itself as the cluster's one value."""
+    B = basis.conj().T @ H @ basis
+    return bool(np.linalg.norm(B - np.diag(np.diag(B))) <= 1e-8 * norm_h)
+
+
 def eigenpairs(H) -> list:
     """Eigenpairs of ``H`` from its Schur form H = Q T Q^dag.
 
     T's eigenvectors come by back substitution, and Q maps them to H's.
     When no entry above T's diagonal exceeds 64 eps ||H||, H is normal to
     rounding and Q's columns are its eigenvectors, with residuals of that
-    order, so the back substitution and the clusters' QR are skipped.
+    order, so the back substitution and the clusters' QR are skipped, and so
+    is every cluster whose span has no real basis.
     Eigenvalues within ``CLUSTER_TOL`` of each other are treated as one
     cluster.  A cluster that acts on the span of its vectors as a scalar
     gets an orthonormal basis of that span, rotated to a real one when the
@@ -414,7 +432,7 @@ def eigenpairs(H) -> list:
     norm_h = max(norm_h, 1e-300)
     Q = np.array(q)  # q holds Q's rows
     T = Q.conj().T @ H @ Q
-    normal = np.abs(np.triu(T, 1)).max(initial=0.0) <= 64 * _EPS * norm_h
+    normal = np.abs(T.take(_strict_upper(T.shape[0]))).max(initial=0.0) <= 64 * _EPS * norm_h
     W = Q if normal else Q @ _triangular_eigenvectors(T)
     order = _spectrum_order(eigs)
     V = W[:, order]
@@ -426,8 +444,9 @@ def eigenpairs(H) -> list:
         real = _realify_basis(basis)
         if real is not None:
             basis = real
-        B = basis.conj().T @ H @ basis
-        if np.linalg.norm(B - np.diag(np.diag(B))) <= 1e-8 * norm_h:
+        elif normal:
+            continue  # Q's columns are the cluster's orthonormal vectors already
+        if _acts_as_scalar(H, basis, norm_h):
             V[:, members] = basis
         elif np.linalg.norm(X.conj().T @ X - np.eye(len(members))) > 1e-6:
             raise ConvergenceError(

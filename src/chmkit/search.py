@@ -96,12 +96,10 @@ class SearchTask(_Report):
     stop_on_success: bool = True
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.max_iters < 0:
-            raise ValueError(f"max_iters must be >= 0, got {self.max_iters!r}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        for name, least in (("restarts", 1), ("max_iters", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if not (_is_integer(value) and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         for name in ("tol_success", "min_cluster_gap"):
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:
@@ -113,9 +111,11 @@ class SearchTask(_Report):
             if non_herm:
                 object.__setattr__(self, "non_hermitian", True)
             target = pattern
-        elif isinstance(target, (list, tuple)) and not isinstance(target, Spectrum):
-            object.__setattr__(self, "target", tuple(sorted(map(int, target), reverse=True)))
-            target = self.target
+        elif isinstance(target, (list, tuple)):
+            if not all(_is_integer(p) and p >= 1 for p in target):
+                raise ValueError(f"pattern entries must be positive integers: {target!r}")
+            target = tuple(sorted(map(int, target), reverse=True))
+            object.__setattr__(self, "target", target)
         if isinstance(target, tuple):
             n = sum(target)
         elif isinstance(target, Spectrum):
@@ -147,6 +147,11 @@ class SearchTask(_Report):
         target = _spectrum(raw["spectrum"]) if "spectrum" in raw else tuple(raw["pattern"])
         names = {f.name for f in fields(cls) if f.init}
         return cls(target=target, **{k: v for k, v in obj.items() if k in names})
+
+
+def _is_integer(value) -> bool:
+    """True for a Python or numpy integer that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _spectrum(pairs) -> Spectrum:
@@ -305,34 +310,46 @@ def gradient_check(phases, h: float = 1e-6, n: int = 6) -> float:
 # ---------------------------------------------------------------------------
 
 class _Placement(NamedTuple):
-    """Where the m = n - 2 values of Lam come from, for one placement."""
+    """Where the m = n - 2 values of Lam come from, for one placement.  The
+    fields after ``hinge`` are the tables a step reads: Lam and the hinge
+    separations are gathers from v = (free values, ``tail``), equal bit for
+    bit to fixed + free @ mu and hinge @ (mu, +sqrt n, -sqrt n), and the
+    Jacobian takes T's columns k m + l and l m + k in one gather."""
 
     fixed: np.ndarray  # complex [m]: Lam's fixed entries, 0 where a free value sits
     free: np.ndarray  # float [m, F]: 1 where entry k holds free value b
     k: np.ndarray  # int [P]: the non-gauge pairs k < l, entries of different values
     l: np.ndarray  # int [P]
-    kl: np.ndarray  # int [P]: k m + l, a flat position in an m x m array
-    lk: np.ndarray  # int [P]: l m + k
     hinge: np.ndarray  # float [H, F + 2]: e_a - e_b over (free values, +sqrt n, -sqrt n)
+    tail: np.ndarray  # complex: v after the free values, +sqrt n, -sqrt n, fixed values
+    lam_at: np.ndarray  # int [m]: Lam = v[lam_at]
+    hinge_a: np.ndarray  # int [H]: the hinge separations are v[hinge_a] - v[hinge_b]
+    hinge_b: np.ndarray  # int [H]
+    kl_lk: np.ndarray  # int [2P]: the flat positions k m + l, then l m + k, in an m x m array
 
 
 def _placement(fixed: list, free_sizes: list, n: int) -> _Placement:
     """The placement whose Lam holds the values ``fixed`` (equal values are
     one group, so their pairs are gauge) and then one free block of each
     size in ``free_sizes``.  The arrays are shared, so they are read-only."""
-    m, nf = n - 2, len(free_sizes)
+    m, nf, nx = n - 2, len(free_sizes), len(fixed)
     owner = [b for b, size in enumerate(free_sizes) for _ in range(size)]
     labels = [fixed.index(v) for v in fixed] + [-1 - b for b in owner]
     free = np.zeros((m, nf))
-    free[np.arange(len(fixed), m), owner] = 1.0
+    free[np.arange(nx, m), owner] = 1.0
     k, l = np.array([kl for kl in itertools.combinations(range(m), 2)
                      if labels[kl[0]] != labels[kl[1]]], dtype=np.intp).reshape(-1, 2).T
-    eye = np.eye(nf + 2)
-    hinge = [eye[a] - eye[b] for a, b in itertools.combinations(range(nf), 2)]
-    hinge += [eye[b] - eye[nf + s] for b in range(nf) for s in (0, 1)]
+    hinge_ab = list(itertools.combinations(range(nf), 2))
+    hinge_ab += [(b, nf + s) for b in range(nf) for s in (0, 1)]
+    a, b = np.array(hinge_ab, dtype=np.intp).reshape(-1, 2).T
+    hinge = np.zeros((a.size, nf + 2))
+    hinge[np.arange(a.size), a], hinge[np.arange(a.size), b] = 1.0, -1.0
+    rt = math.sqrt(n)
     placement = _Placement(
         np.array(fixed + [0.0] * len(owner), dtype=np.complex128), free, k, l,
-        k * m + l, l * m + k, np.array(hinge).reshape(-1, nf + 2),
+        hinge, np.array([rt, -rt] + fixed, dtype=np.complex128),
+        np.array(list(range(nf + 2, nf + 2 + nx)) + owner, dtype=np.intp), a, b,
+        np.concatenate([k * m + l, l * m + k]),
     )
     for arr in placement:
         arr.flags.writeable = False
@@ -393,12 +410,11 @@ def _residual(Y: np.ndarray, phi: np.ndarray, placement: _Placement, task: Searc
     and, for a non-Hermitian task, the barrier row.  Returns r and what
     ``_jacobian`` reuses: h, Lam, the free values and the hinge separations."""
     n = task.n
-    rt = math.sqrt(n)
-    mu = rt * np.exp(1j * phi)
-    lam = placement.fixed + placement.free @ mu
+    v = np.concatenate([math.sqrt(n) * np.exp(1j * phi), placement.tail])
+    mu, lam = v[: phi.size], v[placement.lam_at]
     h = (Y * lam) @ Y.conj().T
     h -= 1.0 / (n - 1)  # the interior of sqrt(n) (P+ - P-)
-    sep = placement.hinge @ np.concatenate([mu, (rt, -rt)])
+    sep = v[placement.hinge_a] - v[placement.hinge_b]
     res = [(h.real ** 2 + h.imag ** 2).ravel() - 1.0,
            np.maximum(task.min_cluster_gap - np.abs(sep), 0.0)]
     if task.non_hermitian:
@@ -420,10 +436,14 @@ def _jacobian(r: np.ndarray, Y: np.ndarray, stage: tuple, placement: _Placement,
     J = np.zeros((r.size, 2 * p + mu.size))
     T = (h.conj()[:, :, None, None] * Y[:, None, :, None]
          * Y.conj()[None, :, None, :]).reshape(t, -1)
-    A, B = T[:, placement.kl], T[:, placement.lk]
+    AB = T[:, placement.kl_lk]
+    A, B = AB[:, :p], AB[:, p:]
     d = lam[placement.l] - lam[placement.k]
-    J[:t, :p] = -2.0 * (d * (A - B)).imag
-    J[:t, p:2 * p] = -2.0 * (d * (A + B)).real
+    # the pair blocks -2 Im(d (A - B)) and -2 Re(d (A + B)), written into J
+    X = np.subtract(A, B)
+    np.multiply(-2.0, np.multiply(d, X, out=X).imag, out=J[:t, :p])
+    np.add(A, B, out=X)
+    np.multiply(-2.0, np.multiply(d, X, out=X).real, out=J[:t, p:2 * p])
     J[:t, 2 * p:] = -2.0 * (T[:, :: lam.size + 1] * lam).imag @ placement.free
     hinge = r[t:t + nh]
     if hinge.any():
@@ -443,10 +463,10 @@ def _step(Y: np.ndarray, phi: np.ndarray, delta: np.ndarray, placement: _Placeme
     holds delta's pair parameters and exp(iS) comes from ``eigh``, and phi
     plus delta's angles."""
     p, m = placement.k.size, Y.shape[1]
-    S = np.zeros((m, m), dtype=np.complex128)
-    S.ravel()[placement.kl] = delta[:p] + 1j * delta[p:2 * p]
-    S.ravel()[placement.lk] = delta[:p] - 1j * delta[p:2 * p]
-    w, Q = np.linalg.eigh(S)
+    a, ib = delta[:p], 1j * delta[p:2 * p]
+    S = np.zeros(m * m, dtype=np.complex128)
+    S[placement.kl_lk] = np.concatenate([a + ib, a - ib])
+    w, Q = np.linalg.eigh(S.reshape(m, m))
     return Y @ ((Q * np.exp(1j * w)) @ Q.conj().T), phi + delta[2 * p:]
 
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DEFAULT_TOL, SQRT6, ChmReport, DegenerateInputError, _dephase_phases, _Report, as_matrix,
-    chm_residuals, is_dephased,
+    DEFAULT_TOL, SQRT6, ChmReport, DegenerateInputError, _dephase_phases, _is_dephased, _Report,
+    as_matrix, chm_residuals, is_dephased,
 )
 from .eigen import (
     CLUSTER_TOL, ConvergenceError, Spectrum, cluster_indices, eigenpairs, eigenvalues,
@@ -232,7 +232,7 @@ def verify_matrix(H, tol: float = DEFAULT_TOL) -> VerifyReport:
         D = _dephase_phases(H)[0]
     except DegenerateInputError as exc:
         return VerifyReport(n=n, tol=tol, chm=chm, dephase_error=str(exc), failed="dephase")
-    base = {"n": n, "tol": tol, "chm": chm, "dephased": is_dephased(H, tol)}
+    base = {"n": n, "tol": tol, "chm": chm, "dephased": _is_dephased(H, tol)}
     try:
         pairs = eigenpairs(D)
     except (ValueError, ConvergenceError) as exc:

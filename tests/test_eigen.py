@@ -297,6 +297,35 @@ class TestSchurForm:
         eigenpairs(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
         assert len(calls) == 1
 
+    def test_normal_input_checks_the_action_of_real_closable_clusters_only(self, monkeypatch):
+        checked, closable = [], []
+        check, realify = chmkit.eigen._acts_as_scalar, chmkit.eigen._realify_basis
+
+        def counted_check(H, basis, norm_h):
+            checked.append(basis.shape[1])
+            return check(H, basis, norm_h)
+
+        def counted_realify(X):
+            real = realify(X)
+            closable.append(real is not None)
+            return real
+
+        monkeypatch.setattr(chmkit.eigen, "_acts_as_scalar", counted_check)
+        monkeypatch.setattr(chmkit.eigen, "_realify_basis", counted_realify)
+        # a Haar-rotated double and triple: their spans have no real basis
+        complex_clusters = _scaled_unitary(31, [0.3, 0.3, 2.0, 2.0, 2.0, 4.0])
+        pairs = eigenpairs(complex_clusters)
+        assert closable == [False, False] and not checked
+        V = np.array([p.vector for p in pairs]).T
+        assert np.linalg.norm(V.conj().T @ V - np.eye(6)) <= 1e-13
+        assert max(p.residual for p in pairs) <= 1e-12
+        # F6's clusters are closed under conjugation: each is checked and made real
+        closable.clear()
+        pairs = eigenpairs(gen_fourier(6))
+        assert closable and all(closable) and len(checked) == len(closable)
+        for p in pairs:
+            assert np.max(np.abs(_canonical_phase(p.vector.copy()).imag)) < 1e-12
+
     def test_values_without_vectors_are_the_same(self):
         for H in _oracle_inputs("corpus") + _oracle_inputs("fourier"):
             values, q = _schur(H, False)

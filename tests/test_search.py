@@ -214,6 +214,63 @@ class TestPartitionTable:
         assert minimize(task).to_json() == before
 
 
+class TestIndexTables:
+    """The placement's index tables give what the dense forms gave, bit for
+    bit: Lam against fixed + free @ mu, the hinge separations against
+    hinge @ (mu, +sqrt n, -sqrt n), the Jacobian's pair blocks against two
+    gathers of T and the step against the S of two scatters into an m x m
+    zero matrix."""
+
+    @staticmethod
+    def _tasks():
+        for n in range(3, 9):
+            yield from (SearchTask(target=p) for p in TestPartitionTable._partitions(n))
+        rng = np.random.default_rng(71)
+        yield SearchTask(target=eigenvalues(gen_tao(1)))
+        yield SearchTask(target=Spectrum(SQRT6 * np.exp(1j * rng.uniform(0, 2 * np.pi, 6))))
+
+    @staticmethod
+    def _dense_step(Y, phi, delta, placement):
+        p, m = placement.k.size, Y.shape[1]
+        S = np.zeros((m, m), dtype=np.complex128)
+        S.ravel()[placement.k * m + placement.l] = delta[:p] + 1j * delta[p:2 * p]
+        S.ravel()[placement.l * m + placement.k] = delta[:p] - 1j * delta[p:2 * p]
+        w, Q = np.linalg.eigh(S)
+        return Y @ ((Q * np.exp(1j * w)) @ Q.conj().T), phi + delta[2 * p:]
+
+    def test_tables_reproduce_the_dense_forms(self):
+        rng = np.random.default_rng(72)
+        for task in self._tasks():
+            rt = math.sqrt(task.n)
+            for restart, placement in enumerate(_placements(task)):
+                Y, phi = _start(task, placement, restart)
+                r, stage = _residual(Y, phi, placement, task)
+                h, lam, mu, sep = stage
+                assert mu.tobytes() == (rt * np.exp(1j * phi)).tobytes()
+                dense = placement.fixed + placement.free @ mu
+                assert lam.tobytes() == dense.tobytes(), task.target
+                dense = placement.hinge @ np.concatenate([mu, (rt, -rt)])
+                assert sep.tobytes() == dense.tobytes(), task.target
+                J = _jacobian(r, Y, stage, placement, task)
+                p, t, m = placement.k.size, h.size, Y.shape[1]
+                T = (h.conj()[:, :, None, None] * Y[:, None, :, None]
+                     * Y.conj()[None, :, None, :]).reshape(t, -1)
+                A, B = T[:, placement.k * m + placement.l], T[:, placement.l * m + placement.k]
+                d = lam[placement.l] - lam[placement.k]
+                assert J[:t, :p].tobytes() == (-2.0 * (d * (A - B)).imag).tobytes()
+                assert J[:t, p:2 * p].tobytes() == (-2.0 * (d * (A + B)).real).tobytes()
+                delta = rng.standard_normal(2 * p + phi.size)
+                for got, want in zip(_step(Y, phi, delta, placement),
+                                     self._dense_step(Y, phi, delta, placement)):
+                    assert got.tobytes() == want.tobytes(), task.target
+
+    def test_every_table_is_read_only(self):
+        for task in self._tasks():
+            for placement in _placements(task):
+                for name, arr in placement._asdict().items():
+                    assert not arr.flags.writeable, name
+
+
 class TestPlacements:
     @staticmethod
     def _blocks(task):
@@ -833,6 +890,10 @@ class TestTaskValidation:
     @pytest.mark.parametrize("field, value", [
         ("seed", -1), ("seed", 1.5), ("seed", "1"),
         ("max_iters", -1),
+        # once let through: 2.5 restarts raised TypeError in minimize's range,
+        # and max_iters=True ran restarts of one step
+        ("restarts", 2.5), ("restarts", True), ("restarts", "3"), ("restarts", np.float64(3.0)),
+        ("max_iters", True), ("max_iters", 10.0), ("seed", True),
         ("tol_success", math.nan), ("tol_success", math.inf), ("tol_success", -1e-8),
         ("min_cluster_gap", math.nan), ("min_cluster_gap", math.inf), ("min_cluster_gap", -0.5),
     ])
@@ -840,10 +901,27 @@ class TestTaskValidation:
         with pytest.raises(ValueError, match=field):
             SearchTask(target="[2,2,1,1]", **{field: value})
 
+    @pytest.mark.parametrize("target", [
+        # each once failed deep in the descent with a NumPy IndexError or ValueError
+        (2, 2, 1, 1, 0), (3, 0), (4, 1, -1),
+        # int() once made each another pattern: [2.9, 3.1] became (3, 2)
+        [2.9, 3.1], (3.0, 3.0), [np.float64(3.0), 3],
+        (True, True, 2, 2), ("3", "3"),
+    ], ids=str)
+    def test_rejects_a_pattern_entry_that_is_no_positive_integer(self, target):
+        with pytest.raises(ValueError, match="pattern entries must be positive integers"):
+            SearchTask(target=target)
+
+    def test_accepts_python_and_numpy_integer_entries(self):
+        task = SearchTask(target=[1, np.int64(2), np.int32(1), 2])
+        assert task.target == (2, 2, 1, 1) and task.n == 6
+        assert all(type(p) is int for p in task.target)
+        assert SearchTask.from_json(task.to_json()) == task
+
     def test_accepts_the_edges(self):
         task = SearchTask(target="[2,2,1,1]", seed=np.int64(0), max_iters=0,
-                          tol_success=0.0, min_cluster_gap=0.0)
-        assert task.max_iters == 0 and task.seed == 0
+                          tol_success=0.0, min_cluster_gap=0.0, restarts=np.int64(1))
+        assert task.max_iters == 0 and task.seed == 0 and task.restarts == 1
 
     def test_rejects_a_spectrum_target_above_eight(self):
         # the gate's spectrum_distance pairs the spectra over all n! permutations
