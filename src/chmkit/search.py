@@ -33,6 +33,7 @@ import functools
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
@@ -50,6 +51,19 @@ HERMITIAN_BARRIER = 0.1
 #: share of its value (MINPACK's default ``ftol``); without it restarts at
 #: an impossible pattern creep for hundreds of steps toward the same minimum
 FTOL = math.sqrt(np.finfo(np.float64).eps)
+
+#: a restart is in its large-residual tail after a taken step that lowered
+#: the objective by less than this share of it, left it above
+#: ``SECANT_FLOOR`` and left the Gauss-Newton model ||r + J delta||^2 above
+#: ``SECANT_MODEL`` times it; there the descent adds the secant term S
+SECANT_SHARE = 0.01
+#: below this objective a restart may be creeping toward a zero, where the
+#: Gauss-Newton step is the right one, so the secant term stays off
+SECANT_FLOOR = 1e-4
+SECANT_MODEL = 0.8
+#: a step taken with S whose model curvature delta^T (J^T J + S) delta is
+#: below this share of ||J delta||^2 switches S off for the rest of the restart
+SECANT_CURVATURE = 0.1
 
 
 def parse_pattern(text: str):
@@ -102,8 +116,12 @@ class SearchTask(_Report):
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         for name in ("tol_success", "min_cluster_gap"):
             value = getattr(self, name)
-            if not 0.0 <= value < math.inf:
-                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+            if not (_is_real(value) and 0.0 <= value < math.inf):
+                raise ValueError(f"{name} must be a finite nonnegative number, got {value!r}")
+        for name in ("non_hermitian", "stop_on_success"):
+            value = getattr(self, name)
+            if not isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{name} must be a bool, got {value!r}")
         target = self.target
         if isinstance(target, str):
             pattern, non_herm = parse_pattern(target)
@@ -152,6 +170,11 @@ class SearchTask(_Report):
 def _is_integer(value) -> bool:
     """True for a Python or numpy integer that is not a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """True for a Python or numpy real number that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
 
 
 def _spectrum(pairs) -> Spectrum:
@@ -495,12 +518,31 @@ def _gate(phases: np.ndarray, task: SearchTask, value: float) -> VerifyReport | 
     return report if match else None
 
 
+def _secant_update(S: np.ndarray, s: np.ndarray, y: np.ndarray, y_sharp: np.ndarray) -> np.ndarray:
+    """The Dennis-Gay-Welsch update of the secant term S ~ sum r_i Hess(r_i)
+    after a step s, with y the change of the gradient J^T r and y_sharp =
+    (J_+ - J)^T r_+.  S is first sized by min(1, |s.y#| / |s.S s|), as in
+    NL2SOL; the result is symmetric and maps s to y_sharp.  S is returned as
+    it is when y.s <= 0."""
+    ys = float(y @ s)
+    if ys <= 0.0:
+        return S
+    Ss = S @ s
+    sSs = float(s @ Ss)
+    if sSs != 0.0:
+        tau = min(1.0, abs(float(s @ y_sharp)) / abs(sSs))
+        S, Ss = tau * S, tau * Ss
+    w = y_sharp - Ss
+    wy = np.outer(w, y)
+    return S + (wy + wy.T) / ys - (float(w @ s) / ys ** 2) * np.outer(y, y)
+
+
 def _descend(Y: np.ndarray, phi: np.ndarray, task: SearchTask, placement: _Placement,
              trace_rows: list | None, restart: int):
     """One restart: Levenberg-Marquardt from (Y, phi); returns (h, Lam, value,
     steps) at the last point, h being H's interior.
 
-    A step solves (J^T J + lam I) delta = -J^T r and is taken only when it
+    A step solves (J^T J + S + lam I) delta = -J^T r and is taken only when it
     lowers the objective r @ r; each rejection multiplies lam by 10, at most 8
     times per step.  A trial costs one ``_step`` and one ``_residual``; a
     trial that lowers the objective runs ``_jacobian`` on that trial's stage,
@@ -509,20 +551,31 @@ def _descend(Y: np.ndarray, phi: np.ndarray, task: SearchTask, placement: _Place
     The restart stops when no damped step improves (at once, for a placement
     with no parameter), when the objective is below 1e-24, when a step lowers
     it by no more than ``FTOL`` of its value, or after ``task.max_iters`` steps.
+
+    S is None (plain Gauss-Newton) until a taken step that does not end the
+    restart puts it in its large-residual tail (``SECANT_SHARE``,
+    ``SECANT_FLOOR``, ``SECANT_MODEL``); from then on each such step updates S
+    by ``_secant_update``, starting from 0, with the tangent coordinates of
+    both points taken as the same, and a step out of the tail sets S back to
+    None.  A step taken with S whose curvature fails ``SECANT_CURVATURE``
+    turns S off for the rest of the restart.
     """
     r, stage = _residual(Y, phi, placement, task)
     J = _jacobian(r, Y, stage, placement, task)
+    g = J.T @ r
     f = float(r @ r)
     lam = 1e-3
     steps = 0
+    S, secant = None, True
     done = task.max_iters <= 0 or f < 1e-24 or J.shape[1] == 0
     while not done:
-        JtJ, rhs = J.T @ J, -(J.T @ r)
+        JtJ, rhs = J.T @ J, -g
         for _ in range(8):
             try:
-                A = JtJ.copy()
+                A = JtJ.copy() if S is None else JtJ + S
                 A.ravel()[:: A.shape[0] + 1] += lam
-                Yc, phic = _step(Y, phi, np.linalg.solve(A, rhs), placement)
+                delta = np.linalg.solve(A, rhs)
+                Yc, phic = _step(Y, phi, delta, placement)
                 rc, stage_c = _residual(Yc, phic, placement, task)
                 fc = float(rc @ rc)
                 if fc < f:
@@ -534,6 +587,20 @@ def _descend(Y: np.ndarray, phi: np.ndarray, task: SearchTask, placement: _Place
             lam *= 10.0
         else:
             break
+        if not done:
+            gc = Jc.T @ rc
+            if S is not None:
+                # delta^T (J^T J + S) delta, read off the solve, against ||J delta||^2
+                Jd = J @ delta
+                secant = (float(delta @ rhs) - lam * float(delta @ delta)
+                          >= SECANT_CURVATURE * float(Jd @ Jd))
+            tail = secant and f - fc < SECANT_SHARE * f and fc > SECANT_FLOOR
+            if tail:
+                model = r + J @ delta
+                tail = float(model @ model) > SECANT_MODEL * f
+            S = _secant_update(np.zeros_like(JtJ) if S is None else S,
+                               delta, gc - g, gc - J.T @ rc) if tail else None
+            g = gc
         Y, phi, f, r, J, stage = Yc, phic, fc, rc, Jc, stage_c
         lam = max(lam / 3.0, 1e-12)
         if trace_rows is not None:

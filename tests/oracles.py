@@ -18,7 +18,9 @@ basis of their complement, none of which the search uses.  The search's
 residual and Jacobian oracle is their first form: Lam entry by entry, the
 interior as a sum of outer products and each column of J from the change
 of the interior that one parameter makes; the descent oracle is the
-Levenberg-Marquardt loop as first written, with a Jacobian at every trial.
+Levenberg-Marquardt loop as first written, with a Jacobian at every trial,
+and the secant term of the large-residual tail added to its damped matrix
+as a sum (without it, the Gauss-Newton loop as first written).
 The placement oracle deals +-sqrt(n) into every ordered pair of blocks and
 drops the repeats after the fact, and the hinge oracle reads the clusters
 off the values alone.  The rank-one
@@ -42,7 +44,10 @@ from chmkit.eigen import (
     _eig2, _exponent, _ldexp, _negligible, _realify_basis, _spectrum_order,
     _triangular_eigenvectors, cluster_indices, eigenvalues,
 )
-from chmkit.search import FTOL, HERMITIAN_BARRIER, _jacobian, _residual, _step
+from chmkit.search import (
+    FTOL, HERMITIAN_BARRIER, SECANT_CURVATURE, SECANT_FLOOR, SECANT_MODEL, SECANT_SHARE,
+    _jacobian, _residual, _secant_update, _step,
+)
 from chmkit.spectral import multiplicity_profile
 
 
@@ -515,22 +520,27 @@ def spectral_residual_and_jacobian(Y, phi, placement, task) -> tuple:
     return r, J
 
 
-def descend_every_jacobian(Y, phi, placement, task) -> tuple:
+def descend_every_jacobian(Y, phi, placement, task, secant: bool = True) -> tuple:
     """One Levenberg-Marquardt restart as first written: ``search._residual``
     and ``search._jacobian`` at every trial point, the restart's last step
-    included, the damped matrix built as J^T J + lam I and the stop rules
-    checked after each step.  Returns (h, Lam, value, trace rows (step, value))."""
+    included, the damped matrix built as J^T J + S + lam I and the stop rules
+    checked after each step.  S is the zero matrix except in the
+    large-residual tail, where ``search._secant_update`` keeps it; with
+    ``secant=False`` it stays zero, the Gauss-Newton loop as first written.
+    Returns (h, Lam, value, trace rows (step, value))."""
     r, stage = _residual(Y, phi, placement, task)
     J = _jacobian(r, Y, stage, placement, task)
     f = float(r @ r)
     lam = 1e-3
     eye = np.eye(J.shape[1])
+    S, tail = np.zeros_like(eye), False
     steps, rows = 0, []
     while steps < task.max_iters and f >= 1e-24 and J.shape[1] > 0:
         JtJ, g = J.T @ J, J.T @ r
         for _ in range(8):
             try:
-                Yc, phic = _step(Y, phi, np.linalg.solve(JtJ + lam * eye, -g), placement)
+                delta = np.linalg.solve(JtJ + S + lam * eye, -g)
+                Yc, phic = _step(Y, phi, delta, placement)
                 rc, stage_c = _residual(Yc, phic, placement, task)
                 Jc = _jacobian(rc, Yc, stage_c, placement, task)
                 fc = float(rc @ rc)
@@ -541,6 +551,16 @@ def descend_every_jacobian(Y, phi, placement, task) -> tuple:
             lam *= 10.0
         else:
             break
+        last = steps + 1 >= task.max_iters or fc < 1e-24 or f - fc <= FTOL * fc
+        if secant and not last:
+            Jd = J @ delta
+            if tail and float(delta @ -g) - lam * float(delta @ delta) < SECANT_CURVATURE * float(Jd @ Jd):
+                secant = False
+            model = r + Jd
+            tail = (secant and f - fc < SECANT_SHARE * f and fc > SECANT_FLOOR
+                    and float(model @ model) > SECANT_MODEL * f)
+            gc = Jc.T @ rc
+            S = _secant_update(S, delta, gc - g, gc - J.T @ rc) if tail else np.zeros_like(eye)
         f_prev, Y, phi, f, r, J, stage = f, Yc, phic, fc, rc, Jc, stage_c
         lam = max(lam / 3.0, 1e-12)
         rows.append((steps, f))

@@ -22,6 +22,7 @@ from chmkit.search import (
     _pattern_placements,
     _placements,
     _residual,
+    _secant_update,
     _start,
     _step,
     chm_gradient,
@@ -537,21 +538,26 @@ class TestFirstFormOracle:
             assert r[-1] > 0.0  # barrier row active
 
     @pytest.mark.parametrize(
-        "target, seed, max_iters, stop, restart",
-        [pytest.param("[4,1,1]", 0, 10, "max_iters", 0, id="[4,1,1]-0-10-max_iters"),
-         pytest.param("[4,1,1]", 0, 5000, "ftol", 0, id="[4,1,1]-0-5000-ftol"),
-         pytest.param("[2,2,1,1]", 2, 5000, "converged", 0, id="[2,2,1,1]-2-5000-converged"),
+        "target, seed, max_iters, stop, restart, near_real",
+        [pytest.param("[4,1,1]", 0, 10, "max_iters", 0, False, id="[4,1,1]-0-10-max_iters"),
+         pytest.param("[4,1,1]", 0, 5000, "ftol", 0, False, id="[4,1,1]-0-5000-ftol"),
+         pytest.param("[2,2,1,1]", 2, 5000, "converged", 0, False,
+                      id="[2,2,1,1]-2-5000-converged"),
          # restart 1, free values near the real axis: the barrier row is
          # active at the start and the restart runs its 20 steps
-         pytest.param("[3,1,1,1]-non-hermitian", 3, 20, "max_iters", 1,
-                      id="[3,1,1,1]-non-hermitian-3-20-max_iters")],
+         pytest.param("[3,1,1,1]-non-hermitian", 3, 20, "max_iters", 1, True,
+                      id="[3,1,1,1]-non-hermitian-3-20-max_iters"),
+         # the secant term's curvature safeguard fires here; without it this
+         # restart runs all 5000 steps (86 steps without the secant term)
+         pytest.param("[2,2,2]-non-hermitian-gap1.0", 11, 5000, "safeguard", 20, False,
+                      id="[2,2,2]-non-hermitian-gap1.0-11-5000-safeguard")],
     )
-    def test_descent(self, target, seed, max_iters, stop, restart):
-        task = SearchTask(target=target, seed=seed, max_iters=max_iters)
+    def test_descent(self, target, seed, max_iters, stop, restart, near_real):
+        task = _task(target, seed=seed, max_iters=max_iters)
         placements = _placements(task)
         placement = placements[restart % len(placements)]
         Y0, phi0 = _start(task, placement, restart)
-        if task.non_hermitian:
+        if near_real:
             phi0 = np.round(phi0 / math.pi) * math.pi + 0.01 * np.arange(1, phi0.size + 1)
             assert _residual(Y0, phi0, placement, task)[0][-1] > 0.0
         rows = []
@@ -564,8 +570,88 @@ class TestFirstFormOracle:
             assert steps == max_iters
         elif stop == "ftol":
             assert steps < max_iters and rows_o[-2][1] - f <= FTOL * f
+        elif stop == "safeguard":
+            assert steps < 200 and rows_o[-2][1] - f <= FTOL * f
         else:
             assert f < 1e-24
+
+
+class TestSecantTerm:
+    """The secant term S of the large-residual tail: its update, and where
+    the descent uses it."""
+
+    @staticmethod
+    def _symmetric(rng, size, scale):
+        A = scale * rng.standard_normal((size, size))
+        return A + A.T
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-3, 1e3])
+    def test_update_is_symmetric_and_meets_the_secant_equation(self, scale):
+        # scale 0 is the first tail step; at 1e3 the sizing factor is below 1
+        rng = np.random.default_rng(81)
+        for size in (1, 3, 13):
+            S = self._symmetric(rng, size, scale)
+            s, y_sharp = rng.standard_normal(size), rng.standard_normal(size)
+            y = s + 0.1 * rng.standard_normal(size)
+            if y @ s <= 0.0:
+                y = -y
+            S1 = _secant_update(S, s, y, y_sharp)
+            assert np.array_equal(S1, S1.T)
+            assert np.max(np.abs(S1 @ s - y_sharp)) <= 1e-12 * max(1.0, np.max(np.abs(S1)))
+            # Dennis, Gay and Welsch's formula, from S sized as in NL2SOL
+            tau = min(1.0, abs(s @ y_sharp) / abs(s @ S @ s)) if scale else 1.0
+            assert (tau < 1.0) == (scale == 1e3)
+            w, ys = y_sharp - tau * S @ s, y @ s
+            expected = (tau * S + (np.outer(w, y) + np.outer(y, w)) / ys
+                        - (w @ s) / ys ** 2 * np.outer(y, y))
+            assert np.max(np.abs(S1 - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
+
+    def test_update_is_skipped_when_y_s_is_not_positive(self):
+        rng = np.random.default_rng(82)
+        S = self._symmetric(rng, 5, 1.0)
+        s, y_sharp = rng.standard_normal(5), rng.standard_normal(5)
+        for y in (-s, np.zeros(5)):
+            assert _secant_update(S, s, y, y_sharp) is S
+
+    @staticmethod
+    def _against_gauss_newton(task, restart=0):
+        """``_descend`` and the Gauss-Newton oracle from one restart's start."""
+        placements = _placements(task)
+        placement = placements[restart % len(placements)]
+        Y0, phi0 = _start(task, placement, restart)
+        rows = []
+        h, lam, f, _ = _descend(Y0, phi0, task, placement, rows, restart)
+        h_o, lam_o, f_o, rows_o = oracles.descend_every_jacobian(
+            Y0, phi0, placement, task, secant=False)
+        return (h, lam, f, [(step, value) for _, step, value in rows]), (h_o, lam_o, f_o, rows_o)
+
+    @pytest.mark.parametrize("pattern", [(2, 2, 1, 1), (3, 3), (2, 1, 1, 1, 1), (1,) * 6],
+                             ids=str)
+    def test_found_restarts_take_the_gauss_newton_steps(self, pattern):
+        # restart 0 of each search_found benchmark task finds its CHM; the
+        # secant term never engages there, so every step is Gauss-Newton's
+        for seed in range(6):
+            (h, lam, f, rows), (h_o, lam_o, f_o, rows_o) = self._against_gauss_newton(
+                SearchTask(target=pattern, seed=seed))
+            assert np.array_equal(h, h_o) and np.array_equal(lam, lam_o) and f == f_o
+            assert rows == rows_o and f < 1e-24
+
+    def test_a_restart_near_a_zero_takes_the_gauss_newton_steps(self):
+        # restart 1 of [1]*7 at seed 5 finds its CHM in 87 steps, most of
+        # them below SECANT_FLOOR, where a secant term made it creep for 266
+        (h, lam, f, rows), (h_o, lam_o, f_o, rows_o) = self._against_gauss_newton(
+            SearchTask(target=(1,) * 7, seed=5), restart=1)
+        assert np.array_equal(h, h_o) and f == f_o and rows == rows_o and len(rows) == 87
+
+    @pytest.mark.parametrize("pattern", ["[4,1,1]", "[4,2]"])
+    def test_impossible_patterns_take_fewer_steps(self, pattern):
+        # criterion 6's patterns end at a large residual; the secant term
+        # cuts the Gauss-Newton tail there and ends no higher
+        for seed in range(6):
+            (_, _, f, rows), (_, _, f_o, rows_o) = self._against_gauss_newton(
+                SearchTask(target=pattern, seed=seed))
+            assert len(rows) < len(rows_o), seed
+            assert f <= f_o * (1.0 + 1e-12), seed
 
 
 class TestGradient:
@@ -896,6 +982,11 @@ class TestTaskValidation:
         ("max_iters", True), ("max_iters", 10.0), ("seed", True),
         ("tol_success", math.nan), ("tol_success", math.inf), ("tol_success", -1e-8),
         ("min_cluster_gap", math.nan), ("min_cluster_gap", math.inf), ("min_cluster_gap", -0.5),
+        # once let through: "false" ran the non-Hermitian search and "no"
+        # stopped on success; True passed as 1; "1e-8" raised TypeError
+        ("non_hermitian", "false"), ("non_hermitian", 1), ("stop_on_success", "no"),
+        ("stop_on_success", None), ("tol_success", True), ("tol_success", "1e-8"),
+        ("min_cluster_gap", True), ("min_cluster_gap", np.True_), ("tol_success", 1e-8 + 0j),
     ])
     def test_rejects_what_minimize_cannot_run(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -917,6 +1008,19 @@ class TestTaskValidation:
         assert task.target == (2, 2, 1, 1) and task.n == 6
         assert all(type(p) is int for p in task.target)
         assert SearchTask.from_json(task.to_json()) == task
+
+    def test_saved_task_with_a_string_flag_is_rejected(self):
+        saved = json.loads(self.SAVED_DEFAULT_TASK)
+        saved["non_hermitian"] = "false"
+        with pytest.raises(ValueError, match="non_hermitian"):
+            SearchTask.from_json(json.dumps(saved))
+
+    def test_accepts_numpy_bools_and_numbers(self):
+        task = SearchTask(target="[2,2,1,1]", non_hermitian=np.False_, stop_on_success=np.True_,
+                          tol_success=np.float64(1e-8), min_cluster_gap=np.int64(1))
+        assert not task.non_hermitian and task.stop_on_success
+        again = SearchTask.from_json(task.to_json())
+        assert again == task and again.non_hermitian is False and again.stop_on_success is True
 
     def test_accepts_the_edges(self):
         task = SearchTask(target="[2,2,1,1]", seed=np.int64(0), max_iters=0,
