@@ -3,9 +3,12 @@
 The solver is self-contained.  One core, ``_schur``, serves ``eigenvalues``
 and ``eigenpairs``: it reduces the matrix to upper Hessenberg form by
 Householder reflections and then runs single-shift (Wilkinson) QR iteration
-with deflation in complex arithmetic.  The QR sweeps are Givens rotations
-on lists of lists of Python ``complex``: on matrices this small, numpy's
-cost per call on scalars and 1-row slices exceeds the arithmetic.  For
+in complex arithmetic, deflating one eigenvalue at a time: a complex Schur
+form is triangular, so no 2x2 block needs its own solution (on a 2x2 block
+the Wilkinson shift is one of its eigenvalues, and one sweep splits it).
+The QR sweeps are Givens rotations on lists of lists of Python
+``complex``: on matrices this small, numpy's cost per call on scalars and
+1-row slices exceeds the arithmetic.  For
 ``eigenpairs`` the core also accumulates its reflections and rotations into
 the unitary Q of the Schur form H = Q T Q^dag, held as row lists like the
 Hessenberg matrix: each reflection updates A and Q in one (2n x n) array,
@@ -185,16 +188,6 @@ def _negligible(a: list, k: int, floor: float) -> bool:
     return abs(a[k][k - 1]) <= _EPS * (abs(a[k - 1][k - 1]) + abs(a[k][k])) + floor
 
 
-def _rotate(rows: list, i: int, c: complex, s: complex) -> None:
-    """Columns i, i+1 of the matrix whose rows are the lists ``rows``, times
-    the rotation [[c, -conj(s)], [s, conj(c)]], in place."""
-    cc, sc = c.conjugate(), s.conjugate()
-    for row in rows:
-        u, v = row[i], row[i + 1]
-        row[i] = c * u + s * v
-        row[i + 1] = cc * v - sc * u
-
-
 def _qr_sweep(a: list, q: list | None, lo: int, hi: int, mu: complex) -> None:
     """One shifted QR sweep (Givens rotations) on the Hessenberg block
     lo..hi of the row lists ``a``, in place; each rotation also multiplies
@@ -215,8 +208,8 @@ def _qr_sweep(a: list, q: list | None, lo: int, hi: int, mu: complex) -> None:
             bot[j] = c * v - s * u
         rots.append((c, s))
     # R is upper triangular, so rotation i only reaches rows lo..i+1 of a;
-    # it reaches every row of Q.  ``_rotate``'s body, inlined: this is the
-    # solver's innermost loop
+    # it reaches every row of Q.  The rotation is written out in the loop,
+    # not called: this is the solver's innermost loop
     for i, (c, s) in enumerate(rots, lo):
         cc, sc = c.conjugate(), s.conjugate()
         j = i + 1
@@ -234,8 +227,10 @@ def _schur(H: np.ndarray, vectors: bool, norm_h: float | None = None) -> tuple:
     Q^dag H Q is upper triangular with those values on its diagonal (else
     None).
 
-    Hessenberg reduction followed by Wilkinson-shifted QR with deflation,
-    both on H / 2**e with e = ``_exponent(H)``, whose values are scaled back;
+    Hessenberg reduction followed by Wilkinson-shifted QR, both on H / 2**e
+    with e = ``_exponent(H)``, whose values are scaled back.  Every block,
+    2x2 ones included, goes through ``_qr_sweep`` until the subdiagonal entry
+    at its bottom passes ``_negligible``, which deflates one eigenvalue;
     raises :class:`ConvergenceError` (carrying a complex array of the values
     found so far) if more than 100 n QR steps are needed.  A caller that has
     already scaled H passes its Frobenius norm ``norm_h``, and H is used as
@@ -252,10 +247,7 @@ def _schur(H: np.ndarray, vectors: bool, norm_h: float | None = None) -> tuple:
     hi = n - 1
     steps = 0
     stuck = 0
-    while hi >= 0:
-        if hi == 0:
-            eigs[0] = a[0][0]
-            break
+    while hi > 0:
         # deflate any negligible subdiagonal at the active edge
         if _negligible(a, hi, floor):
             a[hi][hi - 1] = 0j
@@ -269,22 +261,6 @@ def _schur(H: np.ndarray, vectors: bool, norm_h: float | None = None) -> tuple:
             lo -= 1
         if lo > 0:
             a[lo][lo - 1] = 0j
-        if hi - lo == 1:
-            b11, b12, b21, b22 = a[lo][lo], a[lo][hi], a[hi][lo], a[hi][hi]
-            near, far = _eig2(b11, b12, b21, b22)
-            eigs[hi], eigs[lo] = near, far
-            if q is not None:
-                # rotate an eigenvector of ``far`` into column lo of Q, so
-                # that the block becomes triangular
-                x, y = b12, far - b11
-                if abs(x) + abs(y) < abs(far - b22) + abs(b21):
-                    x, y = far - b22, b21
-                r = math.hypot(abs(x), abs(y))
-                if r:
-                    _rotate(q, lo, x / r, y / r)
-            hi -= 2
-            stuck = 0
-            continue
         if steps >= 100 * n:
             raise ConvergenceError(
                 f"QR failed to converge within {100 * n} iterations",
@@ -298,6 +274,7 @@ def _schur(H: np.ndarray, vectors: bool, norm_h: float | None = None) -> tuple:
         _qr_sweep(a, q, lo, hi, mu)
         steps += 1
         stuck += 1
+    eigs[0] = a[0][0]
     return _ldexp(np.array(eigs, dtype=np.complex128), e), q
 
 

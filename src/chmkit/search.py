@@ -226,8 +226,11 @@ class SearchReport(_Report):
     def from_json(cls, text: str) -> "SearchReport":
         """Inverse of ``to_json``.  Raises ``ValueError`` unless ``best_matrix``
         is a valid matrix file object of the task's n, ``best_phases`` holds
-        the task's number of finite phases, ``best_spectrum`` has n values and
-        every ``trace`` row is 4 numbers.  A missing ``conflict`` reads as None."""
+        the task's number of finite phases, ``best_spectrum`` has n values,
+        every ``trace`` row is 4 numbers, ``best_residual`` is a number,
+        ``verdict`` is "found" or "not-found", and ``found_restart`` is null
+        for "not-found" and a trace row's restart for "found".  A missing
+        ``conflict`` reads as None."""
         obj = json.loads(text)
         task = SearchTask.from_json(json.dumps(obj["task"]))
         H = matrix_from_object(obj["best_matrix"])
@@ -242,11 +245,23 @@ class SearchReport(_Report):
             raise ValueError(f"best_spectrum must be {task.n} [re, im] pairs, one per eigenvalue")
         if not (isinstance(obj["trace"], list) and all(_numbers(row, 4) for row in obj["trace"])):
             raise ValueError("every trace row must be 4 numbers")
+        if not _is_real(obj["best_residual"]):
+            raise ValueError("best_residual must be a number")
+        verdict, restart = obj["verdict"], obj["found_restart"]
+        if verdict not in ("found", "not-found"):
+            raise ValueError(f'verdict must be "found" or "not-found", got {verdict!r}')
+        if verdict == "found":
+            valid = _is_integer(restart) and restart in [row[0] for row in obj["trace"]]
+        else:
+            valid = restart is None
+        if not valid:
+            raise ValueError("found_restart must be a trace row's restart for a found "
+                             "verdict and null for not-found")
         return cls(
             task=task,
             best_residual=obj["best_residual"],
-            found=obj["verdict"] == "found",
-            found_restart=obj["found_restart"],
+            found=verdict == "found",
+            found_restart=restart,
             best_phases=np.array(phases, dtype=np.float64),
             best_matrix=H,
             best_spectrum=_spectrum(spectrum),

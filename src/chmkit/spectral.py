@@ -18,16 +18,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DEFAULT_TOL, SQRT6, ChmReport, DegenerateInputError, _dephase_phases, _is_dephased, _Report,
-    as_matrix, chm_residuals, is_dephased,
+    DEFAULT_TOL, SQRT6, ChmReport, DegenerateInputError, DimensionError, _dephase_phases,
+    _is_dephased, _Report, as_matrix, chm_residuals, is_dephased,
 )
 from .eigen import (
     CLUSTER_TOL, ConvergenceError, Spectrum, cluster_indices, eigenpairs, eigenvalues,
 )
 
 
+def _require_two(n: int) -> None:
+    """The two constant eigenpairs exist only for n >= 2: at n = 1, v2 is 0."""
+    if n < 2:
+        raise DimensionError(f"the constant eigenpairs need n >= 2, got {n}")
+
+
 def constant_eigenvectors(n: int) -> tuple:
-    """The unnormalized constant eigenvectors v1, v2 of a dephased CHM."""
+    """The unnormalized constant eigenvectors v1, v2 of a dephased CHM
+    (n >= 2, else :class:`DimensionError`)."""
+    _require_two(n)
     rt = math.sqrt(n)
     v1 = np.ones(n, dtype=np.complex128)
     v2 = np.ones(n, dtype=np.complex128)
@@ -79,8 +87,10 @@ def verify_constant_eigenpairs(H, tol: float = 1e-10) -> ConstantEigenpairReport
     The +-sqrt(n) residuals need no eigensolve; the first-coordinate check
     runs the eigensolver and looks at every eigenvector whose value differs
     from +-sqrt(n) by more than max(1e-6, 100 tol), as ``verify_matrix`` does.
+    Raises :class:`DimensionError` for n < 2.
     """
     H = as_matrix(H)
+    _require_two(H.shape[0])
     _require_dephased_chm(H, tol)
     return _constant_leg(H, eigenpairs(H), _check_tol(tol))
 
@@ -221,10 +231,12 @@ def verify_matrix(H, tol: float = DEFAULT_TOL) -> VerifyReport:
     one copy each of +-sqrt 6 is set aside) and ``hermitian_equivalence``;
     ``verifier_error`` means the eigensolver failed.  One ``eigenpairs(D)``
     solve feeds every spectral leg and the reported spectrum, and one
-    clustering gives the reported profile and the Hermitian leg's.
+    clustering gives the reported profile and the Hermitian leg's.  Raises
+    :class:`DimensionError` for n < 2, which has no constant eigenpairs.
     """
     H = as_matrix(H)
     n = H.shape[0]
+    _require_two(n)
     chm = chm_residuals(H, tol)
     if not chm.is_chm:
         return VerifyReport(n=n, tol=tol, chm=chm, failed="chm")

@@ -9,8 +9,10 @@ time loop, with its own start blocks; it shares only ``eigenvalues`` and
 the small helpers with the Schur-form ``eigenpairs`` it checks.  The
 column-list Schur oracle is the solver as it was before Q was held as rows:
 Q reduced in its own array and accumulated as column lists, a new pair of
-lists per rotation; it shares the QR driver's helpers and the eigenvector
-steps after the Schur form, and the solver must match it bit for bit.  The
+lists per rotation; like the solver, it deflates one eigenvalue at a time,
+sweeping 2x2 blocks as it sweeps larger ones.  It shares the QR driver's
+helpers and the eigenvector steps after the Schur form, and the solver
+must match it bit for bit.  The
 n = 6 multiplicity oracle re-sorts the remaining values as a ``Spectrum``
 before it clusters them, as ``verify_matrix`` once did.  The search's
 construction oracle builds a matrix from the paper's projectors and an SVD
@@ -283,19 +285,6 @@ def schur_by_columns(H) -> tuple:
             lo -= 1
         if lo > 0:
             a[lo][lo - 1] = 0j
-        if hi - lo == 1:
-            b11, b12, b21, b22 = a[lo][lo], a[lo][hi], a[hi][lo], a[hi][hi]
-            near, far = _eig2(b11, b12, b21, b22)
-            eigs[hi], eigs[lo] = near, far
-            x, y = b12, far - b11
-            if abs(x) + abs(y) < abs(far - b22) + abs(b21):
-                x, y = far - b22, b21
-            r = math.hypot(abs(x), abs(y))
-            if r:
-                _rotate_columns(q, lo, x / r, y / r)
-            hi -= 2
-            stuck = 0
-            continue
         if steps >= 100 * n:
             raise ConvergenceError(f"QR failed to converge within {100 * n} iterations")
         if stuck and stuck % 12 == 0:

@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  Criterion 6 (search calibration) runs the full 200-restart protocol
-and dominates the runtime (about 10 s on a 2-core VM).
+and dominates the runtime (under a second on a 2-core VM).
 """
 
 import math

@@ -84,6 +84,14 @@ class TestVerify:
         code, _ = run(capsys, "verify", str(path))
         assert code == 2
 
+    def test_one_by_one_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "one.json"
+        path.write_text('{"n": 1, "re": [[1]], "im": [[0]]}')
+        code = cli.main(["verify", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: the constant eigenpairs need n >= 2, got 1\n"
+
     def test_missing_file_is_usage_error(self, capsys):
         code, _ = run(capsys, "verify", "/nonexistent/nope.json")
         assert code == 2

@@ -335,10 +335,60 @@ class TestSchurForm:
 
 def _block_branch_input() -> np.ndarray:
     """A non-normal complex Gaussian: the QR iteration ends on a 2x2 block,
-    whose eigenvector ``_schur`` rotates into Q, and its eigenvectors need
+    which one more sweep reduces to two 1x1 blocks, and its eigenvectors need
     the back substitution."""
     rng = np.random.default_rng(5)
     return rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+
+
+#: 2x2 inputs: a rotation (a conjugate pair) and a near-Jordan block
+_TWO_BY_TWO = {
+    "rotation": np.array([[0, -1], [1, 0]], dtype=complex),
+    "near_jordan": np.array([[1, 1], [1e-10, 1]], dtype=complex),
+}
+
+
+def _count_sweeps(monkeypatch) -> list:
+    """Patch ``_qr_sweep`` to record the size of each block it sweeps."""
+    sizes = []
+    sweep = chmkit.eigen._qr_sweep
+
+    def counted(a, q, lo, hi, mu):
+        sizes.append(hi - lo + 1)
+        return sweep(a, q, lo, hi, mu)
+
+    monkeypatch.setattr(chmkit.eigen, "_qr_sweep", counted)
+    return sizes
+
+
+class TestTwoByTwoEndings:
+    """A 2x2 active block deflates through the ordinary sweep: its Wilkinson
+    shift is one of its eigenvalues, so one sweep makes the subdiagonal
+    negligible."""
+
+    @pytest.mark.parametrize("kind, scale", [("block", 1.0)] + [
+        (kind, scale) for kind in _TWO_BY_TWO for scale in (1.0, 1e-170, 1e200)])
+    def test_values_and_schur_form(self, kind, scale, monkeypatch):
+        H = _block_branch_input() if kind == "block" else _TWO_BY_TWO[kind] * scale
+        n = H.shape[0]
+        sizes = _count_sweeps(monkeypatch)
+        values, q = _schur(H, True)
+        assert sizes[-1] == 2  # the iteration ends on a 2x2 block
+        ref = np.linalg.eigvals(H) if n == 2 else oracles.companion_spectrum(H)
+        radius = np.abs(ref).max()
+        assert oracles.greedy_match_distance(values, ref) <= 1e-12 * radius
+        Q = np.array(q)  # q holds the rows of Q
+        T = Q.conj().T @ H @ Q
+        assert np.max(np.abs(Q.conj().T @ Q - np.eye(n))) <= 1e-12
+        # relative to the largest entry: H's Frobenius norm under- or overflows
+        assert np.max(np.abs(np.tril(T, -1))) <= 1e-12 * np.abs(H).max()
+
+    def test_sweeps_per_eigenpairs_call(self, monkeypatch):
+        sizes = _count_sweeps(monkeypatch)
+        for H in _oracle_inputs("corpus") + _oracle_inputs("fourier"):
+            eigenpairs(H)
+        # 182 when a 2x2 block was solved in closed form; 243 with one sweep each
+        assert len(sizes) <= 243
 
 
 class TestRowSchurVectors:
@@ -350,18 +400,6 @@ class TestRowSchurVectors:
     @staticmethod
     def _inputs(kind: str) -> list:
         return [_block_branch_input()] if kind == "block" else _oracle_inputs(kind)
-
-    def test_block_input_takes_the_block_branch(self, monkeypatch):
-        calls = []
-        rotate = chmkit.eigen._rotate
-
-        def counted(*args):
-            calls.append(1)
-            return rotate(*args)
-
-        monkeypatch.setattr(chmkit.eigen, "_rotate", counted)
-        _schur(_block_branch_input(), True)
-        assert calls
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_schur_matches_column_lists(self, kind):

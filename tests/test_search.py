@@ -791,6 +791,36 @@ class TestMinimize:
         with pytest.raises(ValueError):
             SearchReport.from_json(json.dumps(d))
 
+    @pytest.mark.parametrize(
+        "verdict, edit",
+        [
+            ("not-found", lambda d: d.__setitem__("best_residual", "x")),
+            ("not-found", lambda d: d.__setitem__("best_residual", True)),
+            ("not-found", lambda d: d.__setitem__("best_residual", None)),
+            ("not-found", lambda d: d.__setitem__("verdict", "maybe")),
+            ("not-found", lambda d: d.__setitem__("verdict", True)),
+            ("not-found", lambda d: d.__setitem__("found_restart", 0)),
+            ("found", lambda d: d.__setitem__("found_restart", 99)),
+            ("found", lambda d: d.__setitem__("found_restart", None)),
+            ("found", lambda d: d.__setitem__("found_restart", "0")),
+            ("found", lambda d: d.__setitem__("found_restart", False)),
+            ("found", lambda d: d.__setitem__("verdict", "not-found")),
+        ],
+        ids=["string-residual", "bool-residual", "null-residual", "unknown-verdict",
+             "bool-verdict", "not-found-with-a-restart", "restart-past-the-trace",
+             "found-without-a-restart", "string-restart", "bool-restart",
+             "not-found-with-a-found-restart"],
+    )
+    def test_report_from_json_validates_the_verdict_fields(self, verdict, edit):
+        pattern = [2, 2, 1, 1] if verdict == "found" else [4, 2]  # [4, 2] is impossible
+        text = minimize(SearchTask(target=pattern, restarts=3, max_iters=20, seed=11)).to_json()
+        d = json.loads(text)
+        assert d["verdict"] == verdict and len(d["trace"]) >= 1
+        assert SearchReport.from_json(text).to_json() == text
+        edit(d)
+        with pytest.raises(ValueError):
+            SearchReport.from_json(json.dumps(d))
+
     def test_report_from_json_rejects_a_matrix_of_another_size(self):
         report = minimize(SearchTask(target="[2,2,1,1]", restarts=1, max_iters=20, seed=5))
         d = json.loads(report.to_json())

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from chmkit.core import DimensionError
 from chmkit.eigen import Spectrum, eigenvalues
 from chmkit.families import gen_fourier, gen_haagerup, gen_hermitian, gen_tao
 from chmkit.spectral import (
@@ -10,6 +11,7 @@ from chmkit.spectral import (
     multiplicity_profile,
     verify_constant_eigenpairs,
     verify_hermitian_equivalence,
+    verify_matrix,
 )
 
 SQRT6 = math.sqrt(6.0)
@@ -46,6 +48,14 @@ class TestConstantEigenpairs:
     def test_rejects_non_chm(self):
         with pytest.raises(ValueError, match="CHM"):
             verify_constant_eigenpairs(np.ones((6, 6), dtype=complex))
+
+    def test_rejects_one_by_one(self):
+        # at n = 1, v2 = 1 - sqrt(1) is the zero vector: nothing to certify
+        with pytest.raises(DimensionError, match="n >= 2"):
+            constant_eigenvectors(1)
+        for verify in (verify_constant_eigenpairs, verify_matrix):
+            with pytest.raises(DimensionError, match="n >= 2"):
+                verify(np.ones((1, 1), dtype=complex))
 
     def test_corpus_wide(self, corpus):
         for name, H in corpus:
