@@ -8,12 +8,12 @@ form is triangular, so no 2x2 block needs its own solution (on a 2x2 block
 the Wilkinson shift is one of its eigenvalues, and one sweep splits it).
 The QR sweeps are Givens rotations on lists of lists of Python
 ``complex``: on matrices this small, numpy's cost per call on scalars and
-1-row slices exceeds the arithmetic.  For
-``eigenpairs`` the core also accumulates its reflections and rotations into
-the unitary Q of the Schur form H = Q T Q^dag, held as row lists like the
-Hessenberg matrix: each reflection updates A and Q in one (2n x n) array,
-and each Givens rotation of a sweep updates two entries of every row of Q
-in the loop that rotates A's rows.  The eigenvectors of the triangular T
+1-row slices exceeds the arithmetic.  For ``eigenpairs`` the core also
+accumulates its reflections and rotations into the unitary Q of the Schur
+form H = Q T Q^dag, held as row lists like the Hessenberg matrix: each
+reflection updates A and Q in one (2n x n) array, and each Givens
+rotation of a sweep updates two entries of every row of Q in the loop
+that rotates A's rows.  The eigenvectors of the triangular T
 come by back substitution, and Q maps them to those of H (a normal H has a
 diagonal T, and then Q's columns are the vectors).  Both
 work on H scaled by the power of two that brings its largest entry into
@@ -172,15 +172,13 @@ def _hessenberg(H: np.ndarray, vectors: bool, norm_h: float) -> tuple:
     return A.tolist(), (X[n:].tolist() if vectors else None)
 
 
-def _eig2(a, b, c, d):
-    """Eigenvalues of [[a, b], [c, d]], the one nearer d first."""
+def _wilkinson_shift(a, b, c, d):
+    """The eigenvalue of [[a, b], [c, d]] nearer d."""
     tr = a + d
     disc = cmath.sqrt((a - d) ** 2 + 4.0 * b * c)
     r1 = (tr + disc) / 2.0
     r2 = (tr - disc) / 2.0
-    if abs(r1 - d) <= abs(r2 - d):
-        return r1, r2
-    return r2, r1
+    return r1 if abs(r1 - d) <= abs(r2 - d) else r2
 
 
 def _negligible(a: list, k: int, floor: float) -> bool:
@@ -270,7 +268,7 @@ def _schur(H: np.ndarray, vectors: bool, norm_h: float | None = None) -> tuple:
             # exceptional shift breaks symmetric cycling (e.g. Fourier-like input)
             mu = a[hi][hi] + abs(a[hi][hi - 1]) * (0.75 + 0.4330127018922193j)
         else:
-            mu, _ = _eig2(a[hi - 1][hi - 1], a[hi - 1][hi], a[hi][hi - 1], a[hi][hi])
+            mu = _wilkinson_shift(a[hi - 1][hi - 1], a[hi - 1][hi], a[hi][hi - 1], a[hi][hi])
         _qr_sweep(a, q, lo, hi, mu)
         steps += 1
         stuck += 1

@@ -43,8 +43,8 @@ import numpy as np
 from chmkit.core import SQRT6, _rank, as_matrix
 from chmkit.eigen import (
     _EPS, CLUSTER_TOL, ConvergenceError, EigenPair, Spectrum, _canonical_phase,
-    _eig2, _exponent, _ldexp, _negligible, _realify_basis, _spectrum_order,
-    _triangular_eigenvectors, cluster_indices, eigenvalues,
+    _exponent, _ldexp, _negligible, _realify_basis, _spectrum_order,
+    _triangular_eigenvectors, _wilkinson_shift, cluster_indices, eigenvalues,
 )
 from chmkit.search import (
     FTOL, HERMITIAN_BARRIER, SECANT_CURVATURE, SECANT_FLOOR, SECANT_MODEL, SECANT_SHARE,
@@ -290,7 +290,7 @@ def schur_by_columns(H) -> tuple:
         if stuck and stuck % 12 == 0:
             mu = a[hi][hi] + abs(a[hi][hi - 1]) * (0.75 + 0.4330127018922193j)
         else:
-            mu, _ = _eig2(a[hi - 1][hi - 1], a[hi - 1][hi], a[hi][hi - 1], a[hi][hi])
+            mu = _wilkinson_shift(a[hi - 1][hi - 1], a[hi - 1][hi], a[hi][hi - 1], a[hi][hi])
         _qr_sweep_by_columns(a, q, lo, hi, mu)
         steps += 1
         stuck += 1
