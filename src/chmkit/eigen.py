@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -449,24 +448,37 @@ def eigenpairs(H) -> list:
     return [pairs[j] for j in _spectrum_order(lam)]
 
 
-@functools.lru_cache(maxsize=8)
-def _all_perms(n: int) -> np.ndarray:
-    """All n! permutations of range(n) as rows; built once per n and shared,
-    so the array is read-only."""
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
-    perms.flags.writeable = False
-    return perms
-
-
 def spectrum_distance(a: Spectrum, b: Spectrum) -> float:
     """Multiset distance: min over pairings of the max pairwise |a_i - b_pi(i)|.
 
-    Brute-force over all n! assignments; restricted to n <= 8.
+    A bottleneck assignment: bisection over the n^2 distances |a_i - b_j| for
+    the least one whose pairs within it hold a perfect matching, tested by
+    augmenting paths (Kuhn).  The result is one of those distances, for any n.
     """
     if a.n != b.n:
         raise DimensionError(f"spectra have different sizes: {a.n} vs {b.n}")
-    if a.n > 8:
-        raise DimensionError("brute-force assignment is limited to n <= 8")
-    perms = _all_perms(a.n)
-    diffs = np.abs(a.values[None, :] - b.values[perms])
-    return float(diffs.max(axis=1).min())
+    d = np.abs(a.values[:, None] - b.values[None, :])
+    levels = np.unique(d)
+
+    def matched(t: float) -> bool:
+        near = [[j for j, x in enumerate(row) if x <= t] for row in d.tolist()]
+        owner = [-1] * a.n  # owner[j]: the index of a paired with b_j
+
+        def augment(i: int, seen: set) -> bool:
+            for j in near[i]:
+                if j not in seen:
+                    seen.add(j)
+                    if owner[j] < 0 or augment(owner[j], seen):
+                        owner[j] = i
+                        return True
+            return False
+        return all(augment(i, set()) for i in range(a.n))
+
+    lo, hi = 0, levels.size - 1  # every pair is within levels[hi]
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if matched(levels[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(levels[lo])

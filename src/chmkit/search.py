@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DimensionError, _Report, matrix_from_object
+from .core import _Report, matrix_from_object
 from .eigen import CLUSTER_TOL, Spectrum, cluster_indices, spectrum_distance
 from .spectral import VerifyReport, verify_matrix
 
@@ -138,8 +138,6 @@ class SearchTask(_Report):
             n = sum(target)
         elif isinstance(target, Spectrum):
             n = target.n
-            if n > 8:  # the gate's spectrum_distance pairs over all n! permutations
-                raise DimensionError("brute-force assignment is limited to n <= 8")
         else:
             raise TypeError("target must be a Spectrum, a pattern tuple, or a string")
         if n < 2:

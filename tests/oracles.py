@@ -3,7 +3,9 @@
 These deliberately avoid the code paths they check: the characteristic
 polynomial comes from trace recursion (Faddeev-LeVerrier) and is rooted
 through numpy's companion-matrix machinery, determinants are Laplace
-expansions, and the assignment distance is a plain recursive search.
+expansions, and the assignment distance is a plain recursive search or,
+bit for bit, the table of all n! pairings that ``spectrum_distance`` once
+searched.
 The inverse-iteration oracle is the eigensolver's earlier one-cluster-at-a-
 time loop, with its own start blocks; it shares only ``eigenvalues`` and
 the small helpers with the Schur-form ``eigenpairs`` it checks.  The
@@ -127,10 +129,20 @@ def minimax_assignment(a: np.ndarray, b: np.ndarray) -> float:
     return float(best[0])
 
 
+def brute_force_distance(a: Spectrum, b: Spectrum) -> float:
+    """``spectrum_distance`` as first written: the max of |a_i - b_pi(i)| over
+    each of the n! permutations pi as rows of one array, and the least of
+    those maxima.  Its distances are the same floats as the bottleneck
+    assignment's, so the two agree exactly; n <= 8 keeps the table small."""
+    perms = np.array(list(itertools.permutations(range(a.n))), dtype=np.intp)
+    return float(np.abs(a.values[None, :] - b.values[perms]).max(axis=1).min())
+
+
 def greedy_match_distance(a, b) -> float:
     """Max |a_i - b_j| when each a_i, in turn, takes the nearest b_j not yet
     taken.  It equals the multiset distance when every cluster of values is
-    narrower than half its distance to any other, and works for any n."""
+    narrower than half its distance to any other, and works for any n; its
+    scalar abs() may round a distance an ulp away from numpy's array abs."""
     rest = list(b)
     worst = 0.0
     for v in a:

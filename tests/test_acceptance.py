@@ -203,7 +203,7 @@ def test_criterion_6_search_calibration():
         "search-calibration",
         f"found {found.best_residual:.2e} (restart {found.found_restart}), "
         f"not-found {not_found_best['[4,1,1]']:.2e} / {not_found_best['[4,2]']:.2e}, "
-        f"gap {gap:.1e}, {elapsed:.0f}s",
+        f"gap {gap:.1e}, {elapsed:.2f}s",
     )
 
 

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chmkit.eigen
 from chmkit.eigen import (
     ConvergenceError,
     Spectrum,
-    _all_perms,
+    _EPS,
     _canonical_phase,
     _schur,
     cluster_indices,
@@ -456,6 +458,26 @@ class TestExtremeScales:
             assert all(np.array_equal(p.vector, q.vector) for p, q in zip(scaled, pairs))
 
 
+_CENTRES = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _spectrum_pairs(draw):
+    """Values a (n = 1..8, drawn from a few centres, so clusters tie), values b
+    and a permutation of range(n).  b is a permuted copy of a with some values
+    split off by 1e-9, or values of its own."""
+    n = draw(st.integers(1, 8))
+    centres = draw(st.lists(_CENTRES, min_size=1, max_size=n))
+    a = np.array(draw(st.lists(st.sampled_from(centres), min_size=n, max_size=n)))
+    perm = np.array(draw(st.permutations(range(n))), dtype=np.intp)
+    if draw(st.booleans()):
+        splits = st.sampled_from([0.0, 1e-9, -1e-9, 1e-9j, -1e-9j])
+        b = a[perm] + np.array(draw(st.lists(splits, min_size=n, max_size=n)))
+    else:
+        b = np.array(draw(st.lists(st.sampled_from(centres) | _CENTRES, min_size=n, max_size=n)))
+    return a, b, perm
+
+
 class TestSpectrumDistance:
     def test_identical(self):
         s = eigenvalues(gen_tao(1))
@@ -487,11 +509,37 @@ class TestSpectrumDistance:
         with pytest.raises(DimensionError):
             spectrum_distance(Spectrum(np.ones(2)), Spectrum(np.ones(3)))
 
-    def test_cached_permutations_are_read_only(self):
-        perms = _all_perms(6)
-        assert _all_perms(6) is perms
-        with pytest.raises(ValueError):
-            perms[0, 0] = 1
+    @given(_spectrum_pairs())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_equals_the_brute_force_oracle(self, pair):
+        # bit for bit, on tied clusters, 1e-9 splits and permuted copies
+        a, b, perm = pair
+        sa, sb = Spectrum(a), Spectrum(b)
+        d = spectrum_distance(sa, sb)
+        assert d == oracles.brute_force_distance(sa, sb)
+        assert d == spectrum_distance(sb, sa)
+        assert spectrum_distance(sa, Spectrum(a[perm])) == 0.0
+
+    @pytest.mark.parametrize("n", range(9, 17))
+    def test_fourier_spectra_above_eight(self, n):
+        # each cluster of F_n's spectrum tied to one value, so that every
+        # pairing within a cluster has the same distances and the greedy
+        # oracle, exact for clusters this far apart, agrees up to its abs()
+        values = eigenvalues(gen_fourier(n)).values
+        for members in cluster_indices(values):
+            values[members] = values[members[0]]
+        spec = Spectrum(values)
+        rng = np.random.default_rng(n)
+        for _ in range(10):
+            perm = rng.permutation(n)
+            noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            copy = Spectrum(values[perm] + 1e-9 * noise)
+            d = spectrum_distance(spec, copy)
+            assert 0.0 < d < 1e-8
+            greedy = oracles.greedy_match_distance(spec.values, copy.values)
+            assert d == pytest.approx(greedy, rel=4 * _EPS, abs=0)
+            assert d == spectrum_distance(copy, spec)
+            assert spectrum_distance(spec, Spectrum(values[perm])) == 0.0
 
 
 class TestSpectrumType:
