@@ -87,12 +87,11 @@ def _load_matrix(path: str) -> np.ndarray:
 
 
 def _cmd_gen(args) -> int:
-    # ``--family``'s spec, from the option its generator reads (Haagerup:
-    # ``--q-arg``); building the spec validates it, so its build cannot fail
-    name = families.FAMILIES[args.family][1]
+    # ``--family``'s generator, given the option it reads (Haagerup: ``--q-arg``);
+    # its own domain checks reject a bad value
+    generator, name = families.FAMILIES[args.family]
     value = _unit(args.q_arg, "--q-arg") if name == "q" else getattr(args, name)
-    spec = families.FamilySpec(kind=args.family, **{name: value})
-    _emit(core.matrix_to_json(spec.build()), args)
+    _emit(core.matrix_to_json(generator(value)), args)
     return EXIT_OK
 
 
@@ -168,10 +167,10 @@ def _cmd_mub(args) -> int:
     mats = [_load_matrix(p) for p in args.matrices]
     if len(mats) == 2:
         d = mats[0].shape[0]
-        r = mub.unbiasedness_residual(mats[0] / math.sqrt(d), mats[1] / math.sqrt(d))
+        r = mub.unbiasedness_residual(mats[0] / math.sqrt(d), mats[1] / math.sqrt(d), tol)
         _emit({"pair_residual": r}, args)
         return EXIT_OK if r <= tol else EXIT_VIOLATED
-    report = mub.trio_check(*mats)
+    report = mub.trio_check(*mats, tol=tol)
     _emit(report, args)
     return EXIT_OK if report.max_residual <= tol else EXIT_VIOLATED
 

@@ -8,19 +8,19 @@ form is triangular, so no 2x2 block needs its own solution (on a 2x2 block
 the Wilkinson shift is one of its eigenvalues, and one sweep splits it).
 The QR sweeps are Givens rotations on lists of lists of Python
 ``complex``: on matrices this small, numpy's cost per call on scalars and
-1-row slices exceeds the arithmetic.  For ``eigenpairs`` the core also
-accumulates its reflections and rotations into the unitary Q of the Schur
-form H = Q T Q^dag, held as row lists like the Hessenberg matrix: each
-reflection updates A and Q in one (2n x n) array, and each Givens
-rotation of a sweep updates two entries of every row of Q in the loop
-that rotates A's rows.  The eigenvectors of the triangular T
-come by back substitution, and Q maps them to those of H (a normal H has a
-diagonal T, and then Q's columns are the vectors).  Both
-work on H scaled by the power of two that brings its largest entry into
-[1/2, 1), so that no norm or product underflows or overflows at extreme
-scales; the scaling is exact, so it changes no result at moderate ones.  The
-solver is tuned for the n <= 16 matrices this package works with, not for
-large problems.
+1-row slices exceeds the arithmetic.  The core always accumulates its
+reflections and rotations into the unitary Q of the Schur form
+H = Q T Q^dag (``eigenvalues`` reads only T's diagonal), held as row lists
+like the Hessenberg matrix: each reflection updates A and Q in one
+(2n x n) array, and each Givens rotation of a sweep updates two entries of
+every row of Q in the loop that rotates A's rows.  The eigenvectors of the
+triangular T come by back substitution, and Q maps them to those of H (a
+normal H has a diagonal T, and then Q's columns are the vectors).  Both
+entry points scale H once, in ``_scaled_schur``, by the power of two that
+brings its largest entry into [1/2, 1), so that no norm or product
+underflows or overflows at extreme scales; the scaling is exact, so it
+changes no result at moderate ones.  The solver is tuned for the n <= 16
+matrices this package works with, not for large problems.
 """
 
 from __future__ import annotations
@@ -137,21 +137,17 @@ def _ldexp(z: np.ndarray, e: int) -> np.ndarray:
     return np.ldexp(z.view(np.float64), e).view(np.complex128) if e else z
 
 
-def _hessenberg(H: np.ndarray, vectors: bool, norm_h: float) -> tuple:
+def _hessenberg(H: np.ndarray, norm_h: float) -> tuple:
     """Unitary similarity reduction of ``H`` (Frobenius norm ``norm_h``) to
     upper Hessenberg form A = Q^dag H Q by Householder reflections.
 
-    Returns the rows of A and, when ``vectors`` is set, the rows of Q (else
-    None), as lists of Python ``complex`` for the QR sweeps.  A and Q share
-    one (2n x n) array, so that each reflection updates both from the right
-    in one pass.
+    Returns the rows of A and of Q, as lists of Python ``complex`` for the
+    QR sweeps.  A and Q share one (2n x n) array, so that each reflection
+    updates both from the right in one pass.
     """
     n = H.shape[0]
-    if vectors:
-        X = np.eye(2 * n, n, -n, dtype=np.complex128)  # [H; I] once H is copied in
-        X[:n] = H
-    else:
-        X = H.copy()
+    X = np.eye(2 * n, n, -n, dtype=np.complex128)  # [H; I] once H is copied in
+    X[:n] = H
     A = X[:n]
     skip = _EPS * max(1.0, norm_h)
     for k in range(n - 2):
@@ -168,7 +164,7 @@ def _hessenberg(H: np.ndarray, vectors: bool, norm_h: float) -> tuple:
         A[k + 1 :, k:] -= v[:, None] * (vc @ A[k + 1 :, k:])
         X[:, k + 1 :] -= (X[:, k + 1 :] @ v)[:, None] * vc
         A[k + 2 :, k] = 0.0
-    return A.tolist(), (X[n:].tolist() if vectors else None)
+    return A.tolist(), X[n:].tolist()
 
 
 def _wilkinson_shift(a, b, c, d):
@@ -185,10 +181,10 @@ def _negligible(a: list, k: int, floor: float) -> bool:
     return abs(a[k][k - 1]) <= _EPS * (abs(a[k - 1][k - 1]) + abs(a[k][k])) + floor
 
 
-def _qr_sweep(a: list, q: list | None, lo: int, hi: int, mu: complex) -> None:
+def _qr_sweep(a: list, q: list, lo: int, hi: int, mu: complex) -> None:
     """One shifted QR sweep (Givens rotations) on the Hessenberg block
     lo..hi of the row lists ``a``, in place; each rotation also multiplies
-    the matrix whose rows are the lists ``q`` from the right, when given."""
+    the matrix whose rows are the lists ``q`` from the right."""
     for i in range(lo, hi + 1):
         a[i][i] -= mu
     rots = []
@@ -210,7 +206,7 @@ def _qr_sweep(a: list, q: list | None, lo: int, hi: int, mu: complex) -> None:
     for i, (c, s) in enumerate(rots, lo):
         cc, sc = c.conjugate(), s.conjugate()
         j = i + 1
-        for row in a[lo : j + 1] if q is None else a[lo : j + 1] + q:
+        for row in a[lo : j + 1] + q:
             u, v = row[i], row[j]
             row[i] = c * u + s * v
             row[j] = cc * v - sc * u
@@ -218,28 +214,23 @@ def _qr_sweep(a: list, q: list | None, lo: int, hi: int, mu: complex) -> None:
         a[i][i] += mu
 
 
-def _schur(H: np.ndarray, vectors: bool, norm_h: float | None = None) -> tuple:
-    """Eigenvalues of ``H`` (a complex array, in Schur-diagonal order) and,
-    when ``vectors`` is set, the rows (as lists) of a unitary Q for which
-    Q^dag H Q is upper triangular with those values on its diagonal (else
-    None).
+def _schur(H: np.ndarray, norm_h: float, e: int) -> tuple:
+    """Eigenvalues of ``H`` (a complex array, in Schur-diagonal order) and
+    the rows (as lists) of a unitary Q for which Q^dag H Q is upper
+    triangular with those values on its diagonal.
 
-    Hessenberg reduction followed by Wilkinson-shifted QR, both on H / 2**e
-    with e = ``_exponent(H)``, whose values are scaled back.  Every block,
-    2x2 ones included, goes through ``_qr_sweep`` until the subdiagonal entry
-    at its bottom passes ``_negligible``, which deflates one eigenvalue;
-    raises :class:`ConvergenceError` (carrying a complex array of the values
-    found so far) if more than 100 n QR steps are needed.  A caller that has
-    already scaled H passes its Frobenius norm ``norm_h``, and H is used as
-    it is (e = 0).
+    H comes from ``_scaled_schur``: it is the caller's matrix times 2**-e,
+    and ``norm_h`` is its Frobenius norm (at least 1e-300).  Hessenberg
+    reduction followed by Wilkinson-shifted QR.  Every block, 2x2 ones
+    included, goes through ``_qr_sweep`` until the subdiagonal entry at its
+    bottom passes ``_negligible``, which deflates one eigenvalue; raises
+    :class:`ConvergenceError` (carrying a complex array of the values found
+    so far, times 2**e: in the caller's units) if more than 100 n QR steps
+    are needed.
     """
-    n, e = H.shape[0], 0
-    if norm_h is None:
-        e = _exponent(H)
-        H = _ldexp(H, -e)
-        norm_h = float(np.linalg.norm(H))
-    a, q = _hessenberg(H, vectors, norm_h)
-    floor = _EPS * max(norm_h, 1e-300) * 1e-2
+    n = H.shape[0]
+    a, q = _hessenberg(H, norm_h)
+    floor = _EPS * norm_h * 1e-2
     eigs: list = [None] * n
     hi = n - 1
     steps = 0
@@ -272,7 +263,18 @@ def _schur(H: np.ndarray, vectors: bool, norm_h: float | None = None) -> tuple:
         steps += 1
         stuck += 1
     eigs[0] = a[0][0]
-    return _ldexp(np.array(eigs, dtype=np.complex128), e), q
+    return np.array(eigs, dtype=np.complex128), q
+
+
+def _scaled_schur(H) -> tuple:
+    """``as_matrix(H)`` times 2**-e with e = ``_exponent(H)``, e, the scaled
+    matrix's Frobenius norm (at least 1e-300), and ``_schur`` of it: the one
+    way ``eigenvalues`` and ``eigenpairs`` reach ``_schur``."""
+    H = as_matrix(H)
+    e = _exponent(H)
+    H = _ldexp(H, -e)
+    norm_h = max(float(np.linalg.norm(H)), 1e-300)
+    return (H, e, norm_h, *_schur(H, norm_h, e))
 
 
 def eigenvalues(H) -> Spectrum:
@@ -282,7 +284,8 @@ def eigenvalues(H) -> Spectrum:
     Raises :class:`ConvergenceError` (carrying a complex array of the values
     found so far) if more than 100 n QR steps are needed.
     """
-    return Spectrum(_schur(as_matrix(H), False)[0])
+    _, e, _, eigs, _ = _scaled_schur(H)
+    return Spectrum(_ldexp(eigs, e))
 
 
 def cluster_indices(values: np.ndarray, cluster_tol: float = CLUSTER_TOL) -> list:
@@ -394,16 +397,11 @@ def eigenpairs(H) -> list:
 
     Intended for (near-)normal matrices such as scaled unitaries; defective
     input raises :class:`ConvergenceError`.  Every step works on H / 2**e
-    with e = ``_exponent(H)``, as ``_schur`` does, so clusters and residual
-    tests are relative to H's largest entry; the values and residuals are
-    scaled back, and the vectors need no scaling.
+    with e = ``_exponent(H)``, from ``_scaled_schur``, so clusters and
+    residual tests are relative to H's largest entry; the values and
+    residuals are scaled back, and the vectors need no scaling.
     """
-    H = as_matrix(H)
-    e = _exponent(H)
-    H = _ldexp(H, -e)
-    norm_h = float(np.linalg.norm(H))
-    eigs, q = _schur(H, True, norm_h)  # the values of H / 2**e
-    norm_h = max(norm_h, 1e-300)
+    H, e, norm_h, eigs, q = _scaled_schur(H)  # H / 2**e and its values
     Q = np.array(q)  # q holds Q's rows
     T = Q.conj().T @ H @ Q
     normal = np.abs(T.take(_strict_upper(T.shape[0]))).max(initial=0.0) <= 64 * _EPS * norm_h

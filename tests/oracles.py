@@ -273,8 +273,9 @@ def _qr_sweep_by_columns(a: list, q: list, lo: int, hi: int, mu: complex) -> Non
 
 
 def schur_by_columns(H) -> tuple:
-    """The eigenvalues (in Schur-diagonal order) and the columns of Q of
-    ``chmkit.eigen._schur(H, True)``, computed with Q as column lists."""
+    """The eigenvalues (in Schur-diagonal order, in H's units) and the
+    columns of Q of the Schur form that ``chmkit.eigen.eigenvalues`` and
+    ``eigenpairs`` compute, with Q as column lists."""
     H = np.asarray(H, dtype=np.complex128)
     n, e = H.shape[0], _exponent(H)
     H = _ldexp(H, -e)

@@ -54,6 +54,19 @@ class TestGen:
         code, _ = run(capsys, "gen", "--family", "hermitian", "--theta", "9")
         assert code == 2
 
+    def test_builds_the_member_once(self, capsys, monkeypatch):
+        calls = []
+        generator = cli.families.gen_fourier
+
+        def counted(n):
+            calls.append(n)
+            return generator(n)
+
+        monkeypatch.setitem(cli.families.FAMILIES, "fourier", (counted, "n"))
+        code, out = run(capsys, "gen", "--family", "fourier", "--n", "5")
+        assert code == 0 and calls == [5]
+        assert np.array_equal(core.matrix_from_json(out), generator(5))
+
     def test_stdout_is_valid_matrix_json(self, capsys):
         code, out = run(capsys, "gen", "--family", "fourier", "--n", "4")
         assert code == 0
@@ -371,6 +384,29 @@ class TestMub:
     def test_wrong_count_is_usage_error(self, capsys, tao_file):
         code = cli.main(["mub", tao_file])
         assert code == 2
+
+    @pytest.mark.parametrize("count", [2, 3], ids=["pair", "trio"])
+    def test_unitarity_is_checked_at_the_commands_tolerance(
+            self, capsys, tmp_path, monkeypatch, count):
+        # F6, F6 with 1e-9 phase noise (a basis once divided by sqrt 6, and
+        # unitary to about 3e-9, not to the default 1e-10) and F6^T
+        F6 = cli.families.gen_fourier(6)
+        noisy = F6 * np.exp(1e-9j * np.random.default_rng(7).standard_normal(F6.shape))
+        paths = [str(tmp_path / f"m{k}.json") for k in range(count)]
+        for M, path in zip((F6, noisy, F6.T), paths):
+            core.write_matrix(M, path)
+        monkeypatch.setenv("CHM_TOL", "1e-6")
+        code = cli.main(["mub", *paths])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""  # a report: no basis is unbiased to F6
+        assert json.loads(captured.out)
+        monkeypatch.delenv("CHM_TOL")
+        code = cli.main(["mub", *paths])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "not unitary within 1e-10" in lines[0]
 
 
 class TestSharedParser:

@@ -11,7 +11,8 @@ from chmkit.eigen import (
     Spectrum,
     _EPS,
     _canonical_phase,
-    _schur,
+    _ldexp,
+    _scaled_schur,
     cluster_indices,
     eigenpairs,
     eigenvalues,
@@ -51,6 +52,13 @@ TAO_SPECTRUM = Spectrum(
 )
 
 F6_SPECTRUM = Spectrum(np.array([SQRT6, SQRT6, -SQRT6, -SQRT6, 1j * SQRT6, -1j * SQRT6]))
+
+
+def _schur_of(H) -> tuple:
+    """The Schur values of ``H`` (in its units, Schur-diagonal order) and the
+    rows of Q, as ``eigenvalues`` and ``eigenpairs`` get them."""
+    _, e, _, values, q = _scaled_schur(H)
+    return _ldexp(values, e), q
 
 
 class TestEigenvalues:
@@ -109,17 +117,19 @@ class TestEigenvalues:
 
     def test_qr_failure_carries_the_values_found_so_far(self, monkeypatch):
         # the trailing 1x1 block deflates at once; with sweeps that do nothing
-        # the leading 3x3 block never converges
+        # the leading 3x3 block never converges.  Both entry points report
+        # the value in H's units, not in those of the scaled H / 2**3
         rng = np.random.default_rng(4)
         H = np.zeros((4, 4), dtype=complex)
         H[:3, :3] = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         H[3, 3] = 5.0
         monkeypatch.setattr(chmkit.eigen, "_qr_sweep", lambda a, q, lo, hi, mu: None)
-        with pytest.raises(ConvergenceError) as info:
-            eigenvalues(H)
-        partial = info.value.partial
-        assert isinstance(partial, np.ndarray) and partial.dtype == np.complex128
-        assert partial.tolist() == [5.0]
+        for solve in (eigenvalues, eigenpairs):
+            with pytest.raises(ConvergenceError) as info:
+                solve(H)
+            partial = info.value.partial
+            assert isinstance(partial, np.ndarray) and partial.dtype == np.complex128
+            assert partial.tolist() == [5.0], solve.__name__
 
 
 class TestEigenpairs:
@@ -276,7 +286,7 @@ class TestSchurForm:
     def test_q_is_unitary_and_triangularizes(self, kind):
         for H in _oracle_inputs(kind):
             n, norm_h = H.shape[0], np.linalg.norm(H)
-            eigs, q = _schur(H, True)
+            eigs, q = _schur_of(H)
             Q = np.array(q)  # q holds the rows of Q
             T = Q.conj().T @ H @ Q
             assert np.linalg.norm(Q.conj().T @ Q - np.eye(n)) <= 1e-13
@@ -328,12 +338,6 @@ class TestSchurForm:
         for p in pairs:
             assert np.max(np.abs(_canonical_phase(p.vector.copy()).imag)) < 1e-12
 
-    def test_values_without_vectors_are_the_same(self):
-        for H in _oracle_inputs("corpus") + _oracle_inputs("fourier"):
-            values, q = _schur(H, False)
-            assert q is None
-            assert np.array_equal(values, _schur(H, True)[0])
-
 
 def _block_branch_input() -> np.ndarray:
     """A non-normal complex Gaussian: the QR iteration ends on a 2x2 block,
@@ -374,7 +378,7 @@ class TestTwoByTwoEndings:
         H = _block_branch_input() if kind == "block" else _TWO_BY_TWO[kind] * scale
         n = H.shape[0]
         sizes = _count_sweeps(monkeypatch)
-        values, q = _schur(H, True)
+        values, q = _schur_of(H)
         assert sizes[-1] == 2  # the iteration ends on a 2x2 block
         ref = np.linalg.eigvals(H) if n == 2 else oracles.companion_spectrum(H)
         radius = np.abs(ref).max()
@@ -406,10 +410,18 @@ class TestRowSchurVectors:
     @pytest.mark.parametrize("kind", KINDS)
     def test_schur_matches_column_lists(self, kind):
         for H in self._inputs(kind):
-            values, q = _schur(H, True)
+            values, q = _schur_of(H)
             ref_values, cols = oracles.schur_by_columns(H)
             assert np.array_equal(values, ref_values)
             assert np.array_equal(np.array(q), np.array(cols).T)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_eigenvalues_match_column_lists(self, kind):
+        # ``eigenvalues`` reads the diagonal of the Schur form that
+        # ``eigenpairs`` builds, Q included
+        for H in self._inputs(kind):
+            ref = Spectrum(oracles.schur_by_columns(H)[0])
+            assert np.array_equal(eigenvalues(H).values, ref.values)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_eigenpairs_match_column_lists(self, kind):
@@ -421,7 +433,8 @@ class TestRowSchurVectors:
                                   np.array([p.vector for p in ref]))
 
     def test_eigenpairs_scales_once(self, monkeypatch):
-        # the scaled H, its exponent and its norm are computed once per call
+        # the scaled H, its exponent and its norm are computed once per call,
+        # by the front end that both entry points share
         calls = []
         exponent = chmkit.eigen._exponent
 
@@ -432,6 +445,8 @@ class TestRowSchurVectors:
         monkeypatch.setattr(chmkit.eigen, "_exponent", counted)
         eigenpairs(gen_tao(1) * 3.0)
         assert len(calls) == 1
+        eigenvalues(gen_tao(1) * 3.0)
+        assert len(calls) == 2
 
 
 class TestExtremeScales:

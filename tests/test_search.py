@@ -862,9 +862,9 @@ class TestGateSpectrum:
         solved = []
         schur = chmkit.eigen._schur
 
-        def recorded(H, vectors, *norm_h):
+        def recorded(H, *args):
             solved.append(H.copy())
-            return schur(H, vectors, *norm_h)
+            return schur(H, *args)
 
         monkeypatch.setattr(chmkit.eigen, "_schur", recorded)
         report = minimize(SearchTask(target="[2,2,1,1]", restarts=3, seed=2))
