@@ -10,7 +10,8 @@ the default validation tolerance; it is read on every call.
 usage errors, and any ``ValueError`` or ``OSError`` a command raises (a bad
 file, option value or tolerance, an unwritable output path), which it
 reports as one ``error:`` line on stderr with exit 2.  The commands convert
-nothing.
+nothing.  A standard output closed by its reader is no fault: the verdict's
+exit code stands and nothing goes to stderr.
 
 ``build_parser`` builds the argparse parser on the first ``main`` call and
 every later call in the process reuses it, so in-process callers (tests,
@@ -50,8 +51,7 @@ def _tolerance(args) -> float:
             tol, source = float(env), "CHM_TOL"
         except ValueError as exc:
             raise ValueError(f"CHM_TOL is not a number: {env!r}") from exc
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"{source} must be finite and nonnegative, got {tol!r}")
+    core._require_tolerance(tol, source)
     return tol
 
 
@@ -64,8 +64,14 @@ def _emit(payload, args) -> None:
             fh.write(text)
             fh.write("\n")
     else:
-        sys.stdout.write(text)
-        sys.stdout.write("\n")
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # the reader has gone, which is no fault of the command: its exit
+            # code stands, and the flush at exit goes to devnull, not the pipe
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
 
 
 def _unit(angle: float, option: str) -> complex:

@@ -12,7 +12,7 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -56,16 +56,10 @@ class _Report:
     ``to_dict`` only where its wire format renames or reshapes a field."""
 
     def to_dict(self) -> dict:
-        return {name: _plain(getattr(self, name)) for name in _field_names(type(self))}
+        return {name: _plain(getattr(self, name)) for name in type(self).__dataclass_fields__}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
-
-
-@functools.lru_cache(maxsize=None)
-def _field_names(cls) -> tuple:
-    """The names of the dataclass ``cls``'s fields, in declaration order."""
-    return tuple(f.name for f in fields(cls))
 
 
 _LEAVES = frozenset((float, int, str, bool, type(None)))
@@ -106,8 +100,16 @@ class ChmReport(_Report):
     is_chm: bool
 
 
+def _require_tolerance(tol: float, name: str = "tol") -> None:
+    """A tolerance must be finite and nonnegative: an infinite one passes anything."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {tol!r}")
+
+
 def chm_residuals(H, tol: float = DEFAULT_TOL) -> ChmReport:
-    """Measure how far ``H`` is from being a complex Hadamard matrix."""
+    """Measure how far ``H`` is from being a complex Hadamard matrix; ``tol``
+    must be finite and nonnegative (else ``ValueError``)."""
+    _require_tolerance(tol)
     return _chm_residuals(as_matrix(H), tol)
 
 
@@ -220,7 +222,9 @@ def dephase(H):
 
 
 def is_dephased(H, tol: float = DEFAULT_TOL) -> bool:
-    """True when the first row and column of ``H`` are all ones within ``tol``."""
+    """True when the first row and column of ``H`` are all ones within ``tol``,
+    which must be finite and nonnegative (else ``ValueError``)."""
+    _require_tolerance(tol)
     return _is_dephased(as_matrix(H), tol)
 
 
@@ -265,10 +269,8 @@ _TINY = float(np.finfo(np.float64).tiny)
 class _ScanTables(NamedTuple):
     """Index tables of the rank-one scan for one (nr, nc, r, c)."""
 
-    row_sets: tuple  # the r-row subsets, lexicographic
-    col_sets: tuple  # the c-column subsets, lexicographic
-    rows: np.ndarray  # int [R, r]
-    cols: np.ndarray  # int [C, c]
+    rows: np.ndarray  # int [R, r]: the r-row subsets, lexicographic
+    cols: np.ndarray  # int [C, c]: the c-column subsets, lexicographic
     corners: np.ndarray  # int [4, P * Q]: flat positions of h_ik, h_jl, h_il, h_jk
     minors: np.ndarray  # int [R * C, m]: block b's minors in the flat [P, Q] minor table
 
@@ -295,10 +297,9 @@ def _scan_tables(nr: int, nc: int, r: int, c: int) -> _ScanTables:
     i, j, k, l = rp[:, :1], rp[:, 1:], cp[None, :, 0], cp[None, :, 1]
     corners = np.stack([i + k, j + l, i + l, j + k]).reshape(4, -1)
     tables = _ScanTables(
-        row_sets, col_sets, np.array(row_sets, dtype=np.intp), np.array(col_sets, dtype=np.intp),
-        corners, minors,
+        np.array(row_sets, dtype=np.intp), np.array(col_sets, dtype=np.intp), corners, minors,
     )
-    for arr in tables[2:]:
+    for arr in tables:
         arr.flags.writeable = False
     return tables
 
@@ -346,11 +347,12 @@ def _rank_one_scan(H: np.ndarray, r: int, c: int, tol: float) -> list:
         left = np.flatnonzero(~(det[t.minors] > bound[:, None]).any(axis=1))
     if not left.size:
         return []
-    ri, ci = np.divmod(left, len(t.col_sets))
+    ri, ci = np.divmod(left, len(t.cols))
     blocks = H[t.rows[ri][:, :, None], t.cols[ci][:, None, :]]  # [S, r, c]
     sv = np.linalg.svd(blocks, compute_uv=False)  # [S, min(r, c)], descending
     rank_one = _rank(sv, tol) == 1
-    return [(t.row_sets[a], t.col_sets[b]) for a, b in zip(ri[rank_one], ci[rank_one])]
+    return [(tuple(t.rows[a].tolist()), tuple(t.cols[b].tolist()))
+            for a, b in zip(ri[rank_one], ci[rank_one])]
 
 
 # ---------------------------------------------------------------------------

@@ -349,10 +349,9 @@ class _Placement(NamedTuple):
     """Where the m = n - 2 values of Lam come from, for one placement.  The
     fields after ``hinge`` are the tables a step reads: Lam and the hinge
     separations are gathers from v = (free values, ``tail``), equal bit for
-    bit to fixed + free @ mu and hinge @ (mu, +sqrt n, -sqrt n), and the
-    Jacobian takes T's columns k m + l and l m + k in one gather."""
+    bit to Lam's fixed values + free @ mu and hinge @ (mu, +sqrt n, -sqrt n),
+    and the Jacobian takes T's columns k m + l and l m + k in one gather."""
 
-    fixed: np.ndarray  # complex [m]: Lam's fixed entries, 0 where a free value sits
     free: np.ndarray  # float [m, F]: 1 where entry k holds free value b
     k: np.ndarray  # int [P]: the non-gauge pairs k < l, entries of different values
     l: np.ndarray  # int [P]
@@ -382,8 +381,7 @@ def _placement(fixed: list, free_sizes: list, n: int) -> _Placement:
     hinge[np.arange(a.size), a], hinge[np.arange(a.size), b] = 1.0, -1.0
     rt = math.sqrt(n)
     placement = _Placement(
-        np.array(fixed + [0.0] * len(owner), dtype=np.complex128), free, k, l,
-        hinge, np.array([rt, -rt] + fixed, dtype=np.complex128),
+        free, k, l, hinge, np.array([rt, -rt] + fixed, dtype=np.complex128),
         np.array(list(range(nf + 2, nf + 2 + nx)) + owner, dtype=np.intp), a, b,
         np.concatenate([k * m + l, l * m + k]),
     )
@@ -393,10 +391,11 @@ def _placement(fixed: list, free_sizes: list, n: int) -> _Placement:
 
 
 @functools.lru_cache(maxsize=None)
-def _pattern_placements(pattern: tuple, n: int) -> tuple:
-    """A pattern's placements, once per (size of the +sqrt(n) block, size of
-    the -sqrt(n) block), the first size descending and then the second; for
-    [n], the one placement with a free block of size n - 2."""
+def _pattern_placements(pattern: tuple) -> tuple:
+    """A pattern's placements (n is its sum), once per (size of the +sqrt(n)
+    block, size of the -sqrt(n) block), the first size descending and then
+    the second; for [n], the one placement with a free block of size n - 2."""
+    n = sum(pattern)
     rt = math.sqrt(n)
     sizes = sorted(set(pattern), reverse=True)
     placements = []
@@ -416,7 +415,7 @@ def _placements(task: SearchTask) -> tuple:
     circle of radius sqrt(n)."""
     n = task.n
     if not isinstance(task.target, Spectrum):
-        return _pattern_placements(task.target, n)
+        return _pattern_placements(task.target)
     rt = math.sqrt(n)
     rest = task.target.values
     for c in (rt, -rt):

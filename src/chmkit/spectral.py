@@ -11,7 +11,6 @@ zero, and equivalent to the spectrum {+sqrt 6 x3, -sqrt 6 x3}.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -42,15 +41,6 @@ def constant_eigenvectors(n: int) -> tuple:
     v1[0] = 1.0 + rt
     v2[0] = 1.0 - rt
     return v1, v2
-
-
-@functools.lru_cache(maxsize=32)
-def _cached_constant_eigenvectors(n: int) -> tuple:
-    """``constant_eigenvectors(n)``, built once per n and shared, so read-only."""
-    vectors = constant_eigenvectors(n)
-    for v in vectors:
-        v.flags.writeable = False
-    return vectors
 
 
 @dataclass(frozen=True)
@@ -98,7 +88,7 @@ def verify_constant_eigenpairs(H, tol: float = 1e-10) -> ConstantEigenpairReport
 def _constant_leg(D: np.ndarray, pairs: list, exclude_tol: float) -> ConstantEigenpairReport:
     n = D.shape[0]
     rt = math.sqrt(n)
-    v1, v2 = _cached_constant_eigenvectors(n)
+    v1, v2 = constant_eigenvectors(n)
     first = [
         abs(p.vector[0]) for p in pairs if min(abs(p.value - rt), abs(p.value + rt)) > exclude_tol
     ]

@@ -413,7 +413,7 @@ def spectral_construction(U, values, n: int) -> tuple:
 
 
 def placements_by_dedup(pattern, n: int) -> list:
-    """``search._pattern_placements(pattern, n)`` as first enumerated: +sqrt(n)
+    """``search._pattern_placements(pattern)`` as first enumerated: +sqrt(n)
     and -sqrt(n) dealt into every ordered pair of distinct blocks of the
     (descending) pattern, a repeated pair of block sizes dropped after the
     fact, and the tail placement (one free block of size n - 2) when no pair
@@ -446,6 +446,17 @@ def placements_by_dedup(pattern, n: int) -> list:
         out.append((np.array(fixed + [0.0] * (m - len(fixed)), dtype=np.complex128),
                     free, pairs, rows))
     return out
+
+
+def fixed_values(placement) -> np.ndarray:
+    """Lam's fixed entries of a ``search._Placement``, 0 where a free value
+    sits, read from the table a step gathers Lam from: entry k with no free
+    value is ``tail[lam_at[k] - F]``, F the number of free values."""
+    nf = placement.free.shape[1]
+    fixed = np.zeros(placement.lam_at.size, dtype=np.complex128)
+    held = placement.free.any(axis=1)
+    fixed[~held] = placement.tail[placement.lam_at[~held] - nf]
+    return fixed
 
 
 def hinge_penalty_by_enumeration(values, n: int, min_gap: float) -> float:
@@ -483,9 +494,9 @@ def spectral_residual_and_jacobian(Y, phi, placement, task) -> tuple:
     rt = math.sqrt(n)
     mu = [rt * np.exp(1j * angle) for angle in phi]
     owner = [int(np.argmax(row)) if row.any() else None for row in placement.free]
-    lam = [placement.fixed[k] if b is None else mu[b] for k, b in enumerate(owner)]
-    group = [("fixed", placement.fixed[k]) if b is None else ("free", b)
-             for k, b in enumerate(owner)]
+    fixed = fixed_values(placement)
+    lam = [fixed[k] if b is None else mu[b] for k, b in enumerate(owner)]
+    group = [("fixed", fixed[k]) if b is None else ("free", b) for k, b in enumerate(owner)]
     outer = [[np.outer(Y[:, k], Y[:, l].conj()) for l in range(m)] for k in range(m)]
     h = np.full((n - 1, n - 1), -1.0 / (n - 1), dtype=np.complex128)
     for k in range(m):

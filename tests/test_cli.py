@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import oracles
 from chmkit import cli, core, eigen
-from chmkit.families import gen_tao, standard_corpus
+from chmkit.families import gen_fourier, gen_tao, standard_corpus
 
 OMEGA = np.exp(2j * np.pi / 3)
 SRC = Path(cli.__file__).resolve().parents[1]
@@ -449,6 +449,39 @@ def test_python_dash_m_exit_codes(tao_file, tmp_path):
         for path in (tao_file, eye, tmp_path / "missing.json")
     ]
     assert codes == [0, 1, 2]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_keeps_the_verdicts_exit_code(tmp_path, unbuffered):
+    # stdout is a pipe whose reader has gone (as under ``| head -1`` once
+    # head exits): no fault of the command, so its verdict's exit code
+    # stands with nothing on stderr, while an unwritable --out still exits 2
+    f16 = tmp_path / "f16.json"
+    core.write_matrix(gen_fourier(16), f16)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    cases = [
+        (["eigen", str(f16), "--format", "csv"], 0),
+        (["verify", str(f16)], 0),
+        (["search", "--pattern", "4,2", "--restarts", "2", "--seed", "0"], 1),
+        (["verify", str(f16), "--out", str(tmp_path / "missing" / "out.json")], 2),
+    ]
+    for argv, code in cases:
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run([sys.executable, "-m", "chmkit", *argv], stdout=write,
+                                  stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write)
+        assert done.returncode == code, (argv, done.stderr)
+        if code == 2:
+            assert done.stderr.decode().startswith("error: "), argv
+        else:
+            assert done.stderr == b"", argv
 
 
 #: argv templates that each fail on a usage, input or output fault; {tao} is

@@ -1,12 +1,18 @@
+import dataclasses
+import functools
+import importlib
 import itertools
 import json
 import math
+import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chmkit
 from chmkit import core, gadgets
 from chmkit.core import (
     DegenerateInputError,
@@ -253,6 +259,12 @@ class TestRankOneScan:
         with pytest.raises(DimensionError):
             rank_one_submatrix_scan(np.ones((3, 3)), 4, 2)
 
+    def test_witnesses_are_tuples_of_python_ints(self):
+        # as gadget reports print and write them
+        wits = rank_one_submatrix_scan(np.ones((4, 4)), 2, 3, 1e-8)
+        assert wits[:2] == [((0, 1), (0, 1, 2)), ((0, 1), (0, 1, 3))]
+        assert {type(i) for rows, cols in wits for i in rows + cols} == {int}
+
 
 class TestScreenedScanOracle:
     """The 2x2-minor screen only skips SVDs: the witness list, order included,
@@ -417,6 +429,50 @@ class TestPlain:
         out = core._plain(value)
         assert out == plain
         assert json.dumps(out) == json.dumps(plain)
+
+
+class TestSharedState:
+    """README's contract: the only state a process shares is four read-only
+    caches, and ``_Report.to_dict`` writes each report's fields in order."""
+
+    CACHES = {"cli.build_parser", "core._scan_tables", "eigen._strict_upper",
+              "search._pattern_placements"}
+
+    @staticmethod
+    def _namespaces():
+        """(module name, namespace) of every chmkit module and of each class
+        defined in one."""
+        for info in pkgutil.iter_modules(chmkit.__path__):
+            module = importlib.import_module(f"chmkit.{info.name}")
+            yield info.name, vars(module)
+            for obj in vars(module).values():
+                if isinstance(obj, type) and obj.__module__ == module.__name__:
+                    yield info.name, vars(obj)
+
+    def test_the_caches_are_the_four_readme_lists(self):
+        found = {f"{module}.{name}" for module, namespace in self._namespaces()
+                 for name, obj in namespace.items()
+                 if isinstance(obj, functools.cached_property)
+                 or (hasattr(obj, "cache_info") and obj.__module__ == f"chmkit.{module}")}
+        assert found == self.CACHES
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        paragraph = readme[readme.index("The only state shared"):].split("\n\n")[0]
+        shared = " ".join(paragraph.split())
+        assert shared.startswith("The only state shared within a process is four")
+        for name in self.CACHES:
+            assert f"`{name}`" in shared, name
+
+    def test_to_dict_writes_the_dataclass_fields_in_order(self):
+        list(self._namespaces())  # imports every module, so every report class
+        classes, todo = [], [core._Report]
+        while todo:
+            subclasses = todo.pop().__subclasses__()
+            classes += subclasses
+            todo += subclasses
+        assert len(classes) >= 9
+        for cls in classes:
+            names = [f.name for f in dataclasses.fields(cls)]
+            assert list(cls.__dataclass_fields__) == names, cls
 
 
 class TestMatrixJson:

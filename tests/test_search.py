@@ -115,7 +115,7 @@ class TestObjective:
         F = gen_fourier(6)
         task = SearchTask(target=Spectrum(np.linalg.eigvals(F)), seed=0)
         (placement,) = _placements(task)
-        Y = _coordinates(F, placement.fixed.tolist())
+        Y = _coordinates(F, oracles.fixed_values(placement).tolist())
         r, (h, _, _, _) = _residual(Y, np.zeros(0), placement, task)
         assert float(r @ r) < 1e-12
         assert np.max(np.abs(h - F[1:, 1:])) < 1e-12
@@ -169,12 +169,13 @@ class TestObjective:
 class TestPartitionTable:
     """A pattern's placements, the table that replaced its partitions."""
 
-    def test_keyed_on_pattern_and_size(self):
-        a = _pattern_placements((4, 1, 1), 6)
-        b = _pattern_placements((4, 1), 5)
+    def test_keyed_on_the_pattern_alone(self):
+        # n is the pattern's sum
+        a = _pattern_placements((4, 1, 1))
+        b = _pattern_placements((4, 1))
         assert len(a) == 3 and a[0].free.shape == (4, 1)  # (4, 1), (1, 4), (1, 1)
         assert len(b) == 2 and b[0].free.shape == (3, 0)  # (4, 1), (1, 4)
-        assert _pattern_placements((4, 1, 1), 6) is a
+        assert _pattern_placements((4, 1, 1)) is a
         assert not a[0].free.flags.writeable
 
     @staticmethod
@@ -195,18 +196,20 @@ class TestPartitionTable:
             return
         for pattern in self._partitions(n):
             expected = oracles.placements_by_dedup(pattern, n)
-            got = _pattern_placements(pattern, n)
+            got = _pattern_placements(pattern)
             assert len(got) == len(expected), pattern
             for p, (fixed, free, pairs, hinge) in zip(got, expected):
-                assert np.array_equal(p.fixed, fixed) and np.array_equal(p.free, free), pattern
+                # Lam's fixed values as the step gathers them, tail[lam_at]
+                assert np.array_equal(oracles.fixed_values(p), fixed), pattern
+                assert np.array_equal(p.free, free), pattern
                 assert list(zip(p.k.tolist(), p.l.tolist())) == pairs, pattern
                 assert np.array_equal(p.hinge, hinge), pattern
 
     def test_lists_each_partition_once(self):
         # 12 singletons: one placement, without the 12 x 11 orderings
-        assert len(_pattern_placements((1,) * 12, 12)) == 1
-        assert len(_pattern_placements((2, 2, 2), 6)) == 1
-        assert len(_pattern_placements((3, 2, 1), 6)) == 6
+        assert len(_pattern_placements((1,) * 12)) == 1
+        assert len(_pattern_placements((2, 2, 2))) == 1
+        assert len(_pattern_placements((3, 2, 1))) == 6
 
     def test_cache_clear_leaves_reports_unchanged(self):
         task = SearchTask(target="[4,1,1]", restarts=3, max_iters=60, seed=2)
@@ -248,7 +251,7 @@ class TestIndexTables:
                 r, stage = _residual(Y, phi, placement, task)
                 h, lam, mu, sep = stage
                 assert mu.tobytes() == (rt * np.exp(1j * phi)).tobytes()
-                dense = placement.fixed + placement.free @ mu
+                dense = oracles.fixed_values(placement) + placement.free @ mu
                 assert lam.tobytes() == dense.tobytes(), task.target
                 dense = placement.hinge @ np.concatenate([mu, (rt, -rt)])
                 assert sep.tobytes() == dense.tobytes(), task.target
@@ -278,8 +281,12 @@ class TestPlacements:
         """Each placement as (size of the +sqrt(n) block, size of the -sqrt(n)
         block, free block sizes)."""
         rt = math.sqrt(task.n)
-        return [(int(np.sum(p.fixed == rt)) + 1, int(np.sum(p.fixed == -rt)) + 1,
-                 tuple(p.free.sum(axis=0).astype(int).tolist())) for p in _placements(task)]
+        blocks = []
+        for p in _placements(task):
+            fixed = oracles.fixed_values(p)
+            blocks.append((int(np.sum(fixed == rt)) + 1, int(np.sum(fixed == -rt)) + 1,
+                           tuple(p.free.sum(axis=0).astype(int).tolist())))
+        return blocks
 
     def test_order(self):
         assert self._blocks(SearchTask(target="[4,1,1]")) == [
@@ -294,7 +301,7 @@ class TestPlacements:
         # Lam = (sqrt 6, sqrt 6, sqrt 6, free): only the pairs with the free entry move H
         first = _placements(SearchTask(target="[4,1,1]"))[0]
         assert list(zip(first.k.tolist(), first.l.tolist())) == [(0, 3), (1, 3), (2, 3)]
-        assert not first.fixed.flags.writeable
+        assert not first.tail.flags.writeable and not first.lam_at.flags.writeable
 
     def test_hinges_against_both_constants_even_for_singleton_blocks(self):
         # (1,1) of [2,2,1,1]: two free values, one pair of them and each
@@ -305,7 +312,8 @@ class TestPlacements:
 
     def test_whole_pattern_gets_the_tail_placement(self):
         (tail,) = _placements(SearchTask(target="[6]"))
-        assert not tail.fixed.any() and tail.free.shape == (4, 1) and tail.k.size == 0
+        assert tail.free.all() and tail.free.shape == (4, 1) and tail.k.size == 0
+        assert tail.tail.tolist() == [SQRT6, -SQRT6]
         assert tail.hinge.shape == (2, 3)
         report = minimize(SearchTask(target="[6]", restarts=3, seed=0))
         assert not report.found and report.best_residual > 1e-2
@@ -315,10 +323,11 @@ class TestPlacements:
         (placement,) = _placements(SearchTask(target=target))
         assert placement.free.shape == (4, 0) and placement.hinge.shape == (0, 2)
         # Tao's two double eigenvalues, each made one value on the circle
-        assert len(set(placement.fixed.tolist())) == 2
-        assert np.max(np.abs(np.abs(placement.fixed) - SQRT6)) < 1e-15
+        fixed = oracles.fixed_values(placement)
+        assert len(set(fixed.tolist())) == 2
+        assert np.max(np.abs(np.abs(fixed) - SQRT6)) < 1e-15
         assert placement.k.size == 4  # the pairs across the two doubles
-        spectrum = Spectrum(np.concatenate([(SQRT6, -SQRT6), placement.fixed]))
+        spectrum = Spectrum(np.concatenate([(SQRT6, -SQRT6), fixed]))
         assert spectrum_distance(spectrum, target) < 1e-7
 
     def test_restart_r_uses_placement_r_mod_k(self, monkeypatch):
@@ -353,7 +362,7 @@ class TestConstruction:
             for placement in _placements(task):
                 U = _haar(rng, n - 2)
                 phi = rng.uniform(0.0, 2.0 * math.pi, placement.free.shape[1])
-                lam = placement.fixed + placement.free @ (rt * np.exp(1j * phi))
+                lam = oracles.fixed_values(placement) + placement.free @ (rt * np.exp(1j * phi))
                 H, V = oracles.spectral_construction(U, lam, n)
                 assert np.max(np.abs(H[0] - 1.0)) <= 1e-14
                 assert np.max(np.abs(H[:, 0] - 1.0)) <= 1e-14
@@ -426,7 +435,7 @@ class TestPolishJacobian:
         (``oracles.spectral_construction``) without the search's code."""
         mu = [SQRT6 * np.exp(1j * angle) for angle in phi]
         lam = [mu[int(np.argmax(row))] if row.any() else fixed
-               for row, fixed in zip(placement.free, placement.fixed)]
+               for row, fixed in zip(placement.free, oracles.fixed_values(placement))]
         _, V = oracles.spectral_construction(np.eye(4), lam, 6)
         H, _ = oracles.spectral_construction(V[1:].conj().T @ Y, lam, 6)
         total = float(np.sum((np.abs(H[1:, 1:]) ** 2 - 1.0) ** 2))

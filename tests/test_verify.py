@@ -201,3 +201,31 @@ class TestVerifyReport:
         monkeypatch.setattr(eigen, "_schur", counted)
         assert verify_matrix(gen_tao(1)).verified
         assert len(calls) == 1
+
+
+class TestToleranceRule:
+    """``chm_residuals`` and ``is_dephased`` take a finite nonnegative ``tol``,
+    and the three verifiers inherit the rule: an infinite tolerance passes
+    any matrix, a NaN or negative one fails a genuine CHM."""
+
+    #: a Butson CHM with entries in {1, i, -1, -i}, dephased and a CHM
+    #: exactly in floating point, so every check passes at tol = 0
+    BUTSON = np.array([1, 1j, -1, -1j])[[
+        [0, 0, 0, 0, 0, 0], [0, 0, 2, 2, 1, 3], [0, 2, 0, 1, 2, 3],
+        [0, 2, 3, 2, 0, 1], [0, 1, 1, 3, 3, 2], [0, 3, 2, 0, 2, 1],
+    ]]
+    CHECKS = (core.chm_residuals, core.is_dephased, verify_matrix,
+              spectral.verify_constant_eigenpairs, spectral.verify_hermitian_equivalence)
+
+    @pytest.mark.parametrize("check", CHECKS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
+    def test_non_finite_or_negative_tol_raises(self, check, tol):
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            check(self.BUTSON, tol)
+
+    def test_zero_tol_is_accepted(self):
+        assert core.chm_residuals(self.BUTSON, 0.0).is_chm
+        assert core.is_dephased(self.BUTSON, 0.0)
+        assert verify_matrix(self.BUTSON, 0.0).verified
+        assert not spectral.verify_constant_eigenpairs(self.BUTSON, 0.0).vacuous
+        assert spectral.verify_hermitian_equivalence(self.BUTSON, 0.0).equivalence_holds
