@@ -141,6 +141,15 @@ def _hessenberg(H: np.ndarray, norm_h: float) -> tuple:
     """Unitary similarity reduction of ``H`` (Frobenius norm ``norm_h``) to
     upper Hessenberg form A = Q^dag H Q by Householder reflections.
 
+    A column k whose part below the diagonal has norm at most
+    eps max(1, ``norm_h``) gets no reflection and is set to zero there.  At
+    k = 1 the bound is n times that, step 0's own rounding bound: a dephased
+    CHM maps e_0 to the all-ones vector, so span{e_0, 1} (which holds the
+    paper's constant eigenpairs) is invariant, and once step 0 maps the ones
+    below H's corner onto e_1, column 1 below its subdiagonal is rounding
+    alone.  Zeroing it splits those two eigenpairs off before the QR sweeps;
+    every entry dropped is below the reduction's own backward error.
+
     Returns the rows of A and of Q, as lists of Python ``complex`` for the
     QR sweeps.  A and Q share one (2n x n) array, so that each reflection
     updates both from the right in one pass.
@@ -153,7 +162,8 @@ def _hessenberg(H: np.ndarray, norm_h: float) -> tuple:
     for k in range(n - 2):
         x = A[k + 1 :, k]
         nx = math.sqrt(np.vdot(x, x).real)
-        if nx <= skip:
+        if nx <= (n * skip if k == 1 else skip):
+            x[:] = 0.0
             continue
         v = x.copy()
         pivot = complex(v[0])
@@ -177,7 +187,8 @@ def _wilkinson_shift(a, b, c, d):
 
 
 def _negligible(a: list, k: int, floor: float) -> bool:
-    """Deflation test for the subdiagonal entry a[k][k-1]."""
+    """Deflation test for the subdiagonal entry a[k][k-1]: at most eps times
+    its two diagonal neighbours plus ``floor`` (``_schur``'s eps ||H||_F)."""
     return abs(a[k][k - 1]) <= _EPS * (abs(a[k - 1][k - 1]) + abs(a[k][k])) + floor
 
 
@@ -223,14 +234,17 @@ def _schur(H: np.ndarray, norm_h: float, e: int) -> tuple:
     and ``norm_h`` is its Frobenius norm (at least 1e-300).  Hessenberg
     reduction followed by Wilkinson-shifted QR.  Every block, 2x2 ones
     included, goes through ``_qr_sweep`` until the subdiagonal entry at its
-    bottom passes ``_negligible``, which deflates one eigenvalue; raises
+    bottom passes ``_negligible`` with the floor eps ``norm_h`` (below the
+    Householder reduction's backward error), which deflates one eigenvalue;
+    a subdiagonal entry that ``_hessenberg`` zeroed splits the matrix at
+    once.  Raises
     :class:`ConvergenceError` (carrying a complex array of the values found
     so far, times 2**e: in the caller's units) if more than 100 n QR steps
     are needed.
     """
     n = H.shape[0]
     a, q = _hessenberg(H, norm_h)
-    floor = _EPS * norm_h * 1e-2
+    floor = _EPS * norm_h
     eigs: list = [None] * n
     hi = n - 1
     steps = 0
@@ -317,7 +331,10 @@ def _triangular_eigenvectors(T: np.ndarray) -> np.ndarray:
     back substitution: column k solves (T - t_kk I) y = 0 with y_k = 1.
 
     A pivot t_jj - t_kk smaller than eps |t_kk| is raised to that floor, as
-    LAPACK's ztrevc does, so that equal diagonal entries give finite vectors.
+    LAPACK's ztrevc does, so that equal diagonal entries give finite vectors;
+    and, as ztrevc scales its right-hand side, y is scaled down before a
+    division whose quotient would pass ``_BIG``, so that y_j stays at most
+    ``_BIG`` (a defective block, where the pivot can be ``_SAFE_MIN``).
     """
     t = T.tolist()
     n = len(t)
@@ -329,10 +346,14 @@ def _triangular_eigenvectors(T: np.ndarray) -> np.ndarray:
         for j in range(k - 1, -1, -1):
             row = t[j]
             pivot = row[j] - tkk
-            y[j] = -sum([row[l] * y[l] for l in range(j + 1, k + 1)]) / (
-                pivot if abs(pivot) >= small else small)
-            if abs(y[j]) > _BIG:  # a defective block: rescale before overflow
-                y = [z / _BIG for z in y]
+            if abs(pivot) < small:
+                pivot = small
+            rhs = -sum([row[l] * y[l] for l in range(j + 1, k + 1)])
+            if abs(rhs) > _BIG * abs(pivot):
+                scale = _BIG * abs(pivot) / abs(rhs)
+                y = [z * scale for z in y]
+                rhs *= scale
+            y[j] = rhs / pivot
         norm = math.hypot(*map(abs, y))
         cols.append([z / norm for z in y] + [0j] * (n - k - 1))
     return np.array(cols).T

@@ -11,7 +11,8 @@ time loop, with its own start blocks; it shares only ``eigenvalues`` and
 the small helpers with the Schur-form ``eigenpairs`` it checks.  The
 column-list Schur oracle is the solver as it was before Q was held as rows:
 Q reduced in its own array and accumulated as column lists, a new pair of
-lists per rotation; like the solver, it deflates one eigenvalue at a time,
+lists per rotation; like the solver, it zeroes the Hessenberg columns it
+gives no reflection and deflates one eigenvalue at a time,
 sweeping 2x2 blocks as it sweeps larger ones.  It shares the QR driver's
 helpers and the eigenvector steps after the Schur form, and the solver
 must match it bit for bit.  The
@@ -221,7 +222,8 @@ def _hessenberg_by_columns(H: np.ndarray) -> tuple:
     for k in range(n - 2):
         x = A[k + 1 :, k]
         nx = math.sqrt(np.vdot(x, x).real)
-        if nx <= skip:
+        if nx <= (n * skip if k == 1 else skip):
+            A[k + 1 :, k] = 0.0
             continue
         v = x.copy()
         pivot = complex(v[0])
@@ -280,7 +282,7 @@ def schur_by_columns(H) -> tuple:
     n, e = H.shape[0], _exponent(H)
     H = _ldexp(H, -e)
     a, q = _hessenberg_by_columns(H)
-    floor = _EPS * max(float(np.linalg.norm(H)), 1e-300) * 1e-2
+    floor = _EPS * max(float(np.linalg.norm(H)), 1e-300)
     eigs: list = [None] * n
     hi, steps, stuck = n - 1, 0, 0
     while hi >= 0:

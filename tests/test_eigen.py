@@ -11,8 +11,10 @@ from chmkit.eigen import (
     Spectrum,
     _EPS,
     _canonical_phase,
+    _hessenberg,
     _ldexp,
     _scaled_schur,
+    _triangular_eigenvectors,
     cluster_indices,
     eigenpairs,
     eigenvalues,
@@ -200,6 +202,17 @@ class TestEigenpairs:
         with pytest.raises(ConvergenceError):
             eigenpairs(J)
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_nilpotent_jordan_block_raises(self, n):
+        # every pivot of the back substitution is the safe minimum here
+        with pytest.raises(ConvergenceError):
+            eigenpairs(np.eye(n, k=1))
+
+    def test_back_substitution_stays_finite_on_a_nilpotent_block(self):
+        Y = _triangular_eigenvectors(np.eye(4, k=1))
+        assert np.all(np.isfinite(Y))
+        assert np.allclose(np.linalg.norm(Y, axis=0), 1.0)
+
     def test_non_normal_diagonalizable_input(self):
         # Schur vectors alone are not eigenvectors here
         rng = np.random.default_rng(41)
@@ -279,6 +292,51 @@ def _near_double_unitary() -> np.ndarray:
     """sqrt(6) times a unitary whose two nearest eigenvalues are 9.6e-8 apart:
     one cluster that does not act on its span as a scalar."""
     return _scaled_unitary(102, [0.3, 0.3 + 3.9e-8, 2.5, 3.5, 4.5, 5.5])
+
+
+class TestConstantPairSplit:
+    """A dephased CHM keeps span{e_0, 1}, which holds its constant
+    eigenpairs, invariant: the Householder reduction zeroes column 1 below
+    its subdiagonal, and the QR sweeps never carry those two pairs."""
+
+    @staticmethod
+    def _dephased_chms() -> list:
+        rng = np.random.default_rng(29)
+        members = [H for _, H in standard_corpus()]
+        scrambled = [dephase(_monomial(rng, 6) @ H @ _monomial(rng, 6))[0]
+                     for H in members for _ in range(2)]
+        return ([dephase(H)[0] for H in members] + scrambled
+                + [gen_fourier(n) for n in range(4, 17)])
+
+    def test_column_one_of_a_dephased_chm_is_zeroed(self):
+        for H in self._dephased_chms():
+            scaled, _, norm_h, *_ = _scaled_schur(H)
+            a, _ = _hessenberg(scaled, norm_h)
+            assert a[2][1] == 0
+
+    def test_other_matrices_keep_their_reflection(self):
+        # a dephased unimodular matrix that is no CHM: column 1 is far from 0
+        rng = np.random.default_rng(43)
+        H = dephase(np.exp(2j * math.pi * rng.random((6, 6))))[0]
+        scaled, _, norm_h, *_ = _scaled_schur(H)
+        a, _ = _hessenberg(scaled, norm_h)
+        # the reflection maps column 1 below the diagonal onto +-|x| e_2
+        assert abs(a[2][1]) > 1e6 * 6 * _EPS * norm_h
+        ref = oracles.companion_spectrum(H)
+        values = eigenvalues(H).values
+        assert oracles.greedy_match_distance(values, ref) <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("kind", ["corpus", "scrambled", "fourier", "unitary"])
+    def test_schur_form_is_backward_stable(self, kind):
+        # independent of the column-list oracle, which mirrors the dropped
+        # entries: at most 0.47 and 2.1 times n eps over these inputs
+        for H in _oracle_inputs(kind):
+            scaled, _, norm_h, _, q = _scaled_schur(H)
+            n = scaled.shape[0]
+            Q = np.array(q)  # q holds the rows of Q
+            T = Q.conj().T @ scaled @ Q
+            assert np.linalg.norm(np.tril(T, -1)) <= 8 * n * _EPS * norm_h
+            assert np.linalg.norm(Q.conj().T @ Q - np.eye(n)) <= 8 * n * _EPS
 
 
 class TestSchurForm:
@@ -393,8 +451,12 @@ class TestTwoByTwoEndings:
         sizes = _count_sweeps(monkeypatch)
         for H in _oracle_inputs("corpus") + _oracle_inputs("fourier"):
             eigenpairs(H)
-        # 182 when a 2x2 block was solved in closed form; 243 with one sweep each
+        # 182 when a 2x2 block was solved in closed form; 243 with one sweep
+        # each; 219 once the constant eigenpairs split off before the sweeps
         assert len(sizes) <= 243
+        # a sweep of a k x k block is k - 1 Givens rotations: 1081 while the
+        # constant eigenpairs rode along in the sweeps, 715 once they split off
+        assert sum(size - 1 for size in sizes) <= 750
 
 
 class TestRowSchurVectors:
