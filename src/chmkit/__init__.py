@@ -29,7 +29,6 @@ from .eigen import (
 )
 from .families import (
     BranchFailureError,
-    FamilySpec,
     gen_fourier,
     gen_haagerup,
     gen_hermitian,
@@ -47,7 +46,7 @@ from .gadgets import (
     phase_symmetry_identity,
     reconstruct_from_projectors,
 )
-from .mub import BasisSet, TrioReport, trio_check, unbiasedness_residual
+from .mub import TrioReport, trio_check, unbiasedness_residual
 from .search import SearchReport, SearchTask, gradient_check, minimize
 from .spectral import (
     ConstantEigenpairReport,

@@ -107,14 +107,6 @@ class Spectrum:
         """One ``re,im`` line per value, 17 significant digits."""
         return "\n".join(f"{v.real:.17g},{v.imag:.17g}" for v in self.values) + "\n"
 
-    @classmethod
-    def from_csv(cls, text: str) -> "Spectrum":
-        vals = []
-        for line in text.strip().splitlines():
-            re_s, im_s = line.split(",")
-            vals.append(complex(float(re_s), float(im_s)))
-        return cls(np.array(vals))
-
 
 @dataclass(frozen=True)
 class EigenPair:
@@ -245,7 +237,6 @@ def _schur(H: np.ndarray, norm_h: float, e: int) -> tuple:
     n = H.shape[0]
     a, q = _hessenberg(H, norm_h)
     floor = _EPS * norm_h
-    eigs: list = [None] * n
     hi = n - 1
     steps = 0
     stuck = 0
@@ -253,7 +244,6 @@ def _schur(H: np.ndarray, norm_h: float, e: int) -> tuple:
         # deflate any negligible subdiagonal at the active edge
         if _negligible(a, hi, floor):
             a[hi][hi - 1] = 0j
-            eigs[hi] = a[hi][hi]
             hi -= 1
             stuck = 0
             continue
@@ -266,7 +256,7 @@ def _schur(H: np.ndarray, norm_h: float, e: int) -> tuple:
         if steps >= 100 * n:
             raise ConvergenceError(
                 f"QR failed to converge within {100 * n} iterations",
-                partial=_ldexp(np.array([v for v in eigs if v is not None], np.complex128), e),
+                partial=_ldexp(np.array([a[k][k] for k in range(hi + 1, n)], np.complex128), e),
             )
         if stuck and stuck % 12 == 0:
             # exceptional shift breaks symmetric cycling (e.g. Fourier-like input)
@@ -276,8 +266,7 @@ def _schur(H: np.ndarray, norm_h: float, e: int) -> tuple:
         _qr_sweep(a, q, lo, hi, mu)
         steps += 1
         stuck += 1
-    eigs[0] = a[0][0]
-    return np.array(eigs, dtype=np.complex128), q
+    return np.array([a[k][k] for k in range(n)], dtype=np.complex128), q
 
 
 def _scaled_schur(H) -> tuple:

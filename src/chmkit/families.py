@@ -7,13 +7,11 @@ Parameter domains are validated up front; every generated member passes
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _plain, _Report, as_matrix
+from .core import as_matrix
 
 #: lower edge of the valid |theta| range for the Hermitian family
 HERMITIAN_THETA_MIN = math.acos((-1.0 + math.sqrt(3.0)) / 2.0)
@@ -133,61 +131,14 @@ def gen_hermitian(theta: float) -> np.ndarray:
     )
 
 
-#: family kind -> (its generator, the one ``FamilySpec`` field the generator reads)
+#: family kind -> (its generator, the ``chmkit gen`` option it reads: ``--n``,
+#: ``--omega-branch``, ``--theta``, or for "q" the angle ``--q-arg`` of q)
 FAMILIES = {
     "fourier": (gen_fourier, "n"),
     "tao": (gen_tao, "omega_branch"),
     "haagerup": (gen_haagerup, "q"),
     "hermitian": (gen_hermitian, "theta"),
 }
-
-
-@dataclass(frozen=True)
-class FamilySpec(_Report):
-    """Tagged parameter record selecting one family member.
-
-    Only the field that ``FAMILIES`` names for ``kind`` is consulted and
-    written, Haagerup's ``q`` as ``q_re`` and ``q_im``.  A spec is validated
-    by building its member, with the generator's domain checks.
-    """
-
-    kind: str
-    n: int = 6
-    omega_branch: int = 1
-    q: complex = 1j
-    theta: float = math.pi
-
-    def __post_init__(self):
-        if self.kind not in FAMILIES:
-            raise ValueError(f"unknown family {self.kind!r}; expected one of {list(FAMILIES)}")
-        self.build()
-
-    def build(self) -> np.ndarray:
-        generator, name = FAMILIES[self.kind]
-        return generator(getattr(self, name))
-
-    def to_dict(self) -> dict:
-        name = FAMILIES[self.kind][1]
-        if name == "q":
-            q = complex(self.q)
-            return {"kind": self.kind, "q_re": q.real, "q_im": q.imag}
-        return {"kind": self.kind, name: _plain(getattr(self, name))}
-
-    @classmethod
-    def from_json(cls, text: str) -> "FamilySpec":
-        """Inverse of ``to_json``; a malformed payload raises ``ValueError``."""
-        obj = json.loads(text)
-        kind = obj.get("kind") if isinstance(obj, dict) else None
-        if kind not in FAMILIES:
-            raise ValueError(f"family JSON needs a kind in {list(FAMILIES)}, got {kind!r}")
-        name = FAMILIES[kind][1]
-        keys = ("q_re", "q_im") if name == "q" else (name,)
-        numbers = (int,) if name in ("n", "omega_branch") else (int, float)  # never bool
-        if any(type(obj.get(key)) not in numbers for key in keys):
-            kinds = " or ".join(t.__name__ for t in numbers)
-            raise ValueError(f"{kind} family JSON needs {' and '.join(keys)} as {kinds}")
-        values = [obj[key] for key in keys]
-        return cls(kind=kind, **{name: complex(*values) if name == "q" else values[0]})
 
 
 #: unimodular q sample points used by the standard corpus and sweeps

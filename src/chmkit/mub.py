@@ -8,13 +8,12 @@ a CHM, which is the bridge this module measures.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionError, _Report, as_matrix, matrix_from_object, matrix_to_json
+from .core import DimensionError, _Report, as_matrix
 
 
 def _require_unitary(M: np.ndarray, label: str, tol: float) -> None:
@@ -22,39 +21,6 @@ def _require_unitary(M: np.ndarray, label: str, tol: float) -> None:
     dev = float(np.linalg.norm(M.conj().T @ M - np.eye(n)))
     if dev > tol:
         raise ValueError(f"{label} is not unitary within {tol:g} (deviation {dev:.3e})")
-
-
-@dataclass(frozen=True)
-class BasisSet:
-    """A list of orthonormal bases, each given as a unitary matrix of columns."""
-
-    bases: tuple
-    d: int
-
-    def __post_init__(self):
-        mats = tuple(as_matrix(B) for B in self.bases)
-        if not mats:
-            raise ValueError("basis set must be non-empty")
-        for k, B in enumerate(mats):
-            if B.shape[0] != self.d:
-                raise DimensionError(f"basis {k} has dimension {B.shape[0]}, expected {self.d}")
-            _require_unitary(B, f"basis {k}", 1e-10)
-        object.__setattr__(self, "bases", mats)
-
-    @classmethod
-    def from_matrices(cls, mats) -> "BasisSet":
-        mats = [as_matrix(B) for B in mats]
-        return cls(bases=tuple(mats), d=mats[0].shape[0])
-
-    def to_json(self) -> str:
-        return "[" + ", ".join(matrix_to_json(B) for B in self.bases) + "]"
-
-    @classmethod
-    def from_json(cls, text: str) -> "BasisSet":
-        items = json.loads(text)
-        if not isinstance(items, list) or not items:
-            raise ValueError("basis-set JSON must be a non-empty list of matrix objects")
-        return cls.from_matrices([matrix_from_object(item) for item in items])
 
 
 def unbiasedness_residual(A, B, tol: float = 1e-10) -> float:
@@ -65,9 +31,13 @@ def unbiasedness_residual(A, B, tol: float = 1e-10) -> float:
         raise DimensionError(f"shape mismatch: {A.shape} vs {B.shape}")
     _require_unitary(A, "first basis", tol)
     _require_unitary(B, "second basis", tol)
-    d = A.shape[0]
+    return _residual(A, B)
+
+
+def _residual(A: np.ndarray, B: np.ndarray) -> float:
+    """``unbiasedness_residual`` of two complex arrays already checked unitary."""
     cross = np.abs(A.conj().T @ B)
-    return float(np.max(np.abs(cross - 1.0 / math.sqrt(d))))
+    return float(np.max(np.abs(cross - 1.0 / math.sqrt(A.shape[0]))))
 
 
 @dataclass(frozen=True)
@@ -86,7 +56,8 @@ class TrioReport(_Report):
 
 
 def trio_check(H1, H2, H3, tol: float = 1e-8) -> TrioReport:
-    """Check whether three CHMs form an MUB trio together with the identity."""
+    """Check whether three CHMs form an MUB trio together with the identity;
+    each H_k / sqrt(d) is checked unitary once, before any residual."""
     mats = [as_matrix(H) for H in (H1, H2, H3)]
     d = mats[0].shape[0]
     for k, M in enumerate(mats):
@@ -101,7 +72,7 @@ def trio_check(H1, H2, H3, tol: float = 1e-8) -> TrioReport:
     for i in range(len(bases)):
         for j in range(i + 1, len(bases)):
             (na, Ua), (nb, Ub) = bases[i], bases[j]
-            r = unbiasedness_residual(Ua, Ub, tol)
+            r = _residual(Ua, Ub)
             residuals[(na, nb)] = r
             if r > worst:
                 worst, worst_pair = r, (na, nb)

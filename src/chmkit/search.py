@@ -278,9 +278,13 @@ def _numbers(value, size: int) -> bool:
 # the phase parametrization
 # ---------------------------------------------------------------------------
 
-def phases_to_matrix(phases: np.ndarray, n: int = 6) -> np.ndarray:
-    """Dephased unimodular matrix with free phases on rows/columns 2..n."""
+def phases_to_matrix(phases: np.ndarray) -> np.ndarray:
+    """Dephased unimodular n x n matrix with the (n - 1)^2 free phases on
+    rows/columns 2..n; ``ValueError`` when their count is not a square."""
     phases = np.asarray(phases, dtype=np.float64)
+    n = math.isqrt(phases.size) + 1
+    if (n - 1) ** 2 != phases.size:
+        raise ValueError(f"expected (n - 1)^2 phases, got {phases.size}")
     H = np.ones((n, n), dtype=np.complex128)
     H[1:, 1:] = np.exp(1j * phases.reshape(n - 1, n - 1))
     return H
@@ -292,9 +296,10 @@ def matrix_to_phases(H: np.ndarray) -> np.ndarray:
     return np.angle(H[1:, 1:]).ravel()
 
 
-def _unitarity_rows(H: np.ndarray, n: int) -> list:
+def _unitarity_rows(H: np.ndarray) -> list:
     """Unitarity rows r_u: the real and imaginary parts of G = H H^dag - n I,
     as two strided views for ``np.concatenate`` to copy once."""
+    n = H.shape[0]
     G = H @ H.conj().T
     G.ravel()[:: n + 1] -= n
     parts = G.view(np.float64).reshape(-1, 2)
@@ -314,28 +319,27 @@ def _unitarity_jacobian(H: np.ndarray, ih: np.ndarray, out: np.ndarray) -> None:
     out[: n * n], out[n * n: 2 * n * n] = dG.real, dG.imag
 
 
-def chm_gradient(phases: np.ndarray, n: int = 6) -> np.ndarray:
+def chm_gradient(phases: np.ndarray) -> np.ndarray:
     """Analytic gradient 2 J_u^T r_u of ||H H^dag - n I||_F^2 in the free phases."""
-    H = phases_to_matrix(phases, n)
+    H = phases_to_matrix(phases)
+    n = H.shape[0]
     J = np.zeros((2 * n * n, (n - 1) ** 2))
     _unitarity_jacobian(H, 1j * H[1:, 1:], J)
-    return 2.0 * J.T @ np.concatenate(_unitarity_rows(H, n))
+    return 2.0 * J.T @ np.concatenate(_unitarity_rows(H))
 
 
-def gradient_check(phases, h: float = 1e-6, n: int = 6) -> float:
+def gradient_check(phases, h: float = 1e-6) -> float:
     """Max mismatch between ``chm_gradient`` and central finite differences of
     the unitarity rows' squared norm r_u @ r_u, relative to max(1, |gradient|),
     over all coordinates."""
     phases = np.asarray(phases, dtype=np.float64).ravel()
-    if phases.size != (n - 1) ** 2:
-        raise ValueError(f"expected {(n - 1) ** 2} phases, got {phases.size}")
-    ga = chm_gradient(phases, n)
+    ga = chm_gradient(phases)
     gf = np.empty_like(ga)
     for k in range(phases.size):
         bump = np.zeros_like(phases)
         bump[k] = h
-        rp = np.concatenate(_unitarity_rows(phases_to_matrix(phases + bump, n), n))
-        rm = np.concatenate(_unitarity_rows(phases_to_matrix(phases - bump, n), n))
+        rp = np.concatenate(_unitarity_rows(phases_to_matrix(phases + bump)))
+        rm = np.concatenate(_unitarity_rows(phases_to_matrix(phases - bump)))
         gf[k] = (rp @ rp - rm @ rm) / (2.0 * h)
     denom = np.maximum(1.0, np.maximum(np.abs(ga), np.abs(gf)))
     return float(np.max(np.abs(ga - gf) / denom))
@@ -517,7 +521,7 @@ def _gate(phases: np.ndarray, task: SearchTask, value: float) -> VerifyReport | 
     or spectrum must match the target and, if set, the barrier must hold."""
     if value > task.tol_success:
         return None
-    H = phases_to_matrix(phases, task.n)
+    H = phases_to_matrix(phases)
     report = verify_matrix(H, 1e-8)
     if report.failed not in (None, "multiplicity_profile", "hermitian_equivalence"):
         return None
@@ -628,14 +632,17 @@ def minimize(task: SearchTask, trace_rows: list | None = None) -> SearchReport:
     drawn by a generator seeded with (task.seed, r).  "Found" means the
     unimodular matrix of the candidate's interior angles passed ``_gate``,
     whose report gives ``best_spectrum`` and ``conflict``; with
-    ``stop_on_success`` the loop ends at the first such restart.  A not-found
-    report's ``best_matrix`` is the best candidate itself, and its
-    ``best_spectrum`` is the candidate's spectrum by construction.
+    ``stop_on_success`` the loop ends at the first such restart.  A found
+    restart gives way only to a later found one, so a found report's
+    ``found_restart``, ``best_*`` fields and ``conflict`` all come from the
+    one restart that passed the gate.  A not-found report's ``best_matrix``
+    is the best candidate itself, and its ``best_spectrum`` is the
+    candidate's spectrum by construction.
     ``trace_rows``, when given, collects one (restart, iteration, residual)
     row per Levenberg-Marquardt step.
     """
     n, placements = task.n, _placements(task)
-    best = best_gate = found_restart = None
+    best = None  # (gate report, f, phases, h, Lam, restart) of the best restart
     traces = []
     for r in range(task.restarts):
         placement = placements[r % len(placements)]
@@ -643,15 +650,14 @@ def minimize(task: SearchTask, trace_rows: list | None = None) -> SearchReport:
         traces.append(RestartTrace(restart=r, seed=task.seed, final_residual=f, iterations=iters))
         phases = np.angle(h).ravel()
         gate = _gate(phases, task, f)
-        if best is None or gate is not None or f < best[0]:
-            best, best_gate = (f, phases, h, lam), gate
-        if gate is not None:
-            found_restart = r
-            if task.stop_on_success:
-                break
-    f, phases, h, lam = best
-    if best_gate:
-        H, spectrum = phases_to_matrix(phases, n), best_gate.spectrum
+        if best is None or gate is not None or (best[0] is None and f < best[1]):
+            best = (gate, f, phases, h, lam, r)
+        if gate is not None and task.stop_on_success:
+            break
+    gate, f, phases, h, lam, r = best
+    found_restart = None if gate is None else r
+    if gate is not None:
+        H, spectrum = phases_to_matrix(phases), gate.spectrum
     else:
         H = np.ones((n, n), dtype=np.complex128)
         H[1:, 1:] = h
@@ -665,5 +671,5 @@ def minimize(task: SearchTask, trace_rows: list | None = None) -> SearchReport:
         best_matrix=H,
         best_spectrum=spectrum,
         traces=traces,
-        conflict=best_gate.failed if best_gate else None,
+        conflict=None if gate is None else gate.failed,
     )

@@ -9,7 +9,6 @@ from chmkit.families import (
     Q_VALUES,
     THETA_VALUES,
     BranchFailureError,
-    FamilySpec,
     gen_fourier,
     gen_haagerup,
     gen_hermitian,
@@ -86,8 +85,6 @@ class TestHaagerup:
     def test_non_finite_q_rejected(self, q):
         with pytest.raises(ValueError, match="q must be unimodular"):
             gen_haagerup(q)
-        with pytest.raises(ValueError, match="q must be unimodular"):
-            FamilySpec(kind="haagerup", q=q)
 
 
 class TestHermitian:
@@ -141,55 +138,6 @@ class TestSweepInvariant:
         for H in mats:
             rep = chm_residuals(H, 1e-10)
             assert rep.is_chm
-
-
-class TestFamilySpec:
-    @pytest.mark.parametrize(
-        "spec, wire",
-        [
-            (FamilySpec(kind="fourier", n=6), '{"kind": "fourier", "n": 6}'),
-            (FamilySpec(kind="tao", omega_branch=2), '{"kind": "tao", "omega_branch": 2}'),
-            (FamilySpec(kind="haagerup", q=np.exp(0.4j)),
-             '{"kind": "haagerup", "q_re": 0.9210609940028851, "q_im": 0.3894183423086505}'),
-            (FamilySpec(kind="hermitian", theta=2.0), '{"kind": "hermitian", "theta": 2.0}'),
-        ],
-        ids=["fourier", "tao", "haagerup", "hermitian"],
-    )
-    def test_json_round_trip(self, spec, wire):
-        assert spec.to_json() == wire
-        again = FamilySpec.from_json(wire)
-        assert again.kind == spec.kind
-        assert np.array_equal(again.build(), spec.build())
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            '{"kind": "fourier"}',
-            '{"kind": "haagerup", "q_re": 1.0}',
-            "[1, 2]",
-            '{"kind": "fourier", "n": 2.7}',
-            '{"kind": "fourier", "n": true}',
-            '{"kind": "tao"}',
-            '{"kind": "hermitian", "theta": "2.0"}',
-            '{"kind": "hermitian", "theta": 0.1}',
-            '{"kind": "unknown", "n": 6}',
-            "not json",
-        ],
-    )
-    def test_from_json_rejects_malformed_payloads(self, text):
-        with pytest.raises(ValueError):
-            FamilySpec.from_json(text)
-
-    def test_invalid_specs_rejected(self):
-        with pytest.raises(ValueError):
-            FamilySpec(kind="unknown")
-        with pytest.raises(ValueError):
-            FamilySpec(kind="haagerup", q=2.0)
-        with pytest.raises(ValueError):
-            FamilySpec(kind="hermitian", theta=0.1)
-
-    def test_build_matches_generator(self):
-        assert np.array_equal(FamilySpec(kind="tao").build(), gen_tao(1))
 
 
 def test_corpus_is_nineteen_chms(corpus):

@@ -5,7 +5,8 @@ import pytest
 
 from chmkit.core import chm_residuals
 from chmkit.families import gen_fourier, gen_haagerup, gen_tao
-from chmkit.mub import BasisSet, trio_check, unbiasedness_residual
+from chmkit import mub
+from chmkit.mub import trio_check, unbiasedness_residual
 
 SQRT6 = math.sqrt(6.0)
 I6 = np.eye(6, dtype=complex)
@@ -74,21 +75,17 @@ class TestTrioCheck:
         with pytest.raises(ValueError):
             trio_check(np.ones((6, 6)), gen_fourier(6), gen_fourier(6))
 
+    def test_each_input_is_checked_unitary_once(self, monkeypatch):
+        checked = []
+        require = mub._require_unitary
 
-class TestBasisSet:
-    def test_json_round_trip(self):
-        bs = BasisSet.from_matrices([I6, gen_fourier(6) / SQRT6])
-        again = BasisSet.from_json(bs.to_json())
-        assert again.d == 6
-        for ours, theirs in zip(bs.bases, again.bases):
-            assert np.array_equal(ours, theirs)
+        def counted(M, label, tol):
+            checked.append(label)
+            require(M, label, tol)
 
-    def test_rejects_non_unitary_member(self):
-        with pytest.raises(ValueError, match="unitary"):
-            BasisSet.from_matrices([np.ones((6, 6))])
-
-    def test_rejects_dimension_mismatch(self):
-        from chmkit.core import DimensionError
-
-        with pytest.raises(DimensionError):
-            BasisSet(bases=(np.eye(4, dtype=complex),), d=6)
+        monkeypatch.setattr(mub, "_require_unitary", counted)
+        F = gen_fourier(6)
+        rep = trio_check(F, gen_tao(1), F)
+        assert checked == ["H1/sqrt(d)", "H2/sqrt(d)", "H3/sqrt(d)"]
+        # the unchecked pair residuals are unbiasedness_residual's values
+        assert rep.residuals[("H1", "H2")] == unbiasedness_residual(F / SQRT6, gen_tao(1) / SQRT6)

@@ -679,8 +679,32 @@ class TestGradient:
         assert np.linalg.norm(chm_gradient(phases)) > 1e-6
         assert gradient_check(phases) < 1e-5
 
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_phase_helpers_read_n_from_the_phases(self, n):
+        F = gen_fourier(n)
+        phases = matrix_to_phases(F)
+        assert np.max(np.abs(phases_to_matrix(phases) - F)) < 1e-14
+        assert np.linalg.norm(chm_gradient(phases)) < 1e-8
+        rng = np.random.default_rng(n)
+        assert gradient_check(phases + 1e-3 * rng.standard_normal(phases.size)) < 1e-5
+
 
 class TestMinimize:
+    def test_found_report_comes_from_its_found_restart(self):
+        # restart 28 passes the gate and restart 29 ends lower without
+        # passing it: the report's best is restart 28's, not the lower one
+        task = SearchTask(target="[1,1,1,1]", restarts=30, seed=0, stop_on_success=False,
+                          min_cluster_gap=0.0)
+        report = minimize(task)
+        assert report.found
+        rep = verify_matrix(report.best_matrix, 1e-8)
+        assert rep.multiplicity_profile == [1, 1, 1, 1]
+        assert report.conflict == rep.failed
+        trace = report.traces[report.found_restart]
+        assert trace.restart == report.found_restart
+        assert report.best_residual == trace.final_residual
+        assert np.array_equal(report.best_matrix, phases_to_matrix(report.best_phases))
+
     def test_finds_tao_type_pattern(self):
         task = SearchTask(target="[2,2,1,1]", restarts=20, max_iters=3000, seed=1)
         report = minimize(task)
