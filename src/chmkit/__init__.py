@@ -16,7 +16,6 @@ from .core import (
     rank_one_submatrix_scan,
     read_matrix,
     singular_values,
-    write_matrix,
 )
 from .eigen import (
     CLUSTER_TOL,
@@ -43,7 +42,6 @@ from .gadgets import (
     gadget_repeated_tail,
     gadget_rotation_constants,
     gadget_triple_eigenvalue,
-    phase_symmetry_identity,
     reconstruct_from_projectors,
 )
 from .mub import TrioReport, trio_check, unbiasedness_residual

@@ -158,18 +158,9 @@ class MonomialUnitary:
             raise ValueError(f"phases must be unimodular within 1e-12 (off by {worst:.3e})")
 
     @classmethod
-    def identity(cls, n: int) -> "MonomialUnitary":
-        return cls(n=n, perm=tuple(range(n)), phases=(1.0 + 0.0j,) * n)
-
-    @classmethod
     def diagonal(cls, phases) -> "MonomialUnitary":
         phases = tuple(complex(p) for p in phases)
         return cls(n=len(phases), perm=tuple(range(len(phases))), phases=phases)
-
-    @classmethod
-    def permutation(cls, perm) -> "MonomialUnitary":
-        perm = tuple(int(p) for p in perm)
-        return cls(n=len(perm), perm=perm, phases=(1.0 + 0.0j,) * len(perm))
 
     def to_matrix(self) -> np.ndarray:
         m = np.zeros((self.n, self.n), dtype=np.complex128)
@@ -415,12 +406,6 @@ def matrix_from_object(obj) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains NaN or Inf entries")
     return m
-
-
-def write_matrix(H, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(matrix_to_json(H))
-        fh.write("\n")
 
 
 def read_matrix(path) -> np.ndarray:

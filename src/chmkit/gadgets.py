@@ -236,26 +236,6 @@ def gadget_triple_eigenvalue(lam: complex, lam6: complex, a, t):
     return H, report
 
 
-def unimodular_diagonal_roots(lam: complex, lam6: complex) -> np.ndarray:
-    """Nonnegative solutions x of |(-1 + 4 lam)/5 + x^2 (lam6 - lam)| = 1.
-
-    |f(x)|^2 = 1 is a real quadratic in x^2, so there are at most two such
-    roots; this is what forces three equal amplitudes among any five of them.
-    """
-    c = (-1.0 + 4.0 * complex(lam)) / 5.0
-    d = complex(lam6) - complex(lam)
-    # |c + s d|^2 = |d|^2 s^2 + 2 Re(c conj(d)) s + |c|^2, with s = x^2
-    coeffs = [abs(d) ** 2, 2.0 * (c * d.conjugate()).real, abs(c) ** 2 - 1.0]
-    if coeffs[0] == 0.0:
-        return np.array([])
-    roots = np.roots(coeffs)
-    out = []
-    for s in roots:
-        if abs(s.imag) < 1e-12 and s.real >= -1e-15:
-            out.append(math.sqrt(max(s.real, 0.0)))
-    return np.unique(np.round(out, 12))
-
-
 def random_feasible_weights(rng: np.random.Generator):
     """Draw (a, t) for the triple gadget: unit norm, orthogonality satisfied.
 
@@ -470,92 +450,3 @@ def sample_real_pair(rng: np.random.Generator):
         f = raw / nf
         if np.all(d > 0) and np.all(d < 1) and np.all(np.abs(f) > 1e-4) and np.all(np.abs(f) < 1):
             return d, f
-
-
-# ---------------------------------------------------------------------------
-# Symmetry identity for two rotated projectors
-# ---------------------------------------------------------------------------
-
-def projector_pair_matrix(g, s, h, t, a: float, b: float):
-    """H from two rotated complex eigenvectors with moduli g, h, phases s, t.
-
-    The eigenvectors are v5 = [g_0, g_1 e^{i s_1}, ...] and
-    v6 = [h_0, h_1 e^{i t_1}, ...]; they must be orthonormal.  Returns
-    ``(H, v5, v6)``.
-    """
-    g = np.asarray(g, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
-    v5 = g * np.exp(1j * np.concatenate([[0.0], s]))
-    v6 = h * np.exp(1j * np.concatenate([[0.0], t]))
-    for label, v in (("v5", v5), ("v6", v6)):
-        dev = abs(np.linalg.norm(v) - 1.0)
-        if not dev <= 1e-8:
-            raise ValueError(f"{label} must be a unit vector (deviation {dev:.3e})")
-    ip = abs(np.vdot(v5, v6))
-    if not ip <= 1e-8:
-        raise ValueError(f"v5 and v6 must be orthogonal (inner product {ip:.3e})")
-    P5 = np.outer(v5, v5.conj())
-    P6 = np.outer(v6, v6.conj())
-    eye = np.eye(len(g), dtype=np.complex128)
-    H = SQRT6 * (eye - P5 - P6) + SQRT6 * np.exp(1j * a) * P5 + SQRT6 * np.exp(1j * b) * P6
-    return H, v5, v6
-
-
-def phase_symmetry_identity(g, s, h, t, a: float, b: float) -> GadgetReport:
-    """Verify the closed form for the transpose modulus asymmetry of H.
-
-    For H built from two rotated projectors the difference of squared entry
-    moduli across the diagonal equals
-    96 g_j g_k h_j h_k sin(a/2) sin((a-b)/2) sin(b/2) sin(s_j - s_k - t_j + t_k)
-    in absolute value.  Both the identity deviation and the raw asymmetry are
-    reported; a CHM would force the right-hand side to vanish.
-    """
-    H, _, _ = projector_pair_matrix(g, s, h, t, a, b)
-    g = np.asarray(g, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    sf = np.concatenate([[0.0], np.asarray(s, dtype=np.float64)])
-    tf = np.concatenate([[0.0], np.asarray(t, dtype=np.float64)])
-
-    lhs = np.abs(np.abs(H) ** 2 - np.abs(H.T) ** 2)
-    phase = sf[:, None] - sf[None, :] - tf[:, None] + tf[None, :]
-    rhs = np.abs(
-        96.0
-        * np.outer(g, g)
-        * np.outer(h, h)
-        * math.sin(a / 2.0)
-        * math.sin((a - b) / 2.0)
-        * math.sin(b / 2.0)
-        * np.sin(phase)
-    )
-    identity_dev = float(np.max(np.abs(lhs - rhs)))
-    asym = float(np.max(np.abs(np.abs(H) - np.abs(H.T))))
-    return GadgetReport(
-        name="symmetry-identity",
-        residuals={
-            "identity_max_deviation": identity_dev,
-            "max_modulus_asymmetry": asym,
-        },
-        verdict=identity_dev <= 1e-8,
-        margin=1e-8 - identity_dev,
-        details={"a": a, "b": b},
-    )
-
-
-def sample_projector_pair(rng: np.random.Generator):
-    """Random orthonormal (g, s, h, t) with nonnegative real first components."""
-    while True:
-        z1 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        z2 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        z1 /= np.linalg.norm(z1)
-        z2 -= z1 * np.vdot(z1, z2)
-        n2 = np.linalg.norm(z2)
-        if n2 < 1e-6 or abs(z1[0]) < 1e-6 or abs(z2[0]) < 1e-6:
-            continue
-        z2 /= n2
-        z1 *= z1[0].conjugate() / abs(z1[0])
-        z2 *= z2[0].conjugate() / abs(z2[0])
-        g, s = np.abs(z1), np.angle(z1[1:])
-        h, t = np.abs(z2), np.angle(z2[1:])
-        return g, s, h, t

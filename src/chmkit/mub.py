@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionError, _Report, as_matrix
+from .core import DimensionError, _Report, _require_tolerance, as_matrix
 
 
 def _require_unitary(M: np.ndarray, label: str, tol: float) -> None:
@@ -24,7 +24,9 @@ def _require_unitary(M: np.ndarray, label: str, tol: float) -> None:
 
 
 def unbiasedness_residual(A, B, tol: float = 1e-10) -> float:
-    """Max over (m, n) of | |<a_m, b_n>| - 1/sqrt(d) | for unitary A, B."""
+    """Max over (m, n) of | |<a_m, b_n>| - 1/sqrt(d) | for unitary A, B;
+    ``tol`` must be finite and nonnegative (else ``ValueError``)."""
+    _require_tolerance(tol)
     A = as_matrix(A)
     B = as_matrix(B)
     if A.shape != B.shape:
@@ -57,7 +59,9 @@ class TrioReport(_Report):
 
 def trio_check(H1, H2, H3, tol: float = 1e-8) -> TrioReport:
     """Check whether three CHMs form an MUB trio together with the identity;
-    each H_k / sqrt(d) is checked unitary once, before any residual."""
+    each H_k / sqrt(d) is checked unitary once, before any residual, at a
+    ``tol`` that must be finite and nonnegative (else ``ValueError``)."""
+    _require_tolerance(tol)
     mats = [as_matrix(H) for H in (H1, H2, H3)]
     d = mats[0].shape[0]
     for k, M in enumerate(mats):

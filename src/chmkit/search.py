@@ -331,7 +331,10 @@ def chm_gradient(phases: np.ndarray) -> np.ndarray:
 def gradient_check(phases, h: float = 1e-6) -> float:
     """Max mismatch between ``chm_gradient`` and central finite differences of
     the unitarity rows' squared norm r_u @ r_u, relative to max(1, |gradient|),
-    over all coordinates."""
+    over all coordinates (0.0 over none); the step ``h`` must be finite and
+    positive (else ``ValueError``)."""
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"h must be finite and positive, got {h!r}")
     phases = np.asarray(phases, dtype=np.float64).ravel()
     ga = chm_gradient(phases)
     gf = np.empty_like(ga)
@@ -342,7 +345,7 @@ def gradient_check(phases, h: float = 1e-6) -> float:
         rm = np.concatenate(_unitarity_rows(phases_to_matrix(phases - bump)))
         gf[k] = (rp @ rp - rm @ rm) / (2.0 * h)
     denom = np.maximum(1.0, np.maximum(np.abs(ga), np.abs(gf)))
-    return float(np.max(np.abs(ga - gf) / denom))
+    return float(np.max(np.abs(ga - gf) / denom, initial=0.0))
 
 
 # ---------------------------------------------------------------------------

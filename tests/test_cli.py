@@ -30,7 +30,7 @@ def run(capsys, *argv):
 @pytest.fixture()
 def tao_file(tmp_path):
     path = tmp_path / "tao.json"
-    core.write_matrix(gen_tao(1), path)
+    path.write_text(core.matrix_to_json(gen_tao(1)))
     return str(path)
 
 
@@ -85,7 +85,7 @@ class TestVerify:
 
     def test_identity_matrix_fails(self, capsys, tmp_path):
         path = tmp_path / "eye.json"
-        core.write_matrix(np.eye(6, dtype=complex), path)
+        path.write_text(core.matrix_to_json(np.eye(6, dtype=complex)))
         code, out = run(capsys, "verify", str(path))
         assert code == 1
         assert json.loads(out)["verified"] is False
@@ -123,7 +123,7 @@ class TestVerify:
     def test_chm_tol_env_override(self, capsys, tmp_path, monkeypatch):
         S = gen_tao(1) + 1e-6  # small additive damage
         path = tmp_path / "damaged.json"
-        core.write_matrix(S, path)
+        path.write_text(core.matrix_to_json(S))
         code, _ = run(capsys, "verify", str(path))
         assert code == 1
         monkeypatch.setenv("CHM_TOL", "1e-3")
@@ -134,7 +134,7 @@ class TestVerify:
     def test_non_finite_or_negative_tol_is_usage_error(self, capsys, tmp_path, tol):
         # an infinite tolerance would certify a Gaussian random matrix
         path = tmp_path / "random.json"
-        core.write_matrix(np.random.default_rng(0).standard_normal((6, 6)) + 0j, path)
+        path.write_text(core.matrix_to_json(np.random.default_rng(0).standard_normal((6, 6)) + 0j))
         code = cli.main(["verify", str(path), f"--tol={tol}"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
@@ -184,7 +184,7 @@ class TestVerify:
                     for _ in range(2)
                 )
                 S = core.apply_equivalence(H, P, Q)
-                core.write_matrix(S, src)
+                Path(src).write_text(core.matrix_to_json(S))
                 assert cli.main(["verify", src, "--out", dst]) == 0, name
                 with open(dst, encoding="ascii") as fh:
                     payload = json.load(fh)
@@ -218,7 +218,7 @@ class TestEigenAndDephase:
     def test_dephase_round_trip(self, capsys, tmp_path):
         S = np.diag(np.exp(1j * np.arange(6))) @ gen_tao(1)
         path = tmp_path / "scaled.json"
-        core.write_matrix(S, path)
+        path.write_text(core.matrix_to_json(S))
         code, out = run(capsys, "dephase", str(path))
         assert code == 0
         D = core.matrix_from_json(out)
@@ -332,7 +332,7 @@ class TestGadget:
 class TestMub:
     def test_trio(self, capsys, tao_file, tmp_path):
         f_path = tmp_path / "f6.json"
-        core.write_matrix(cli.families.gen_fourier(6), f_path)
+        f_path.write_text(core.matrix_to_json(cli.families.gen_fourier(6)))
         code, out = run(capsys, "mub", tao_file, str(f_path), str(f_path))
         assert code == 1  # F6 is not unbiased to itself, nor Tao to F6
         payload = json.loads(out)
@@ -351,7 +351,7 @@ class TestMub:
         paths = []
         for k, M in enumerate((F3, D @ F3, D @ D @ F3)):
             paths.append(str(tmp_path / f"b{k}.json"))
-            core.write_matrix(M, paths[-1])
+            Path(paths[-1]).write_text(core.matrix_to_json(M))
         return paths
 
     def test_unbiased_trio(self, capsys, tmp_path):
@@ -394,7 +394,7 @@ class TestMub:
         noisy = F6 * np.exp(1e-9j * np.random.default_rng(7).standard_normal(F6.shape))
         paths = [str(tmp_path / f"m{k}.json") for k in range(count)]
         for M, path in zip((F6, noisy, F6.T), paths):
-            core.write_matrix(M, path)
+            Path(path).write_text(core.matrix_to_json(M))
         monkeypatch.setenv("CHM_TOL", "1e-6")
         code = cli.main(["mub", *paths])
         captured = capsys.readouterr()
@@ -428,7 +428,7 @@ class TestSharedParser:
 
     def test_tolerance_is_read_per_call(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "damaged.json"
-        core.write_matrix(gen_tao(1) + 1e-6, path)
+        path.write_text(core.matrix_to_json(gen_tao(1) + 1e-6))
         assert run(capsys, "verify", str(path), "--tol", "1e-3")[0] == 0
         # neither --tol nor the environment of an earlier call carries over
         assert run(capsys, "verify", str(path))[0] == 1
@@ -440,7 +440,7 @@ class TestSharedParser:
 
 def test_python_dash_m_exit_codes(tao_file, tmp_path):
     eye = tmp_path / "eye.json"
-    core.write_matrix(np.eye(6, dtype=complex), eye)
+    eye.write_text(core.matrix_to_json(np.eye(6, dtype=complex)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     codes = [
@@ -457,7 +457,7 @@ def test_closed_stdout_keeps_the_verdicts_exit_code(tmp_path, unbuffered):
     # head exits): no fault of the command, so its verdict's exit code
     # stands with nothing on stderr, while an unwritable --out still exits 2
     f16 = tmp_path / "f16.json"
-    core.write_matrix(gen_fourier(16), f16)
+    f16.write_text(core.matrix_to_json(gen_fourier(16)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     env.pop("PYTHONUNBUFFERED", None)

@@ -17,16 +17,12 @@ from chmkit.gadgets import (
     gadget_repeated_tail,
     gadget_rotation_constants,
     gadget_triple_eigenvalue,
-    phase_symmetry_identity,
-    projector_pair_matrix,
     random_feasible_weights,
     real_pair_matrix,
     reconstruct_from_projectors,
     repeated_tail_matrix,
-    sample_projector_pair,
     sample_real_pair,
     triple_eigenvalue_matrix,
-    unimodular_diagonal_roots,
 )
 
 import oracles
@@ -197,35 +193,6 @@ class TestTripleEigenvalue:
                                      "unitarity_residual": chm.unitarity_residual}
             assert rep.witnesses == rank_one_submatrix_scan(H, 2, 4, tol=1e-8)
         assert rep.witnesses
-
-    def test_diagonal_root_count_never_exceeds_two(self):
-        rng = np.random.default_rng(17)
-        for _ in range(1000):
-            lam = SQRT6 * np.exp(1j * rng.uniform(0, 2 * np.pi))
-            lam6 = SQRT6 * np.exp(1j * rng.uniform(0, 2 * np.pi))
-            if abs(lam - lam6) < 1e-6:
-                continue
-            assert len(unimodular_diagonal_roots(lam, lam6)) <= 2
-
-    def test_diagonal_roots_match_polynomial_oracle(self):
-        rng = np.random.default_rng(21)
-        for _ in range(50):
-            lam = SQRT6 * np.exp(1j * rng.uniform(0, 2 * np.pi))
-            lam6 = SQRT6 * np.exp(1j * rng.uniform(0, 2 * np.pi))
-            if abs(lam - lam6) < 1e-6:
-                continue
-            roots = unimodular_diagonal_roots(lam, lam6)
-            c = (-1.0 + 4.0 * lam) / 5.0
-            d = lam6 - lam
-            # quartic |c + x^2 d|^2 - 1 = 0 in x, rooted independently
-            quartic = [abs(d) ** 2, 0.0, 2.0 * (c * d.conjugate()).real, 0.0, abs(c) ** 2 - 1.0]
-            raw = np.roots(quartic)
-            expected = sorted(
-                {round(r.real, 9) for r in raw if abs(r.imag) < 1e-9 and r.real >= -1e-12}
-            )
-            assert len(roots) == len(expected)
-            for ours, ref in zip(sorted(roots), expected):
-                assert abs(ours - ref) < 1e-8
 
     def test_precondition_violations_are_named(self):
         rng = np.random.default_rng(2)
@@ -456,53 +423,6 @@ class TestProjectorReconstruction:
             assert np.max(np.abs(reconstruct_from_projectors(combo) - H)) < 1e-8, name
 
 
-class TestPhaseSymmetryIdentity:
-    def test_identity_holds_on_random_pairs(self):
-        rng = np.random.default_rng(55)
-        for _ in range(25):
-            g, s, h, t = sample_projector_pair(rng)
-            a, b = rng.uniform(0.1, np.pi, 2)
-            rep = phase_symmetry_identity(g, s, h, t, a, b)
-            assert rep.verdict
-            assert rep.residuals["identity_max_deviation"] < 1e-9
-
-    def test_projector_pair_norm_constraints(self):
-        rng = np.random.default_rng(56)
-        g, s, h, t = sample_projector_pair(rng)
-        assert abs(np.sum(g**2) - 1.0) < 1e-9
-        assert abs(np.sum(h**2) - 1.0) < 1e-9
-        ip = g[0] * h[0] + np.sum(g[1:] * h[1:] * np.exp(1j * (s - t)))
-        assert abs(ip) < 1e-9
-
-    def test_rejects_non_orthogonal_pair(self):
-        g = np.ones(6) / math.sqrt(6.0)
-        with pytest.raises(ValueError, match="orthogonal"):
-            projector_pair_matrix(g, np.zeros(5), g, np.zeros(5), 1.0, 2.0)
-
-    def test_rejects_nan_moduli(self):
-        g = np.full(6, math.nan)
-        with pytest.raises(ValueError, match="unit vector"):
-            projector_pair_matrix(g, np.zeros(5), g, np.zeros(5), 1.0, 2.0)
-
-    def test_case1_zero_component_plants_3x3_block(self):
-        # zeroed leading amplitude plus coincident phase offsets: the
-        # reconstructed matrix carries a rank-one 3x3 block and cannot be
-        # a CHM
-        g = np.array([0.0, 0.8, 0.2, 0.2, 0.2, 0.2])
-        g /= np.linalg.norm(g)
-        h = np.full(6, 1.0 / math.sqrt(6.0))
-        t = np.array([0.3, 0.7, 1.1, 1.9, 2.4])
-        s = t + np.array([0.0, np.pi, np.pi, np.pi, np.pi])
-        ip = g[0] * h[0] + np.sum(g[1:] * h[1:] * np.exp(1j * (s - t)))
-        assert abs(ip) < 1e-12
-        H, _, _ = projector_pair_matrix(g, s, h, t, a=2.0, b=1.0)
-        assert not chm_residuals(H).is_chm
-        wits = rank_one_submatrix_scan(H, 3, 3, tol=1e-8)
-        assert ((2, 3, 4), (0, 1, 5)) in wits
-        block = H[np.ix_((2, 3, 4), (0, 1, 5))]
-        assert oracles.is_rank_one_by_minors(block)
-
-
 def _real_pair_coincident():
     return gadget_real_pair_rank(*TestRealPairRank._coincident_fixture(), a=1.0, b=2.0)
 
@@ -515,8 +435,6 @@ GADGET_BUILDERS = {
     "rotation-constants": lambda rng: gadget_rotation_constants(),
     "real-pair-generic": lambda rng: gadget_real_pair_rank(*sample_real_pair(rng)),
     "real-pair-coincident": lambda rng: _real_pair_coincident(),
-    "symmetry-identity": lambda rng: phase_symmetry_identity(
-        *sample_projector_pair(rng), a=1.1, b=2.3),
 }
 
 

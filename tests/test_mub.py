@@ -89,3 +89,15 @@ class TestTrioCheck:
         assert checked == ["H1/sqrt(d)", "H2/sqrt(d)", "H3/sqrt(d)"]
         # the unchecked pair residuals are unbiasedness_residual's values
         assert rep.residuals[("H1", "H2")] == unbiasedness_residual(F / SQRT6, gen_tao(1) / SQRT6)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
+class TestTolerance:
+    # non-unitary inputs: a NaN or infinite tol would skip the unitarity check
+    def test_unbiasedness_residual_rejects_non_finite_or_negative_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            unbiasedness_residual(np.eye(2), [[1, 1], [0, 1]], tol=tol)
+
+    def test_trio_check_rejects_non_finite_or_negative_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            trio_check(np.ones((6, 6)), gen_fourier(6), gen_fourier(6), tol=tol)

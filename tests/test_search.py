@@ -141,6 +141,15 @@ class TestObjective:
         with pytest.raises(ValueError, match="phases"):
             gradient_check(np.zeros(24))
 
+    def test_empty_phase_vector_checks_no_coordinates(self):
+        # n = 1: no phases, the 1x1 matrix [1], and nothing to compare
+        assert gradient_check(np.zeros(0)) == 0.0
+
+    @pytest.mark.parametrize("h", [0.0, math.nan, math.inf, -1e-6])
+    def test_step_must_be_finite_and_positive(self, h):
+        with pytest.raises(ValueError, match="h must be finite and positive"):
+            gradient_check(np.zeros(25), h=h)
+
     def test_round_trip_phases(self):
         S = gen_tao(1)
         assert np.max(np.abs(phases_to_matrix(matrix_to_phases(S)) - S)) < 1e-14
