@@ -106,6 +106,11 @@ def _require_tolerance(tol: float, name: str = "tol") -> None:
         raise ValueError(f"{name} must be finite and nonnegative, got {tol!r}")
 
 
+def _is_integer(value) -> bool:
+    """True for a Python or numpy integer that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def chm_residuals(H, tol: float = DEFAULT_TOL) -> ChmReport:
     """Measure how far ``H`` is from being a complex Hadamard matrix; ``tol``
     must be finite and nonnegative (else ``ValueError``)."""
@@ -362,22 +367,18 @@ def matrix_to_json(H) -> str:
     return '{"n": %d, "re": %s, "im": %s}' % (H.shape[0], fmt(H.real), fmt(H.imag))
 
 
+#: the entry types a matrix file's numbers decode to (``bool`` is not one)
+_ENTRY_TYPES = frozenset((int, float))
+
+
 def matrix_from_json(text: str) -> np.ndarray:
     """Parse the canonical JSON matrix format, rejecting malformed payloads."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"not valid JSON: {exc}") from exc
-    return matrix_from_object(obj)
-
-
-#: the entry types a matrix file's numbers decode to (``bool`` is not one)
-_ENTRY_TYPES = frozenset((int, float))
-
-
-def matrix_from_object(obj) -> np.ndarray:
-    """The matrix of a decoded ``{"n", "re", "im"}`` object (a matrix file, or
-    a search report's ``best_matrix``), rejecting malformed objects."""
+    except RecursionError as exc:
+        raise ValueError("JSON nested too deeply to parse") from exc
     if not isinstance(obj, dict) or not {"n", "re", "im"} <= set(obj):
         raise ValueError('matrix JSON must contain "n", "re" and "im"')
     n = obj["n"]
@@ -401,7 +402,10 @@ def matrix_from_object(obj) -> np.ndarray:
                     raise ValueError(f'"{key}" contains a non-numeric entry')
         return np.array(rows, dtype=np.float64)
 
-    re, im = parse("re"), parse("im")
+    try:
+        re, im = parse("re"), parse("im")
+    except OverflowError as exc:  # an integer entry beyond the float range
+        raise ValueError("matrix contains an integer entry too large for a float") from exc
     m = re + 1j * im
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains NaN or Inf entries")

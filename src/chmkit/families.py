@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .core import as_matrix
+from .core import _is_integer, as_matrix
 
 #: lower edge of the valid |theta| range for the Hermitian family
 HERMITIAN_THETA_MIN = math.acos((-1.0 + math.sqrt(3.0)) / 2.0)
@@ -30,6 +30,8 @@ class BranchFailureError(ValueError):
 
 def gen_fourier(n: int) -> np.ndarray:
     """The n x n Fourier matrix with entries exp(2 pi i j k / n)."""
+    if not _is_integer(n):
+        raise ValueError(f"Fourier matrix needs an integer n, got {n!r}")
     if n < 2:
         raise ValueError(f"Fourier matrix needs n >= 2, got {n}")
     j = np.arange(n)

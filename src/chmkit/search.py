@@ -31,15 +31,14 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import _Report, matrix_from_object
+from .core import _Report, _is_integer
 from .eigen import CLUSTER_TOL, Spectrum, cluster_indices, spectrum_distance
 from .spectral import VerifyReport, verify_matrix
 
@@ -144,40 +143,15 @@ class SearchTask(_Report):
             raise ValueError(f"n must be >= 2, got a target of size {n}")
         object.__setattr__(self, "n", n)
 
-    @property
-    def num_phases(self) -> int:
-        return (self.n - 1) ** 2
-
     def to_dict(self) -> dict:
         d = super().to_dict()  # the target tagged: {"pattern": ...} or {"spectrum": ...}
         d["target"] = {"spectrum" if isinstance(self.target, Spectrum) else "pattern": d["target"]}
         return d
 
-    @classmethod
-    def from_json(cls, text: str) -> "SearchTask":
-        """Inverse of ``to_json``.  Keys that are not arguments are ignored:
-        ``n``, which the target gives, and the weight keys of earlier
-        versions (``w_chm``, ``w_spec``)."""
-        obj = json.loads(text)
-        raw = obj.pop("target")
-        target = _spectrum(raw["spectrum"]) if "spectrum" in raw else tuple(raw["pattern"])
-        names = {f.name for f in fields(cls) if f.init}
-        return cls(target=target, **{k: v for k, v in obj.items() if k in names})
-
-
-def _is_integer(value) -> bool:
-    """True for a Python or numpy integer that is not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
 
 def _is_real(value) -> bool:
     """True for a Python or numpy real number that is not a bool."""
     return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
-
-
-def _spectrum(pairs) -> Spectrum:
-    """The spectrum of its [[re, im], ...] JSON form."""
-    return Spectrum(np.array([complex(re, im) for re, im in pairs]))
 
 
 class RestartTrace(NamedTuple):
@@ -219,60 +193,6 @@ class SearchReport(_Report):
         d["best_matrix"] = {"n": self.task.n, "re": H.real.tolist(), "im": H.imag.tolist()}
         wire = {"found": "verdict", "traces": "trace"}
         return {wire.get(k, k): v for k, v in d.items()}
-
-    @classmethod
-    def from_json(cls, text: str) -> "SearchReport":
-        """Inverse of ``to_json``.  Raises ``ValueError`` unless ``best_matrix``
-        is a valid matrix file object of the task's n, ``best_phases`` holds
-        the task's number of finite phases, ``best_spectrum`` has n values,
-        every ``trace`` row is 4 numbers, ``best_residual`` is a number,
-        ``verdict`` is "found" or "not-found", and ``found_restart`` is null
-        for "not-found" and a trace row's restart for "found".  A missing
-        ``conflict`` reads as None."""
-        obj = json.loads(text)
-        task = SearchTask.from_json(json.dumps(obj["task"]))
-        H = matrix_from_object(obj["best_matrix"])
-        if H.shape[0] != task.n:
-            raise ValueError(f"best_matrix has {H.shape[0]} rows; the task's n is {task.n}")
-        phases = obj["best_phases"]
-        if not (_numbers(phases, task.num_phases) and all(map(math.isfinite, phases))):
-            raise ValueError(f"best_phases must be {task.num_phases} finite numbers")
-        spectrum = obj["best_spectrum"]
-        if not (isinstance(spectrum, list) and len(spectrum) == task.n
-                and all(_numbers(pair, 2) for pair in spectrum)):
-            raise ValueError(f"best_spectrum must be {task.n} [re, im] pairs, one per eigenvalue")
-        if not (isinstance(obj["trace"], list) and all(_numbers(row, 4) for row in obj["trace"])):
-            raise ValueError("every trace row must be 4 numbers")
-        if not _is_real(obj["best_residual"]):
-            raise ValueError("best_residual must be a number")
-        verdict, restart = obj["verdict"], obj["found_restart"]
-        if verdict not in ("found", "not-found"):
-            raise ValueError(f'verdict must be "found" or "not-found", got {verdict!r}')
-        if verdict == "found":
-            valid = _is_integer(restart) and restart in [row[0] for row in obj["trace"]]
-        else:
-            valid = restart is None
-        if not valid:
-            raise ValueError("found_restart must be a trace row's restart for a found "
-                             "verdict and null for not-found")
-        return cls(
-            task=task,
-            best_residual=obj["best_residual"],
-            found=verdict == "found",
-            found_restart=restart,
-            best_phases=np.array(phases, dtype=np.float64),
-            best_matrix=H,
-            best_spectrum=_spectrum(spectrum),
-            traces=[RestartTrace(*row) for row in obj["trace"]],
-            conflict=obj.get("conflict"),
-        )
-
-
-def _numbers(value, size: int) -> bool:
-    """True when ``value`` is a JSON list of ``size`` numbers (not booleans)."""
-    return (isinstance(value, list) and len(value) == size
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value))
-
 
 # ---------------------------------------------------------------------------
 # the phase parametrization

@@ -97,6 +97,22 @@ class TestVerify:
         code, _ = run(capsys, "verify", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["verify", "eigen", "dephase", "mub"])
+    @pytest.mark.parametrize("text, message", [
+        ('{"n": 1, "re": [[%s]], "im": [[0]]}' % ("9" * 400),
+         "matrix contains an integer entry too large for a float"),
+        ("[" * 100000, "JSON nested too deeply to parse"),
+    ], ids=["huge-integer", "deep-nesting"])
+    def test_out_of_range_file_is_usage_error(self, capsys, tmp_path, command, text, message):
+        # once a traceback and exit 1, which reads as "claim violated"
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        files = [str(path)] * (2 if command == "mub" else 1)
+        code = cli.main([command, *files])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: bad matrix file {path}: {message}\n"
+
     def test_one_by_one_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "one.json"
         path.write_text('{"n": 1, "re": [[1]], "im": [[0]]}')

@@ -514,7 +514,15 @@ class TestMatrixJson:
          '"im" contains a non-numeric entry'),
         ('{"n": 2, "re": [[1, 2], [3, 4]], "im": [[0, 0], [0, [0]]]}',
          '"im" contains a non-numeric entry'),
-    ], ids=["bool-n", "ragged", "short", "bool", "null", "string", "nested"])
+        # these three once raised OverflowError and RecursionError, which
+        # escaped the CLI's error handling as a traceback with exit 1
+        ('{"n": 1, "re": [[%s]], "im": [[0]]}' % ("9" * 400),
+         "matrix contains an integer entry too large for a float"),
+        ('{"n": 1, "re": [[0]], "im": [[-%s]]}' % ("9" * 400),
+         "matrix contains an integer entry too large for a float"),
+        ("[" * 100000, "JSON nested too deeply to parse"),
+    ], ids=["bool-n", "ragged", "short", "bool", "null", "string", "nested",
+            "huge-integer", "huge-negative-integer", "deep-nesting"])
     def test_exact_messages(self, text, message):
         with pytest.raises(ValueError) as exc:
             matrix_from_json(text)

@@ -36,6 +36,16 @@ class TestFourier:
         with pytest.raises(ValueError):
             gen_fourier(1)
 
+    @pytest.mark.parametrize("n", [2.5, 6.0, np.float64(6.0), True, "6"],
+                             ids=["2.5", "6.0", "float64-6.0", "True", "string-6"])
+    def test_rejects_an_n_that_is_no_integer(self, n):
+        # 2.5 once gave a 3x3 matrix that is no CHM
+        with pytest.raises(ValueError, match="Fourier matrix needs an integer n"):
+            gen_fourier(n)
+
+    def test_accepts_numpy_integers(self):
+        assert np.array_equal(gen_fourier(np.int64(6)), gen_fourier(6))
+
 
 class TestTao:
     def test_marked_entries(self):

@@ -1,7 +1,6 @@
 import itertools
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,13 +8,11 @@ import pytest
 import chmkit.eigen
 import chmkit.search
 import oracles
-from chmkit import core
 from chmkit.core import chm_residuals
 from chmkit.eigen import ConvergenceError, Spectrum, eigenvalues, spectrum_distance
 from chmkit.families import gen_fourier, gen_tao
 from chmkit.search import (
     FTOL,
-    SearchReport,
     SearchTask,
     _descend,
     _jacobian,
@@ -35,9 +32,11 @@ from chmkit.search import (
 from chmkit.spectral import multiplicity_profile, verify_matrix
 
 SQRT6 = math.sqrt(6.0)
-#: ``minimize(SearchTask(target="[4,1,1]", restarts=2, max_iters=3, seed=0)).to_json()``
-#: as written by the phase-space search
-SAVED_REPORT = Path(__file__).parent / "data" / "report_phase_search.json"
+
+
+def _bits(x) -> bytes:
+    """The float64 bytes of a number or nested list of numbers, for bit-for-bit checks."""
+    return np.asarray(x, dtype=np.float64).tobytes()
 
 
 def _task(target: str, **fields) -> SearchTask:
@@ -765,13 +764,12 @@ class TestMinimize:
     def test_report_json_round_trip(self):
         task = SearchTask(target="[2,2,1,1]", restarts=1, max_iters=60, seed=5)
         report = minimize(task)
-        again = SearchReport.from_json(report.to_json())
-        assert again.best_residual == report.best_residual
-        assert np.array_equal(again.best_phases, np.array(report.best_phases))
-        assert again.verdict == report.verdict
-        assert [t.final_residual for t in again.traces] == [
-            t.final_residual for t in report.traces
-        ]
+        d = json.loads(report.to_json())
+        assert _bits(d["best_residual"]) == _bits(report.best_residual)
+        assert _bits(d["best_phases"]) == _bits(report.best_phases)
+        assert d["verdict"] == report.verdict
+        assert _bits([row[2] for row in d["trace"]]) == _bits(
+            [t.final_residual for t in report.traces])
 
     def test_report_wire_format(self):
         report = minimize(SearchTask(target="[2,2,1,1]", restarts=2, max_iters=60, seed=5))
@@ -786,97 +784,6 @@ class TestMinimize:
         assert list(d["best_matrix"]) == ["n", "re", "im"]
         assert d["best_spectrum"] == [[v.real, v.imag] for v in report.best_spectrum.values]
         assert d["conflict"] is None
-
-    @pytest.mark.parametrize(
-        "edit",
-        [
-            lambda d: d["best_matrix"]["re"][0].__setitem__(0, math.nan),
-            lambda d: d["best_matrix"].__setitem__("n", 5),
-            lambda d: d["best_matrix"].pop("im"),
-            lambda d: d.__setitem__("best_matrix", [[1.0]]),
-        ],
-        ids=["nan-entry", "n-disagrees-with-rows", "missing-im", "not-an-object"],
-    )
-    def test_report_from_json_validates_best_matrix(self, edit):
-        report = minimize(SearchTask(target="[2,2,1,1]", restarts=1, max_iters=20, seed=5))
-        d = json.loads(report.to_json())
-        edit(d)
-        with pytest.raises(ValueError):
-            SearchReport.from_json(json.dumps(d))
-
-    @pytest.mark.parametrize(
-        "edit",
-        [
-            lambda d: d.__setitem__("best_phases", [math.nan] * 3),
-            lambda d: d.__setitem__("best_phases", d["best_phases"][:-1]),
-            lambda d: d["best_phases"].__setitem__(4, math.inf),
-            lambda d: d["best_phases"].__setitem__(0, "0.5"),
-            lambda d: d.__setitem__("best_phases", 0.5),
-            lambda d: d.__setitem__("best_spectrum", d["best_spectrum"][:1]),
-            lambda d: d["best_spectrum"].append([0.0, 0.0]),
-            lambda d: d["best_spectrum"].__setitem__(0, [1.0]),
-            lambda d: d["trace"].__setitem__(0, d["trace"][0][:3]),
-            lambda d: d["trace"].__setitem__(0, d["trace"][0] + [1]),
-            lambda d: d["trace"][0].__setitem__(2, None),
-            lambda d: d["trace"].__setitem__(0, 7),
-        ],
-        ids=["three-nan-phases", "one-phase-short", "infinite-phase", "string-phase",
-             "phases-not-a-list", "one-value-spectrum", "seven-value-spectrum", "short-pair",
-             "three-element-trace-row", "five-element-trace-row", "null-in-trace-row",
-             "trace-row-not-a-list"],
-    )
-    def test_report_from_json_validates_phases_spectrum_and_trace(self, edit):
-        report = minimize(SearchTask(target="[2,2,1,1]", restarts=1, max_iters=20, seed=5))
-        d = json.loads(report.to_json())
-        assert len(d["best_phases"]) == 25 and len(d["best_spectrum"]) == 6
-        edit(d)
-        with pytest.raises(ValueError):
-            SearchReport.from_json(json.dumps(d))
-
-    @pytest.mark.parametrize(
-        "verdict, edit",
-        [
-            ("not-found", lambda d: d.__setitem__("best_residual", "x")),
-            ("not-found", lambda d: d.__setitem__("best_residual", True)),
-            ("not-found", lambda d: d.__setitem__("best_residual", None)),
-            ("not-found", lambda d: d.__setitem__("verdict", "maybe")),
-            ("not-found", lambda d: d.__setitem__("verdict", True)),
-            ("not-found", lambda d: d.__setitem__("found_restart", 0)),
-            ("found", lambda d: d.__setitem__("found_restart", 99)),
-            ("found", lambda d: d.__setitem__("found_restart", None)),
-            ("found", lambda d: d.__setitem__("found_restart", "0")),
-            ("found", lambda d: d.__setitem__("found_restart", False)),
-            ("found", lambda d: d.__setitem__("verdict", "not-found")),
-        ],
-        ids=["string-residual", "bool-residual", "null-residual", "unknown-verdict",
-             "bool-verdict", "not-found-with-a-restart", "restart-past-the-trace",
-             "found-without-a-restart", "string-restart", "bool-restart",
-             "not-found-with-a-found-restart"],
-    )
-    def test_report_from_json_validates_the_verdict_fields(self, verdict, edit):
-        pattern = [2, 2, 1, 1] if verdict == "found" else [4, 2]  # [4, 2] is impossible
-        text = minimize(SearchTask(target=pattern, restarts=3, max_iters=20, seed=11)).to_json()
-        d = json.loads(text)
-        assert d["verdict"] == verdict and len(d["trace"]) >= 1
-        assert SearchReport.from_json(text).to_json() == text
-        edit(d)
-        with pytest.raises(ValueError):
-            SearchReport.from_json(json.dumps(d))
-
-    def test_report_from_json_rejects_a_matrix_of_another_size(self):
-        report = minimize(SearchTask(target="[2,2,1,1]", restarts=1, max_iters=20, seed=5))
-        d = json.loads(report.to_json())
-        d["best_matrix"] = json.loads(core.matrix_to_json(np.eye(5)))
-        with pytest.raises(ValueError, match="n is 6"):
-            SearchReport.from_json(json.dumps(d))
-
-
-    def test_report_of_the_phase_space_search_still_loads(self):
-        text = SAVED_REPORT.read_text(encoding="ascii").strip()
-        report = SearchReport.from_json(text)
-        assert report.verdict == "not-found" and report.best_phases.shape == (25,)
-        assert report.to_json() == text
-
 
 class TestFoundInSpectralCoordinates:
     """Targets that the phase-space search missed, or found only after long
@@ -1017,8 +924,11 @@ class TestTaskValidation:
     def test_json_round_trip(self):
         task = SearchTask(target="[4,2]", restarts=7, max_iters=123, seed=42,
                           min_cluster_gap=0.25, non_hermitian=True)
-        again = SearchTask.from_json(task.to_json())
-        assert again == task
+        d = json.loads(task.to_json())
+        assert d == {"target": {"pattern": [4, 2]}, "n": 6, "restarts": 7, "max_iters": 123,
+                     "seed": 42, "tol_success": 1e-8, "min_cluster_gap": 0.25,
+                     "non_hermitian": True, "stop_on_success": True}
+        assert _bits([d["tol_success"], d["min_cluster_gap"]]) == _bits([1e-8, 0.25])
 
     #: ``SearchTask(target="[2,2,1,1]").to_json()`` as written before the
     #: objective weights were removed
@@ -1030,7 +940,6 @@ class TestTaskValidation:
 
     def test_saved_task_still_loads(self):
         task = SearchTask(target="[2,2,1,1]")
-        assert SearchTask.from_json(self.SAVED_DEFAULT_TASK) == task
         saved = json.loads(self.SAVED_DEFAULT_TASK)
         del saved["w_chm"], saved["w_spec"]
         assert json.loads(task.to_json()) == saved
@@ -1038,8 +947,9 @@ class TestTaskValidation:
     def test_spectrum_target_round_trip(self):
         spec = eigenvalues(gen_tao(1))
         task = SearchTask(target=spec, restarts=2, seed=1)
-        again = SearchTask.from_json(task.to_json())
-        assert np.max(np.abs(again.target.values - spec.values)) < 1e-16
+        target = json.loads(task.to_json())["target"]
+        assert list(target) == ["spectrum"]
+        assert _bits(target["spectrum"]) == _bits([[v.real, v.imag] for v in spec.values])
 
     def test_rejects_zero_restarts(self):
         with pytest.raises(ValueError):
@@ -1079,20 +989,14 @@ class TestTaskValidation:
         task = SearchTask(target=[1, np.int64(2), np.int32(1), 2])
         assert task.target == (2, 2, 1, 1) and task.n == 6
         assert all(type(p) is int for p in task.target)
-        assert SearchTask.from_json(task.to_json()) == task
-
-    def test_saved_task_with_a_string_flag_is_rejected(self):
-        saved = json.loads(self.SAVED_DEFAULT_TASK)
-        saved["non_hermitian"] = "false"
-        with pytest.raises(ValueError, match="non_hermitian"):
-            SearchTask.from_json(json.dumps(saved))
+        assert '"target": {"pattern": [2, 2, 1, 1]}' in task.to_json()
 
     def test_accepts_numpy_bools_and_numbers(self):
         task = SearchTask(target="[2,2,1,1]", non_hermitian=np.False_, stop_on_success=np.True_,
                           tol_success=np.float64(1e-8), min_cluster_gap=np.int64(1))
         assert not task.non_hermitian and task.stop_on_success
-        again = SearchTask.from_json(task.to_json())
-        assert again == task and again.non_hermitian is False and again.stop_on_success is True
+        d = json.loads(task.to_json())
+        assert d["non_hermitian"] is False and d["stop_on_success"] is True
 
     def test_accepts_the_edges(self):
         task = SearchTask(target="[2,2,1,1]", seed=np.int64(0), max_iters=0,
@@ -1105,6 +1009,3 @@ class TestTaskValidation:
         report = minimize(SearchTask(target=target, restarts=20, seed=0))
         assert report.found
         assert spectrum_distance(report.best_spectrum, target) <= 1e-6
-        text = report.to_json()
-        again = SearchReport.from_json(text)
-        assert again.found_restart == report.found_restart and again.to_json() == text
